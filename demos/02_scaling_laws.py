@@ -6,9 +6,8 @@ Sweep denoising steps, frame count, and resolution, write the results as CSV
 and SVG, and verify the predicted regimes: linear in steps, quadratic in
 frames and resolution.
 """
+import statistics
 from pathlib import Path
-
-import numpy as np
 
 from vidcost import SweepSpec, VideoJob, emit, load_hardware, load_model_spec, run_sweep
 
@@ -21,8 +20,8 @@ out_dir.mkdir(exist_ok=True)
 # --- steps: latency is a straight line ---
 sweep = SweepSpec(axis="steps", values=tuple(range(1, 201)), fixed=fixed, mu=0.456, hardware=hw)
 result = run_sweep(sweep, model)
-latencies = np.array([p.cost.latency_s for p in result])
-slope, intercept = np.polyfit(np.arange(1, 201, dtype=float), latencies, 1)
+latencies = [p.cost.latency_s for p in result]
+slope, intercept = statistics.linear_regression(range(1, 201), latencies)
 print(f"steps sweep: {slope:.3f} s per extra step, {intercept:.3f} s fixed cost")
 (out_dir / "steps_sweep.csv").write_bytes(emit(result, "csv"))
 
@@ -31,8 +30,8 @@ sweep = SweepSpec(axis="frames", values=tuple(range(4, 101, 4)), fixed=fixed,
                   mu=0.456, hardware=hw)
 result = run_sweep(sweep, model)
 energies = [p.cost.energy_wh for p in result]
-second_diffs = np.diff(energies, n=2)
-print(f"frames sweep: energy second differences all positive: {bool((second_diffs > 0).all())}")
+second_diffs = [a - 2 * b + c for a, b, c in zip(energies, energies[1:], energies[2:])]
+print(f"frames sweep: energy second differences all positive: {all(d > 0 for d in second_diffs)}")
 print(f"  4 frames -> {energies[0]:.2f} Wh, 100 frames -> {energies[-1]:.2f} Wh")
 (out_dir / "frames_sweep.svg").write_bytes(emit(result, "svg"))
 

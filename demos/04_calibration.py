@@ -5,7 +5,7 @@ Fitting the efficiency factor from measurements
 Synthesize a noisy step-sweep of latency measurements at a known efficiency,
 fit it back with the regression, and validate the calibrated predictions.
 """
-import numpy as np
+import random
 
 from vidcost import (
     MeasurementRecord,
@@ -19,7 +19,7 @@ from vidcost import (
 
 model = load_model_spec()
 hw = load_hardware()
-rng = np.random.default_rng(42)
+rng = random.Random(42)
 
 true_mu = 0.456
 records = []
@@ -29,7 +29,7 @@ for steps in range(10, 210, 10):
     ideal = flops / (true_mu * hw.theta_peak)
     records.append(MeasurementRecord(
         model_id="wan2.1-t2v-1.3b", height_px=720, width_px=1280, frames=81,
-        steps=steps, latency_s=ideal * (1 + rng.normal(0, 0.01)),
+        steps=steps, latency_s=ideal * (1 + rng.gauss(0, 0.01)),
     ))
 
 result = fit_mu(records, model.dit, model.text_encoder, model.vae, hw)

@@ -10,11 +10,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
-from scipy import stats
 
 from .cost import SECONDS_PER_HOUR, total_flops
 from .specs import (
@@ -33,6 +31,11 @@ MEASUREMENT_COLUMNS = (
 _REQUIRED_COLUMNS = ("model_id", "height", "width", "frames", "steps")
 
 BUNDLED_MEASUREMENTS = "benchmark_measurements.csv"
+
+_NUMERIC_FIELDS = (
+    "height_px", "width_px", "frames", "steps",
+    "latency_s", "latency_std_s", "gpu_wh", "gpu_wh_std", "cpu_wh", "ram_wh",
+)
 
 
 @dataclass(frozen=True)
@@ -56,6 +59,10 @@ class MeasurementRecord:
     ram_wh: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in _NUMERIC_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.latency_s is None and self.gpu_wh is None:
             raise ValueError("record needs latency_s or gpu_wh")
         if self.latency_s is not None and self.latency_s <= 0:
@@ -147,15 +154,24 @@ def fit_mu(
     flops = _predicted_flops(records, spec, tspec, vae, cfg_passes)
     if len(set(flops)) < 2:
         raise ValueError("degenerate fit: all records predict the same FLOP total")
-    x = np.array([f / hw.theta_peak for f in flops])
-    y = np.array([r.resolved_latency(hw) for r in records])
-    fit = stats.linregress(x, y)
-    if fit.slope <= 0:
-        raise CalibrationRangeError(float("inf") if fit.slope == 0 else 1.0 / fit.slope)
-    mu = 1.0 / fit.slope
+    x = [f / hw.theta_peak for f in flops]
+    y = [r.resolved_latency(hw) for r in records]
+    x_mean = math.fsum(x) / len(x)
+    y_mean = math.fsum(y) / len(y)
+    dx = [v - x_mean for v in x]
+    dy = [v - y_mean for v in y]
+    sxx = math.fsum(d * d for d in dx)
+    sxy = math.fsum(a * b for a, b in zip(dx, dy))
+    slope = sxy / sxx
+    if slope <= 0:
+        raise CalibrationRangeError(math.inf if slope == 0 else 1.0 / slope)
+    mu = 1.0 / slope
     if mu > 1.0:
         raise CalibrationRangeError(mu)
-    return CalibrationResult(mu=mu, intercept_s=fit.intercept, r_squared=fit.rvalue**2)
+    # slope > 0 implies sxy > 0, hence syy > 0. Exactly collinear points can
+    # round to 1 + 2**-52; the clamp keeps r^2 within [0, 1].
+    r_squared = min(1.0, sxy * sxy / (sxx * math.fsum(d * d for d in dy)))
+    return CalibrationResult(mu=mu, intercept_s=y_mean - slope * x_mean, r_squared=r_squared)
 
 
 def mean_percentage_error(predicted: list[float], measured: list[float]) -> float:
@@ -222,19 +238,22 @@ def _record_from_row(row: dict, context: str) -> MeasurementRecord:
     missing = [c for c in _REQUIRED_COLUMNS if row.get(c) in (None, "")]
     if missing:
         raise ValueError(f"{context}: missing required columns {missing}")
-    return MeasurementRecord(
-        model_id=str(row["model_id"]),
-        height_px=int(row["height"]),
-        width_px=int(row["width"]),
-        frames=int(row["frames"]),
-        steps=int(row["steps"]),
-        latency_s=_parse_optional(row.get("latency_s")),
-        latency_std_s=_parse_optional(row.get("latency_std_s")) or 0.0,
-        gpu_wh=_parse_optional(row.get("gpu_wh")),
-        gpu_wh_std=_parse_optional(row.get("gpu_wh_std")) or 0.0,
-        cpu_wh=_parse_optional(row.get("cpu_wh")) or 0.0,
-        ram_wh=_parse_optional(row.get("ram_wh")) or 0.0,
-    )
+    try:
+        return MeasurementRecord(
+            model_id=str(row["model_id"]),
+            height_px=int(row["height"]),
+            width_px=int(row["width"]),
+            frames=int(row["frames"]),
+            steps=int(row["steps"]),
+            latency_s=_parse_optional(row.get("latency_s")),
+            latency_std_s=_parse_optional(row.get("latency_std_s")) or 0.0,
+            gpu_wh=_parse_optional(row.get("gpu_wh")),
+            gpu_wh_std=_parse_optional(row.get("gpu_wh_std")) or 0.0,
+            cpu_wh=_parse_optional(row.get("cpu_wh")) or 0.0,
+            ram_wh=_parse_optional(row.get("ram_wh")) or 0.0,
+        )
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{context}: {exc}") from exc
 
 
 def read_measurements_csv(source) -> list[MeasurementRecord]:

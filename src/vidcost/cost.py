@@ -9,7 +9,6 @@ double-precision floats derived from the compute-bound model
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .specs import (
     DiTSpec,
@@ -19,6 +18,7 @@ from .specs import (
     VAEDecoderSchedule,
     VideoJob,
     ceil_div,
+    exact_div,
 )
 from .vae import decoder_flops
 
@@ -122,17 +122,11 @@ def cross_attention_flops(tokens: int, spec: DiTSpec) -> int:
     return spec.layers * (4 * tokens * d * d + 4 * m * d * d + 4 * tokens * m * d)
 
 
-def _exact_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise ValueError(f"{what} is not an integer FLOP count ({value})")
-    return value.numerator
-
-
 def mlp_flops(tokens: int, spec: DiTSpec) -> int:
     """Feed-forward FLOPs over all layers: N * 4*f*l*d^2, exact."""
     _require_tokens(tokens)
-    value = spec.layers * 4 * spec.mlp_expansion * tokens * spec.hidden * spec.hidden
-    return _exact_int(value, "mlp FLOP count")
+    numerator, denominator = spec.mlp_coefficient
+    return exact_div(numerator * tokens, denominator, "mlp FLOP count")
 
 
 def timestep_flops_per_pass(spec: DiTSpec) -> int:
@@ -144,14 +138,9 @@ def timestep_flops_per_pass(spec: DiTSpec) -> int:
 def text_encoder_flops(tspec: TextEncoderSpec) -> int:
     """Text-encoder FLOPs per video: p * L * (8*m*d^2 + 4*m^2*d + 4*f*m*d^2).
 
-    The feed-forward term may involve a fractional expansion factor; the
-    per-layer term must still come out integral.
+    A per-spec constant, computed once by ``TextEncoderSpec.flops_per_video``.
     """
-    m = tspec.tokens
-    d = tspec.hidden
-    ffn = _exact_int(4 * tspec.mlp_expansion * m * d * d, "text encoder feed-forward term")
-    per_layer = 8 * m * d * d + 4 * m * m * d + ffn
-    return tspec.passes_per_video * tspec.layers * per_layer
+    return tspec.flops_per_video
 
 
 def total_flops(

@@ -14,6 +14,7 @@ import os
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -26,6 +27,14 @@ DEFAULT_HARDWARE = "h100"
 def ceil_div(n: int, d: int) -> int:
     """Integer ceiling division for non-negative n and positive d."""
     return -(-n // d)
+
+
+def exact_div(numerator: int, denominator: int, what: str) -> int:
+    """numerator / denominator, which must be an integer so FLOP counts stay exact."""
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ValueError(f"{what} is not an integer FLOP count ({Fraction(numerator, denominator)})")
+    return quotient
 
 
 def as_fraction(value: int | float | str | Fraction) -> Fraction:
@@ -86,6 +95,13 @@ class DiTSpec:
         if self.mlp_expansion <= 0:
             raise ValueError("mlp_expansion must be strictly positive")
 
+    @cached_property
+    def mlp_coefficient(self) -> tuple[int, int]:
+        """Feed-forward FLOPs per token over all layers, N * 4*f*d^2, as an
+        integer (numerator, denominator) pair."""
+        f = self.mlp_expansion
+        return self.layers * 4 * f.numerator * self.hidden * self.hidden, f.denominator
+
 
 @dataclass(frozen=True)
 class TextEncoderSpec:
@@ -104,6 +120,19 @@ class TextEncoderSpec:
                 raise ValueError(f"{name} must be strictly positive")
         if self.mlp_expansion <= 0:
             raise ValueError("mlp_expansion must be strictly positive")
+
+    @cached_property
+    def flops_per_video(self) -> int:
+        """Text-encoder FLOPs per video: p * L * (8*m*d^2 + 4*m^2*d + 4*f*m*d^2).
+
+        The feed-forward term may involve a fractional expansion factor; the
+        per-layer term must still come out integral.
+        """
+        m = self.tokens
+        d = self.hidden
+        f = self.mlp_expansion
+        ffn = exact_div(4 * f.numerator * m * d * d, f.denominator, "text encoder feed-forward term")
+        return self.passes_per_video * self.layers * (8 * m * d * d + 4 * m * m * d + ffn)
 
 
 class LayerKind(str, Enum):
@@ -162,6 +191,12 @@ class VAEDecoderLayer:
         elif self.kernel is not None:
             raise ValueError("attn2d layers have no kernel")
 
+    @cached_property
+    def flops_per_position(self) -> int:
+        """Conv rows only: FLOPs per output grid position, repeat * 2 * k_t*k_h*k_w * C_in*C_out."""
+        k_t, k_h, k_w = self.kernel
+        return self.repeat * 2 * k_t * k_h * k_w * self.c_in * self.c_out
+
 
 @dataclass(frozen=True)
 class VAEDecoderSchedule:
@@ -176,7 +211,7 @@ class VAEDecoderSchedule:
         if self.mid_channels < 1 or self.latent_channels < 1:
             raise ValueError("channel counts must be strictly positive")
 
-    @property
+    @cached_property
     def conv_layers(self) -> tuple[VAEDecoderLayer, ...]:
         return tuple(l for l in self.layers if l.kind is LayerKind.CONV3D)
 

@@ -18,11 +18,10 @@ def conv3d_flops(layer: VAEDecoderLayer, job: VideoJob) -> int:
     """FLOPs of one conv row: repeat * 2 * k_t*k_h*k_w * C_in*C_out * T'*H'*W'."""
     if layer.kind is not LayerKind.CONV3D:
         raise ValueError(f"conv3d_flops needs a conv3d layer, got {layer.kind.value}")
-    k_t, k_h, k_w = layer.kernel
     t_out = layer.t_rule.apply(job.frames)
     h_out = ceil_div(job.height_px, layer.h_div)
     w_out = ceil_div(job.width_px, layer.w_div)
-    return layer.repeat * 2 * k_t * k_h * k_w * layer.c_in * layer.c_out * t_out * h_out * w_out
+    return layer.flops_per_position * t_out * h_out * w_out
 
 
 def mid_attention_flops(job: VideoJob, schedule: VAEDecoderSchedule) -> int:

@@ -1,6 +1,9 @@
 """Efficiency fitting, error metrics, and measurement ingestion."""
 
 import json
+import math
+import random
+import statistics
 
 import numpy as np
 import pytest
@@ -43,6 +46,12 @@ def test_record_validation():
     with pytest.raises(ValueError):
         MeasurementRecord(model_id="x", height_px=720, width_px=1280, frames=81,
                           steps=50, latency_s=1.0, cpu_wh=-0.1)
+    valid = dict(model_id="x", height_px=720, width_px=1280, frames=81, steps=50,
+                 latency_s=1.0, latency_std_s=0.0, gpu_wh=1.0, gpu_wh_std=0.0, cpu_wh=0.0, ram_wh=0.0)
+    for name in valid.keys() - {"model_id"}:
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                MeasurementRecord(**{**valid, name: bad})
 
 
 def test_mpe_examples():
@@ -116,6 +125,32 @@ def test_fit_mu_out_of_range(wan, h100):
     with pytest.raises(CalibrationRangeError) as info:
         fit_mu(fast, wan.dit, wan.text_encoder, wan.vae, h100)
     assert info.value.mu == pytest.approx(2.0, rel=1e-9)
+    assert type(info.value.mu) is float
+    assert "np.float64(" not in str(info.value)
+
+
+def test_fit_mu_matches_stdlib_reference(wan, h100):
+    rng = random.Random(2024)
+    records, x, y = [], [], []
+    for i in range(40):
+        job = VideoJob(rng.choice((480, 720)), rng.choice((832, 1280)), rng.randrange(1, 122, 4),
+                       rng.randrange(5, 101), 2)
+        flops = total_flops(job, wan.dit, wan.text_encoder, wan.vae).total
+        lat = (flops / (0.456 * h100.theta_peak) + 4.0) * (1.0 + rng.gauss(0.0, 0.03))
+        energy_only = i % 3 == 0
+        record = MeasurementRecord(model_id="seeded", height_px=job.height_px, width_px=job.width_px,
+                                   frames=job.frames, steps=job.steps,
+                                   latency_s=None if energy_only else lat,
+                                   gpu_wh=h100.p_max * lat / 3600.0 if energy_only else None)
+        records.append(record)
+        x.append(flops / h100.theta_peak)
+        y.append(record.resolved_latency(h100))
+    slope, intercept = statistics.linear_regression(x, y)
+    result = fit_mu(records, wan.dit, wan.text_encoder, wan.vae, h100)
+    assert 1.0 / result.mu == pytest.approx(slope, rel=1e-12)
+    assert result.intercept_s == pytest.approx(intercept, rel=1e-12)
+    assert result.r_squared == pytest.approx(statistics.correlation(x, y) ** 2, rel=1e-12)
+    assert [type(v) for v in (result.mu, result.intercept_s, result.r_squared)] == [float] * 3
 
 
 def test_fit_mu_scale_equivariance(wan, h100):

@@ -3,8 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import vidcost
 
 from vidcost import VideoJob, total_flops
 from vidcost.cli import main
@@ -192,6 +198,36 @@ def test_calibrate_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "calibrate", "--measurements", str(tmp_path / "nope.csv"))
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("suffix, text", [
+    (".csv", "model_id,height,width,frames,steps,latency_s\n"
+             "a,720,1280,81,50,410\n"
+             "a,720,1280,81,25,nan\n"),
+    (".json", json.dumps([
+        {"model_id": "a", "height": 720, "width": 1280, "frames": 81, "steps": 50, "latency_s": 410.0},
+        {"model_id": "a", "height": 720, "width": 1280, "frames": 81, "steps": 25, "gpu_wh": float("inf")},
+    ])),
+], ids=["csv", "json"])
+def test_calibrate_rejects_non_finite(capsys, tmp_path, suffix, text):
+    path = tmp_path / f"m{suffix}"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "calibrate", "--measurements", str(path))
+    assert code == 1
+    assert out == ""
+    row = "row 3" if suffix == ".csv" else "record 1"
+    assert err.startswith(f"error: {row}: ")
+    assert "must be finite" in err
+    assert err.count("\n") == 1
+
+
+def test_runtime_imports_stdlib_only():
+    src = str(Path(vidcost.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, vidcost, vidcost.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_compare_bundled(capsys):

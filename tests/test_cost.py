@@ -87,6 +87,11 @@ def test_mlp_rejects_non_integral():
     spec = DiTSpec(layers=1, hidden=1, mlp_expansion=Fraction(1, 8))
     with pytest.raises(ValueError):
         mlp_flops(1, spec)
+    spec = DiTSpec(layers=1, hidden=1, mlp_expansion=Fraction(7, 3))
+    assert mlp_flops(3, spec) == 28
+    with pytest.raises(ValueError, match="28/3"):
+        mlp_flops(1, spec)
+    assert mlp_flops(6, spec) == 56
 
 
 def test_timestep_examples(wan):

@@ -1,6 +1,7 @@
 """Spec type validation and config file round trips."""
 
 import json
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from vidcost import (
     load_hardware,
     load_hardware_db,
     load_model_spec,
+    total_flops,
 )
 from vidcost.specs import model_spec_from_dict, model_spec_to_dict
 
@@ -97,6 +99,20 @@ def test_bundled_model_spec(wan):
 def test_model_spec_round_trip(wan):
     again = model_spec_from_dict(model_spec_to_dict(wan))
     assert again == wan
+
+
+def test_cached_coefficients_leave_spec_unchanged():
+    spec = load_model_spec()
+    before = (model_spec_to_dict(spec), repr(spec), hash(spec))
+    field_names = [[f.name for f in fields(part)] for part in (spec.dit, spec.text_encoder, spec.vae)]
+    total_flops(VideoJob(720, 1280, 81, 50, 2), spec.dit, spec.text_encoder, spec.vae)
+    assert "mlp_coefficient" in vars(spec.dit)
+    assert "flops_per_video" in vars(spec.text_encoder)
+    assert "conv_layers" in vars(spec.vae)
+    assert "flops_per_position" in vars(spec.vae.layers[0])
+    assert (model_spec_to_dict(spec), repr(spec), hash(spec)) == before
+    assert [[f.name for f in fields(part)] for part in (spec.dit, spec.text_encoder, spec.vae)] == field_names
+    assert spec == load_model_spec()
 
 
 def test_model_spec_from_file_and_env(tmp_path, wan, monkeypatch):
