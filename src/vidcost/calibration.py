@@ -70,8 +70,8 @@ class MeasurementRecord:
         for name in ("latency_std_s", "gpu_wh_std", "cpu_wh", "ram_wh"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.gpu_wh is not None and self.gpu_wh < 0:
-            raise ValueError("gpu_wh must be non-negative")
+        if self.gpu_wh is not None and self.gpu_wh <= 0:
+            raise ValueError("gpu_wh must be positive")
 
     def resolved_latency(self, hw: HardwareSpec) -> float:
         if self.latency_s is not None:
@@ -231,6 +231,14 @@ def _parse_optional(value: str | None) -> float | None:
     return float(value)
 
 
+def _parse_int(row: dict, column: str) -> int:
+    """An integer cell: CSV text, or a JSON number that must not be a fraction or a bool."""
+    value = row[column]
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{column} must be an integer")
+    return int(value)
+
+
 def _record_from_row(row: dict, context: str) -> MeasurementRecord:
     unknown = set(row) - set(MEASUREMENT_COLUMNS)
     if unknown:
@@ -241,10 +249,10 @@ def _record_from_row(row: dict, context: str) -> MeasurementRecord:
     try:
         return MeasurementRecord(
             model_id=str(row["model_id"]),
-            height_px=int(row["height"]),
-            width_px=int(row["width"]),
-            frames=int(row["frames"]),
-            steps=int(row["steps"]),
+            height_px=_parse_int(row, "height"),
+            width_px=_parse_int(row, "width"),
+            frames=_parse_int(row, "frames"),
+            steps=_parse_int(row, "steps"),
             latency_s=_parse_optional(row.get("latency_s")),
             latency_std_s=_parse_optional(row.get("latency_std_s")) or 0.0,
             gpu_wh=_parse_optional(row.get("gpu_wh")),

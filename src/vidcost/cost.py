@@ -48,7 +48,8 @@ class FlopBreakdown:
     total: int
 
     def __post_init__(self) -> None:
-        parts = sum(getattr(self, op) for op in OPERATORS)
+        parts = (self.text + self.vae_conv + self.vae_mid_attn + self.self_attn
+                 + self.cross_attn + self.mlp + self.timestep)
         if parts != self.total:
             raise ValueError(f"total {self.total} != sum of operators {parts}")
 
@@ -195,8 +196,9 @@ def cost_from_breakdown(breakdown: FlopBreakdown, hw: HardwareSpec, mu: float) -
     latency_s = latency(breakdown.total, hw, mu)
     energy_j, energy_wh = energy(latency_s, hw)
     total = breakdown.total
-    op_latency = {op: latency_s * flops / total for op, flops in breakdown.per_operator().items()}
-    op_energy = {op: energy_wh * flops / total for op, flops in breakdown.per_operator().items()}
+    per_operator = breakdown.per_operator().items()
+    op_latency = {op: latency_s * flops / total for op, flops in per_operator}
+    op_energy = {op: energy_wh * flops / total for op, flops in per_operator}
     return CostEstimate(
         breakdown=breakdown,
         latency_s=latency_s,

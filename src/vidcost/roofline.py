@@ -3,7 +3,9 @@
 Intensity formulas assume a fused implementation that reads inputs and writes
 outputs once. Attention counts only the two core matmuls (4*l^2*d FLOPs over
 2*l*d*s bytes), so its intensity is 2*l/s regardless of width; the MLP moves
-its weights too, giving f*l*d / ((f*d + l*(1+f)) * s).
+its weights too, giving f*l*d / ((f*d + l*(1+f)) * s). With f = p/q that is
+p*l*d / ((p*d + l*(p+q)) * s), evaluated as one integer true division, which
+Python rounds correctly: the same float as rounding the exact Fraction.
 """
 
 from __future__ import annotations
@@ -50,16 +52,15 @@ def mlp_intensity(tokens: int, spec: DiTSpec, scalar_bytes: int) -> float:
     """Feed-forward arithmetic intensity: f*l*d / ((f*d + l*(1+f)) * s)."""
     if tokens < 1:
         raise ValueError("tokens must be at least 1")
-    f = spec.mlp_expansion
+    p, q = spec.mlp_ratio
     d = spec.hidden
-    value = (f * tokens * d) / ((f * d + tokens * (1 + f)) * scalar_bytes)
-    return float(value)
+    return p * tokens * d / ((p * d + tokens * (p + q)) * scalar_bytes)
 
 
 def mlp_saturation_intensity(spec: DiTSpec, scalar_bytes: int) -> float:
     """Large-token limit of the feed-forward intensity: f*d / ((1+f)*s)."""
-    f = spec.mlp_expansion
-    return float((f * spec.hidden) / ((1 + f) * scalar_bytes))
+    p, q = spec.mlp_ratio
+    return p * spec.hidden / ((p + q) * scalar_bytes)
 
 
 def thresholds(hw: HardwareSpec) -> tuple[int, int]:
@@ -69,6 +70,8 @@ def thresholds(hw: HardwareSpec) -> tuple[int, int]:
     uses the weight-dominated approximation l = s*beta, valid while activation
     traffic is small against weight traffic. Both derive from the balance
     rounded to an integer, mirroring how published threshold tables are built.
+    Every rounding is Python's ``round``, half to even: a balance of 452.5
+    gives 452 and one of 453.5 gives 454.
     """
     beta_int = round(balance(hw))
     s = hw.scalar_bytes
@@ -83,13 +86,13 @@ def mlp_threshold_exact(hw: HardwareSpec, spec: DiTSpec) -> float | None:
     """
     beta = balance(hw)
     s = hw.scalar_bytes
-    f = spec.mlp_expansion
-    d = spec.hidden
     if mlp_saturation_intensity(spec, s) <= beta:
         return None
-    numer = beta * s * float(f) * d
-    denom = float(f) * d - beta * s * float(1 + f)
-    return numer / denom
+    p, q = spec.mlp_ratio
+    d = spec.hidden
+    # f and 1+f rounded once each from the exact ratio, as float(Fraction) does.
+    f, f1 = p / q, (p + q) / q
+    return beta * s * f * d / (f * d - beta * s * f1)
 
 
 def classify(tokens: int, hw: HardwareSpec, spec: DiTSpec) -> list[BoundClassification]:

@@ -10,6 +10,7 @@ accelerator constants.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -96,11 +97,17 @@ class DiTSpec:
             raise ValueError("mlp_expansion must be strictly positive")
 
     @cached_property
+    def mlp_ratio(self) -> tuple[int, int]:
+        """``mlp_expansion`` as plain integers (p, q) with f = p/q, so per-job
+        arithmetic stays on ints and does no Fraction operations."""
+        return self.mlp_expansion.numerator, self.mlp_expansion.denominator
+
+    @cached_property
     def mlp_coefficient(self) -> tuple[int, int]:
         """Feed-forward FLOPs per token over all layers, N * 4*f*d^2, as an
         integer (numerator, denominator) pair."""
-        f = self.mlp_expansion
-        return self.layers * 4 * f.numerator * self.hidden * self.hidden, f.denominator
+        p, q = self.mlp_ratio
+        return self.layers * 4 * p * self.hidden * self.hidden, q
 
 
 @dataclass(frozen=True)
@@ -141,18 +148,18 @@ class LayerKind(str, Enum):
 
 
 class TimeRule(str, Enum):
-    """How a decoder layer's output temporal length derives from the frame count."""
+    """How a decoder layer's output temporal length derives from the frame count:
+    T' = ceil(T / divisor)."""
 
-    CEIL_T_OVER_4 = "ceil_T_over_4"
-    CEIL_T_OVER_2 = "ceil_T_over_2"
-    FULL_T = "full_T"
+    def __new__(cls, value: str, divisor: int):
+        member = str.__new__(cls, value)
+        member._value_ = value
+        member.divisor = divisor
+        return member
 
-    def apply(self, frames: int) -> int:
-        if self is TimeRule.CEIL_T_OVER_4:
-            return ceil_div(frames, 4)
-        if self is TimeRule.CEIL_T_OVER_2:
-            return ceil_div(frames, 2)
-        return frames
+    CEIL_T_OVER_4 = ("ceil_T_over_4", 4)
+    CEIL_T_OVER_2 = ("ceil_T_over_2", 2)
+    FULL_T = ("full_T", 1)
 
 
 @dataclass(frozen=True)
@@ -190,6 +197,11 @@ class VAEDecoderLayer:
                 raise ValueError("conv3d layers need a (k_t, k_h, k_w) kernel with dims >= 1")
         elif self.kernel is not None:
             raise ValueError("attn2d layers have no kernel")
+
+    @cached_property
+    def t_div(self) -> int:
+        """Temporal grid divisor of ``t_rule``."""
+        return self.t_rule.divisor
 
     @cached_property
     def flops_per_position(self) -> int:
@@ -238,6 +250,10 @@ class HardwareSpec:
     balance_consistent: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("theta_peak", "bandwidth", "p_max"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.theta_peak <= 0 or self.bandwidth <= 0 or self.p_max <= 0:
             raise ValueError("theta_peak, bandwidth, and p_max must be strictly positive")
         if self.scalar_bytes not in (1, 2, 4):
@@ -394,6 +410,14 @@ def load_model_spec(name_or_path: str | Path = DEFAULT_MODEL_ID) -> ModelSpec:
     raise FileNotFoundError(f"no model spec named {name_or_path!r} (set {DATA_DIR_ENV} or pass a path)")
 
 
+def _hardware_from_entry(data: dict, source) -> HardwareSpec:
+    """One hardware entry read from ``source``; a rejected value names the file."""
+    try:
+        return hardware_spec_from_dict(data)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from exc
+
+
 def load_hardware_db(path: str | Path | None = None) -> dict[str, HardwareSpec]:
     """Load the accelerator database (bundled by default), keyed by entry name."""
     if path is None:
@@ -405,7 +429,7 @@ def load_hardware_db(path: str | Path | None = None) -> dict[str, HardwareSpec]:
     entries = _read_json(source)
     db = {}
     for entry in entries:
-        spec = hardware_spec_from_dict(entry)
+        spec = _hardware_from_entry(entry, source)
         db[spec.name] = spec
     return db
 
@@ -416,8 +440,8 @@ def load_hardware(name_or_path: str | Path = DEFAULT_HARDWARE) -> HardwareSpec:
     if path.suffix == ".json" or path.is_file():
         entries = _read_json(path)
         if isinstance(entries, dict):
-            return hardware_spec_from_dict(entries)
-        specs = [hardware_spec_from_dict(e) for e in entries]
+            return _hardware_from_entry(entries, path)
+        specs = [_hardware_from_entry(e, path) for e in entries]
         if len(specs) != 1:
             raise ValueError(f"{path} holds {len(specs)} entries; pass a name to pick one")
         return specs[0]

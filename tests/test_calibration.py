@@ -48,6 +48,9 @@ def test_record_validation():
                           steps=50, latency_s=1.0, cpu_wh=-0.1)
     valid = dict(model_id="x", height_px=720, width_px=1280, frames=81, steps=50,
                  latency_s=1.0, latency_std_s=0.0, gpu_wh=1.0, gpu_wh_std=0.0, cpu_wh=0.0, ram_wh=0.0)
+    for latency_s in (None, 1.0):
+        with pytest.raises(ValueError, match="gpu_wh must be positive"):
+            MeasurementRecord(**{**valid, "latency_s": latency_s, "gpu_wh": 0.0})
     for name in valid.keys() - {"model_id"}:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -255,6 +258,20 @@ def test_json_records(tmp_path):
     records = load_measurements(path)
     assert records[0].latency_s == 410.0
     assert records[0].gpu_wh == 78.8
+    # An integral float is an integer.
+    path.write_text(json.dumps([{"model_id": "demo", "height": 720.0, "width": 1280, "frames": 81,
+                                 "steps": 50, "latency_s": 410.0}]))
+    assert load_measurements(path)[0].height_px == 720
+
+
+@pytest.mark.parametrize("field", ["height", "width", "frames", "steps"])
+@pytest.mark.parametrize("bad", [720.9, True])
+def test_json_records_reject_non_integers(tmp_path, field, bad):
+    row = {"model_id": "demo", "height": 720, "width": 1280, "frames": 81, "steps": 50, "latency_s": 410.0}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps([row, {**row, field: bad}]))
+    with pytest.raises(ValueError, match=f"^record 1: {field} must be an integer$"):
+        load_measurements(path)
 
 
 def test_unsupported_extension(tmp_path):

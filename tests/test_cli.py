@@ -174,6 +174,21 @@ def test_roofline_unknown_hardware(capsys):
     assert "cray-1" in err
 
 
+def test_roofline_rejects_non_finite_hardware(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "f.json"
+    path.write_text('[{"name": "toy", "theta_peak": NaN, "bandwidth": 1e12, "p_max": 700}]')
+    code, out, err = run_cli(capsys, "roofline", "--hardware", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: theta_peak must be finite, got nan\n"
+
+    monkeypatch.setenv("VIDCOST_DATA_DIR", str(tmp_path))
+    path.rename(tmp_path / "hardware.json")
+    code, out, err = run_cli(capsys, "roofline")
+    assert (code, out) == (1, "")
+    assert err == f"error: {tmp_path / 'hardware.json'}: theta_peak must be finite, got nan\n"
+
+
 def test_calibrate_synthetic(capsys, tmp_path, wan, h100):
     rows = ["model_id,height,width,frames,steps,latency_s"]
     for steps in (10, 20, 40, 80):

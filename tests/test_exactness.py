@@ -1,0 +1,103 @@
+"""Exactness of the integer fast paths, and a guard that keeps Fraction off the per-job path."""
+
+import fractions
+import math
+import sys
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import conv3d_oracle
+from vidcost import (
+    DiTSpec,
+    TimeRule,
+    VAEDecoderLayer,
+    VideoJob,
+    classify,
+    conv3d_flops,
+    estimate_cost,
+    mlp_intensity,
+    mlp_saturation_intensity,
+    token_length,
+)
+
+# Output time steps per rule, written out independently of TimeRule.
+T_OUT = {
+    "ceil_T_over_4": lambda frames: math.ceil(frames / 4),
+    "ceil_T_over_2": lambda frames: math.ceil(frames / 2),
+    "full_T": lambda frames: frames,
+}
+
+
+@settings(deadline=None)
+@given(
+    p=st.integers(1, 100),
+    q=st.integers(1, 12),
+    hidden=st.integers(1, 10**5),
+    tokens=st.integers(1, 10**7),
+    s=st.sampled_from((1, 2, 4)),
+)
+def test_mlp_intensities_equal_rounded_fraction(p, q, hidden, tokens, s):
+    f = Fraction(p, q)
+    spec = DiTSpec(hidden=hidden, mlp_expansion=f)
+    assert mlp_intensity(tokens, spec, s) == float(f * tokens * hidden / ((f * hidden + tokens * (1 + f)) * s))
+    assert mlp_saturation_intensity(spec, s) == float(f * hidden / ((1 + f) * s))
+
+
+@pytest.mark.parametrize("rule", [r.value for r in TimeRule])
+@settings(deadline=None)
+@given(
+    kernel=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+    c_in=st.integers(1, 512),
+    c_out=st.integers(1, 512),
+    h_div=st.integers(1, 16),
+    w_div=st.integers(1, 16),
+    repeat=st.integers(1, 3),
+    height=st.integers(16, 2048),
+    width=st.integers(16, 2048),
+    frames=st.integers(1, 400),
+)
+def test_conv3d_matches_oracle(rule, kernel, c_in, c_out, h_div, w_div, repeat, height, width, frames):
+    layer = VAEDecoderLayer(kind="conv3d", kernel=kernel, c_in=c_in, c_out=c_out,
+                            t_rule=rule, h_div=h_div, w_div=w_div, repeat=repeat)
+    for t in (frames, 1):
+        expected = conv3d_oracle(repeat, *kernel, c_in, c_out, T_OUT[rule](t),
+                                 math.ceil(height / h_div), math.ceil(width / w_div))
+        assert conv3d_flops(layer, VideoJob(height, width, t, 1)) == expected
+
+
+def fraction_calls(fn) -> list[str]:
+    """Names of the Python functions in fractions.py that ``fn()`` enters."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_fraction_calls_are_seen():
+    assert fraction_calls(lambda: Fraction(1, 3) + 1)
+
+
+@pytest.mark.parametrize("expansion", [None, "8/3"])
+def test_per_job_path_makes_no_fraction_calls(wan, h100, expansion):
+    model = wan if expansion is None else replace(wan, dit=replace(wan.dit, hidden=3072, mlp_expansion=expansion))
+
+    def per_job():
+        for height, width, frames, steps in ((720, 1280, 81, 50), (481, 833, 1, 7)):
+            job = VideoJob(height, width, frames, steps)
+            estimate_cost(job, model, h100, 0.456)
+            classify(token_length(job, model.dit), h100, model.dit)
+
+    per_job()
+    assert fraction_calls(per_job) == []

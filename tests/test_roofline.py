@@ -83,6 +83,14 @@ def test_thresholds_against_reference_values():
         assert abs(mlp_thr - hw.reference_mlp_threshold) <= 2, name
 
 
+def test_thresholds_round_half_to_even():
+    # Python's round: a tied balance goes to the even integer.
+    low, high = toy_hw(theta=452.5e12), toy_hw(theta=453.5e12)
+    assert (balance(low), balance(high)) == (452.5, 453.5)
+    assert thresholds(low) == (452, 904)
+    assert thresholds(high) == (454, 908)
+
+
 def test_threshold_consistency_with_intensity():
     for hw in load_hardware_db().values():
         attn_thr, _ = thresholds(hw)

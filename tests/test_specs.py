@@ -12,6 +12,7 @@ from vidcost import (
     TextEncoderSpec,
     VAEDecoderLayer,
     VideoJob,
+    classify,
     load_hardware,
     load_hardware_db,
     load_model_spec,
@@ -83,6 +84,11 @@ def test_hardware_validation():
         HardwareSpec(name="x", theta_peak=0, bandwidth=1, p_max=1)
     with pytest.raises(ValueError):
         HardwareSpec(name="x", theta_peak=1, bandwidth=1, p_max=1, scalar_bytes=3)
+    valid = dict(name="x", theta_peak=1e12, bandwidth=1e12, p_max=700)
+    for name in ("theta_peak", "bandwidth", "p_max"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                HardwareSpec(**{**valid, name: bad})
 
 
 def test_bundled_model_spec(wan):
@@ -110,6 +116,9 @@ def test_cached_coefficients_leave_spec_unchanged():
     assert "flops_per_video" in vars(spec.text_encoder)
     assert "conv_layers" in vars(spec.vae)
     assert "flops_per_position" in vars(spec.vae.layers[0])
+    classify(1, load_hardware(), spec.dit)
+    assert "mlp_ratio" in vars(spec.dit)
+    assert "t_div" in vars(spec.vae.layers[0])
     assert (model_spec_to_dict(spec), repr(spec), hash(spec)) == before
     assert [[f.name for f in fields(part)] for part in (spec.dit, spec.text_encoder, spec.vae)] == field_names
     assert spec == load_model_spec()
