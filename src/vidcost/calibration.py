@@ -12,6 +12,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 from .cost import SECONDS_PER_HOUR, total_flops
@@ -28,6 +29,7 @@ MEASUREMENT_COLUMNS = (
     "model_id", "height", "width", "frames", "steps",
     "latency_s", "latency_std_s", "gpu_wh", "gpu_wh_std", "cpu_wh", "ram_wh",
 )
+_COLUMN_SET = frozenset(MEASUREMENT_COLUMNS)
 _REQUIRED_COLUMNS = ("model_id", "height", "width", "frames", "steps")
 
 BUNDLED_MEASUREMENTS = "benchmark_measurements.csv"
@@ -36,6 +38,10 @@ _NUMERIC_FIELDS = (
     "height_px", "width_px", "frames", "steps",
     "latency_s", "latency_std_s", "gpu_wh", "gpu_wh_std", "cpu_wh", "ram_wh",
 )
+_NON_NEGATIVE_FIELDS = ("latency_std_s", "gpu_wh_std", "cpu_wh", "ram_wh")
+# A record's field values as tuples in the orders above, in one C call each.
+_numeric_values = attrgetter(*_NUMERIC_FIELDS)
+_non_negative_values = attrgetter(*_NON_NEGATIVE_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -59,16 +65,15 @@ class MeasurementRecord:
     ram_wh: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in _NUMERIC_FIELDS:
-            value = getattr(self, name)
+        for name, value in zip(_NUMERIC_FIELDS, _numeric_values(self)):
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.latency_s is None and self.gpu_wh is None:
             raise ValueError("record needs latency_s or gpu_wh")
         if self.latency_s is not None and self.latency_s <= 0:
             raise ValueError("latency_s must be positive")
-        for name in ("latency_std_s", "gpu_wh_std", "cpu_wh", "ram_wh"):
-            if getattr(self, name) < 0:
+        for name, value in zip(_NON_NEGATIVE_FIELDS, _non_negative_values(self)):
+            if value < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.gpu_wh is not None and self.gpu_wh <= 0:
             raise ValueError("gpu_wh must be positive")
@@ -240,9 +245,8 @@ def _parse_int(row: dict, column: str) -> int:
 
 
 def _record_from_row(row: dict, context: str) -> MeasurementRecord:
-    unknown = set(row) - set(MEASUREMENT_COLUMNS)
-    if unknown:
-        raise ValueError(f"{context}: unknown columns {sorted(unknown)}")
+    if not _COLUMN_SET.issuperset(row):
+        raise ValueError(f"{context}: unknown columns {sorted(row.keys() - _COLUMN_SET)}")
     missing = [c for c in _REQUIRED_COLUMNS if row.get(c) in (None, "")]
     if missing:
         raise ValueError(f"{context}: missing required columns {missing}")
@@ -265,12 +269,35 @@ def _record_from_row(row: dict, context: str) -> MeasurementRecord:
 
 
 def read_measurements_csv(source) -> list[MeasurementRecord]:
-    """Read measurement records from a CSV path or file-like object."""
-    if hasattr(source, "read"):
-        reader = csv.DictReader(source)
-        return [_record_from_row(row, f"row {i + 2}") for i, row in enumerate(reader)]
-    with open(source, newline="", encoding="utf-8") as fh:
-        return read_measurements_csv(fh)
+    """Read measurement records from a CSV path or file-like object.
+
+    The header (row 1) is checked once, whether or not records follow. Blank
+    lines are skipped and not counted as rows; a row with more cells than the
+    header is rejected, and missing trailing cells read as empty.
+    """
+    if not hasattr(source, "read"):
+        with open(source, newline="", encoding="utf-8") as fh:
+            return read_measurements_csv(fh)
+    rows = csv.reader(source)
+    header = next(rows, None)
+    if header is None:
+        return []
+    unknown = set(header) - _COLUMN_SET
+    if unknown:
+        raise ValueError(f"row 1: unknown columns {sorted(unknown)}")
+    missing = [c for c in _REQUIRED_COLUMNS if c not in header]
+    if missing:
+        raise ValueError(f"row 1: missing required columns {missing}")
+    width = len(header)
+    records = []
+    for row in rows:
+        if not row:
+            continue
+        context = f"row {len(records) + 2}"
+        if len(row) > width:
+            raise ValueError(f"{context}: {len(row)} cells, header has {width}")
+        records.append(_record_from_row(dict(zip(header, row)), context))
+    return records
 
 
 def read_measurements_json(source) -> list[MeasurementRecord]:

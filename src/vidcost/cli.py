@@ -36,9 +36,12 @@ _FALLBACK_JOB = (720, 1280, 81, 50)
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # reported below, as a non-positive value is
     if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
 
 
@@ -203,12 +206,15 @@ def cmd_estimate(args) -> int:
 
 
 def _sweep_values(args):
-    if args.axis == "resolution":
-        if args.values is None:
-            raise ValueError("resolution sweeps need --values with HxW entries")
-        return tuple(_resolution(v) for v in args.values.split(","))
+    """The swept values. A malformed --values entry raises ArgumentTypeError, a usage error."""
+    if args.axis == "resolution" and args.values is None:
+        raise ValueError("resolution sweeps need --values with HxW entries")
     if args.values is not None:
-        return tuple(int(v) for v in args.values.split(","))
+        parse = _resolution if args.axis == "resolution" else _positive_int
+        try:
+            return tuple(parse(v) for v in args.values.split(","))
+        except argparse.ArgumentTypeError as exc:
+            raise argparse.ArgumentTypeError(f"--values: {exc}") from None
     if args.start is None or args.stop is None:
         raise ValueError("sweep needs --from/--to (or --values)")
     return tuple(range(args.start, args.stop + 1, args.step))
@@ -280,6 +286,11 @@ def cmd_roofline(args) -> int:
 def cmd_calibrate(args) -> int:
     model, hw = _load_context(args)
     records = load_measurements(args.measurements)
+    # Every record is fitted against --model, whatever model it names.
+    others = [r.model_id for r in records if r.model_id != model.model_id]
+    if others:
+        print(f"warning: {len(others)} of {len(records)} records name a model other than "
+              f"{model.model_id}: {', '.join(sorted(set(others)))}", file=sys.stderr)
     cfg = args.cfg_passes if args.cfg_passes is not None else model.cfg_passes
     result = fit_mu(records, model.dit, model.text_encoder, model.vae, hw, cfg_passes=cfg)
     fmt = args.format or args.default_format
@@ -328,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except argparse.ArgumentTypeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (OSError, KeyError, ValueError, NotImplementedError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)

@@ -9,6 +9,7 @@ double-precision floats derived from the compute-bound model
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .specs import (
     DiTSpec,
@@ -17,7 +18,6 @@ from .specs import (
     TextEncoderSpec,
     VAEDecoderSchedule,
     VideoJob,
-    ceil_div,
     exact_div,
 )
 from .vae import decoder_flops
@@ -25,6 +25,9 @@ from .vae import decoder_flops
 # Operator keys, in report order. The first three are once per video; the
 # rest accumulate over all guided denoising steps.
 OPERATORS = ("text", "vae_conv", "vae_mid_attn", "self_attn", "cross_attn", "mlp", "timestep")
+
+# A breakdown's operator FLOPs as a tuple in OPERATORS order, in one C call.
+_operator_flops = attrgetter(*OPERATORS)
 
 SECONDS_PER_HOUR = 3600.0
 
@@ -54,7 +57,7 @@ class FlopBreakdown:
             raise ValueError(f"total {self.total} != sum of operators {parts}")
 
     def per_operator(self) -> dict[str, int]:
-        return {op: getattr(self, op) for op in OPERATORS}
+        return dict(zip(OPERATORS, _operator_flops(self)))
 
     def as_dict(self) -> dict[str, int]:
         out = self.per_operator()
@@ -81,9 +84,10 @@ def latent_grid(job: VideoJob, spec: DiTSpec) -> tuple[int, int, int]:
     ``vae_t_down`` frames to one more; spatial dims divide by the VAE stride
     times the patch size, rounding up when not exact.
     """
-    latent_t = 1 + ceil_div(job.frames - 1, spec.vae_t_down)
-    tokens_h = ceil_div(job.height_px, spec.vae_s_down * spec.patch_h)
-    tokens_w = ceil_div(job.width_px, spec.vae_s_down * spec.patch_w)
+    # Ceiling divisions, written as -(-n // d) to save calls.
+    latent_t = 1 + -(-(job.frames - 1) // spec.vae_t_down)
+    tokens_h = -(-job.height_px // (spec.vae_s_down * spec.patch_h))
+    tokens_w = -(-job.width_px // (spec.vae_s_down * spec.patch_w))
     return latent_t, tokens_h, tokens_w
 
 
@@ -93,18 +97,14 @@ def token_length(job: VideoJob, spec: DiTSpec) -> int:
     return latent_t * tokens_h * tokens_w
 
 
-def _require_tokens(tokens: int) -> None:
-    if tokens < 1:
-        raise ValueError("tokens must be at least 1")
-
-
 def self_attention_flops(tokens: int, spec: DiTSpec) -> int:
     """Self-attention FLOPs over all layers: N * (8*l*d^2 + 4*l^2*d).
 
     Q/K/V/output projections give the 8*l*d^2 term, the two attention matmuls
     the 4*l^2*d term; head count cancels and is not a parameter.
     """
-    _require_tokens(tokens)
+    if tokens < 1:
+        raise ValueError("tokens must be at least 1")
     d = spec.hidden
     return spec.layers * (8 * tokens * d * d + 4 * tokens * tokens * d)
 
@@ -115,7 +115,8 @@ def cross_attention_flops(tokens: int, spec: DiTSpec) -> int:
     Text keys/values are recomputed every pass (no KV cache), matching the
     default accounting.
     """
-    _require_tokens(tokens)
+    if tokens < 1:
+        raise ValueError("tokens must be at least 1")
     if spec.kv_cache:
         raise NotImplementedError("cached cross-attention accounting is reserved but not implemented")
     d = spec.hidden
@@ -125,7 +126,8 @@ def cross_attention_flops(tokens: int, spec: DiTSpec) -> int:
 
 def mlp_flops(tokens: int, spec: DiTSpec) -> int:
     """Feed-forward FLOPs over all layers: N * 4*f*l*d^2, exact."""
-    _require_tokens(tokens)
+    if tokens < 1:
+        raise ValueError("tokens must be at least 1")
     numerator, denominator = spec.mlp_coefficient
     return exact_div(numerator * tokens, denominator, "mlp FLOP count")
 
@@ -164,16 +166,7 @@ def total_flops(
     text = text_encoder_flops(tspec)
     vae_conv, vae_mid_attn = decoder_flops(job, vae)
     total = text + vae_conv + vae_mid_attn + self_attn + cross_attn + mlp + timestep
-    return FlopBreakdown(
-        text=text,
-        vae_conv=vae_conv,
-        vae_mid_attn=vae_mid_attn,
-        self_attn=self_attn,
-        cross_attn=cross_attn,
-        mlp=mlp,
-        timestep=timestep,
-        total=total,
-    )
+    return FlopBreakdown(text, vae_conv, vae_mid_attn, self_attn, cross_attn, mlp, timestep, total)
 
 
 def latency(flops: int, hw: HardwareSpec, mu: float) -> float:
@@ -196,17 +189,11 @@ def cost_from_breakdown(breakdown: FlopBreakdown, hw: HardwareSpec, mu: float) -
     latency_s = latency(breakdown.total, hw, mu)
     energy_j, energy_wh = energy(latency_s, hw)
     total = breakdown.total
-    per_operator = breakdown.per_operator().items()
-    op_latency = {op: latency_s * flops / total for op, flops in per_operator}
-    op_energy = {op: energy_wh * flops / total for op, flops in per_operator}
-    return CostEstimate(
-        breakdown=breakdown,
-        latency_s=latency_s,
-        energy_j=energy_j,
-        energy_wh=energy_wh,
-        operator_latency_s=op_latency,
-        operator_energy_wh=op_energy,
-    )
+    op_latency, op_energy = {}, {}
+    for op, flops in zip(OPERATORS, _operator_flops(breakdown)):
+        op_latency[op] = latency_s * flops / total
+        op_energy[op] = energy_wh * flops / total
+    return CostEstimate(breakdown, latency_s, energy_j, energy_wh, op_latency, op_energy)
 
 
 def estimate_cost(job: VideoJob, model: ModelSpec, hw: HardwareSpec, mu: float) -> CostEstimate:

@@ -99,11 +99,9 @@ def classify(tokens: int, hw: HardwareSpec, spec: DiTSpec) -> list[BoundClassifi
     """Regime of the attention and feed-forward blocks at a token length."""
     attn_thr, mlp_thr = thresholds(hw)
     s = hw.scalar_bytes
-    out = []
-    for operator, intensity, threshold in (
-        (ATTENTION, attn_intensity(tokens, s), attn_thr),
-        (MLP, mlp_intensity(tokens, spec, s), mlp_thr),
-    ):
-        regime = COMPUTE_BOUND if tokens > threshold else MEMORY_BOUND
-        out.append(BoundClassification(operator, tokens, intensity, threshold, regime))
-    return out
+    return [
+        BoundClassification(ATTENTION, tokens, attn_intensity(tokens, s), attn_thr,
+                            COMPUTE_BOUND if tokens > attn_thr else MEMORY_BOUND),
+        BoundClassification(MLP, tokens, mlp_intensity(tokens, spec, s), mlp_thr,
+                            COMPUTE_BOUND if tokens > mlp_thr else MEMORY_BOUND),
+    ]

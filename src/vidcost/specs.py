@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -23,11 +23,6 @@ DATA_DIR_ENV = "VIDCOST_DATA_DIR"
 
 DEFAULT_MODEL_ID = "wan2.1-t2v-1.3b"
 DEFAULT_HARDWARE = "h100"
-
-
-def ceil_div(n: int, d: int) -> int:
-    """Integer ceiling division for non-negative n and positive d."""
-    return -(-n // d)
 
 
 def exact_div(numerator: int, denominator: int, what: str) -> int:
@@ -56,6 +51,11 @@ class VideoJob:
     cfg_passes: int = 2
 
     def __post_init__(self) -> None:
+        # Exact int, so FLOP counts stay ints: bool, float and int-like types are rejected.
+        if (type(self.height_px) is not int or type(self.width_px) is not int or type(self.frames) is not int
+                or type(self.steps) is not int or type(self.cfg_passes) is not int):
+            name = next(f.name for f in fields(self) if type(getattr(self, f.name)) is not int)
+            raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.height_px < 16 or self.width_px < 16:
             raise ValueError("height_px and width_px must be at least 16")
         if self.frames < 1:
@@ -286,8 +286,28 @@ def _fraction_to_config(value: Fraction):
     return f"{value.numerator}/{value.denominator}"
 
 
+def _check_object(data, where: str, allowed, required=()) -> None:
+    """Reject a JSON value that is not an object, has a key outside ``allowed``,
+    or lacks one of ``required``; the message names ``where`` and the keys."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(data).__name__}")
+    unknown = data.keys() - allowed
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ValueError(f"{where}: missing keys {missing}")
+
+
+def _dataclass_from_dict(cls, data, where: str):
+    """``cls(**data)`` for a JSON object whose keys are fields of ``cls``."""
+    cls_fields = fields(cls)
+    _check_object(data, where, [f.name for f in cls_fields], [f.name for f in cls_fields if f.default is MISSING])
+    return cls(**data)
+
+
 def dit_spec_from_dict(data: dict) -> DiTSpec:
-    return DiTSpec(**data)
+    return _dataclass_from_dict(DiTSpec, data, "dit")
 
 
 def dit_spec_to_dict(spec: DiTSpec) -> dict:
@@ -297,7 +317,7 @@ def dit_spec_to_dict(spec: DiTSpec) -> dict:
 
 
 def text_encoder_spec_from_dict(data: dict) -> TextEncoderSpec:
-    return TextEncoderSpec(**data)
+    return _dataclass_from_dict(TextEncoderSpec, data, "text_encoder")
 
 
 def text_encoder_spec_to_dict(spec: TextEncoderSpec) -> dict:
@@ -306,12 +326,8 @@ def text_encoder_spec_to_dict(spec: TextEncoderSpec) -> dict:
     return out
 
 
-def vae_layer_from_dict(data: dict) -> VAEDecoderLayer:
-    data = dict(data)
-    kernel = data.get("kernel")
-    if kernel is not None:
-        data["kernel"] = tuple(kernel)
-    return VAEDecoderLayer(**data)
+def vae_layer_from_dict(data: dict, where: str = "vae layer") -> VAEDecoderLayer:
+    return _dataclass_from_dict(VAEDecoderLayer, data, where)
 
 
 def vae_layer_to_dict(layer: VAEDecoderLayer) -> dict:
@@ -332,8 +348,9 @@ def vae_layer_to_dict(layer: VAEDecoderLayer) -> dict:
 
 
 def vae_schedule_from_dict(data: dict) -> VAEDecoderSchedule:
+    _check_object(data, "vae", [f.name for f in fields(VAEDecoderSchedule)], ["layers"])
     return VAEDecoderSchedule(
-        layers=tuple(vae_layer_from_dict(row) for row in data["layers"]),
+        layers=tuple(vae_layer_from_dict(row, f"vae.layers[{i}]") for i, row in enumerate(data["layers"])),
         mid_channels=data.get("mid_channels", 384),
         latent_channels=data.get("latent_channels", 16),
     )
@@ -348,6 +365,8 @@ def vae_schedule_to_dict(schedule: VAEDecoderSchedule) -> dict:
 
 
 def model_spec_from_dict(data: dict) -> ModelSpec:
+    _check_object(data, "model spec", [f.name for f in fields(ModelSpec)],
+                  ["model_id", "dit", "text_encoder", "vae"])
     return ModelSpec(
         model_id=data["model_id"],
         dit=dit_spec_from_dict(data["dit"]),
@@ -368,7 +387,7 @@ def model_spec_to_dict(spec: ModelSpec) -> dict:
 
 
 def hardware_spec_from_dict(data: dict) -> HardwareSpec:
-    return HardwareSpec(**data)
+    return _dataclass_from_dict(HardwareSpec, data, "hardware entry")
 
 
 # --- bundled data and file loading ---
@@ -395,18 +414,26 @@ def _search_paths(name: str) -> list:
     return candidates
 
 
+def _model_spec_from_file(source) -> ModelSpec:
+    """The model spec in ``source``; rejected content is a ValueError naming the file."""
+    try:
+        return model_spec_from_dict(_read_json(source))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{source}: {exc}") from exc
+
+
 def load_model_spec(name_or_path: str | Path = DEFAULT_MODEL_ID) -> ModelSpec:
     """Load a model spec by bundled name, env-dir name, or explicit file path."""
     path = Path(name_or_path)
     if path.suffix == ".json" or path.is_file():
-        return model_spec_from_dict(_read_json(path))
+        return _model_spec_from_file(path)
     for candidate in _search_paths(str(name_or_path)):
         try:
             exists = candidate.is_file()
         except OSError:
             exists = False
         if exists:
-            return model_spec_from_dict(_read_json(candidate))
+            return _model_spec_from_file(candidate)
     raise FileNotFoundError(f"no model spec named {name_or_path!r} (set {DATA_DIR_ENV} or pass a path)")
 
 
@@ -414,7 +441,7 @@ def _hardware_from_entry(data: dict, source) -> HardwareSpec:
     """One hardware entry read from ``source``; a rejected value names the file."""
     try:
         return hardware_spec_from_dict(data)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{source}: {exc}") from exc
 
 

@@ -242,6 +242,36 @@ def test_csv_unknown_column_rejected(tmp_path):
         load_measurements(path)
 
 
+@pytest.mark.parametrize("rows", ["", "demo,1,1,1,1,1,5\n"], ids=["header-only", "with-rows"])
+def test_csv_unknown_header_column_named(tmp_path, rows):
+    path = tmp_path / "m.csv"
+    path.write_text("model_id,height,width,frames,steps,latency_s,wattage\n" + rows)
+    with pytest.raises(ValueError, match=r"^row 1: unknown columns \['wattage'\]$"):
+        load_measurements(path)
+
+
+def test_csv_long_row_rejected(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("model_id,height,width,frames,steps,latency_s\n"
+                    "demo,720,1280,81,50,410\n"
+                    "demo,720,1280,81,25,205,7\n")
+    with pytest.raises(ValueError, match="^row 3: 7 cells, header has 6$"):
+        load_measurements(path)
+
+
+def test_csv_blank_lines_skipped(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("model_id,height,width,frames,steps,latency_s\n\n"
+                    "demo,720,1280,81,50,410\n\n"
+                    "demo,720,1280,81,25\n")
+    with pytest.raises(ValueError, match="^row 3: record needs latency_s or gpu_wh$"):
+        load_measurements(path)
+    path.write_text("model_id,height,width,frames,steps,latency_s\n\n"
+                    "demo,720,1280,81,50,410\n\n"
+                    "demo,720,1280,81,25,205\n\n")
+    assert [r.steps for r in load_measurements(path)] == [50, 25]
+
+
 def test_csv_missing_required_rejected(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("model_id,height,width,frames,latency_s\ndemo,720,1280,81,410\n")

@@ -14,6 +14,7 @@ import vidcost
 
 from vidcost import VideoJob, total_flops
 from vidcost.cli import main
+from vidcost.specs import model_spec_to_dict
 
 
 def run_cli(capsys, *argv):
@@ -143,6 +144,35 @@ def test_sweep_svg(capsys, tmp_path):
     assert out_path.read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("values, bad", [("1,x", "'x'"), ("0,3", "'0'"), ("1,,2", "''")])
+def test_sweep_bad_values_is_usage_error(capsys, values, bad):
+    code, out, err = run_cli(capsys, "sweep", "--axis", "frames", "--values", values)
+    assert (code, out) == (2, "")
+    assert err == f"error: --values: expected a positive integer, got {bad}\n"
+
+
+def test_sweep_bad_resolution_value_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--axis", "resolution", "--values", "720x1280,abc")
+    assert (code, out) == (2, "")
+    assert err == "error: --values: expected HxW, got 'abc'\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["dit"].update(bogus=1), "dit: unknown keys ['bogus']"),
+    (lambda doc: doc["vae"]["layers"][2].update(bogus=1), "vae.layers[2]: unknown keys ['bogus']"),
+    (lambda doc: doc.pop("text_encoder"), "model spec: missing keys ['text_encoder']"),
+    (lambda doc: [doc], "model spec must be a JSON object, got list"),
+], ids=["unknown-key", "unknown-layer-key", "missing-key", "top-level-list"])
+def test_bad_model_spec_is_one_error_line(capsys, tmp_path, wan, edit, message):
+    doc = model_spec_to_dict(wan)
+    edited = edit(doc)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(edited if isinstance(edited, list) else doc))
+    code, out, err = run_cli(capsys, "estimate", "--model", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: {message}\n"
+
+
 def test_roofline_single_row(capsys):
     code, out, _ = run_cli(capsys, "roofline", "--hardware", "h100")
     assert code == 0
@@ -207,6 +237,24 @@ def test_calibrate_synthetic(capsys, tmp_path, wan, h100):
     doc = json.loads(out)
     assert doc["mu"] == pytest.approx(0.5, rel=1e-9)
     assert doc["r_squared"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_calibrate_warns_about_other_models(capsys, tmp_path, wan, h100):
+    rows = ["model_id,height,width,frames,steps,latency_s"]
+    for steps, model_id in zip((10, 20, 40, 80), ("wan2.1-t2v-1.3b", "b", "a", "b")):
+        flops = total_flops(VideoJob(720, 1280, 81, steps, 2), wan.dit, wan.text_encoder, wan.vae).total
+        rows.append(f"{model_id},720,1280,81,{steps},{flops / (0.5 * h100.theta_peak)}")
+    path = tmp_path / "mixed.csv"
+    path.write_text("\n".join(rows) + "\n")
+    code, out, err = run_cli(capsys, "calibrate", "--measurements", str(path))
+    assert code == 0
+    assert "mu           0.500000" in out
+    assert err == "warning: 3 of 4 records name a model other than wan2.1-t2v-1.3b: a, b\n"
+
+    # Records that all name --model draw no warning.
+    path.write_text("\n".join(rows[:2]) + "\n" + rows[1] + "\n")
+    code, _, err = run_cli(capsys, "calibrate", "--measurements", str(path))
+    assert (code, err) == (1, "error: degenerate fit: all records predict the same FLOP total\n")
 
 
 def test_calibrate_missing_file(capsys, tmp_path):

@@ -33,6 +33,14 @@ def test_video_job_validation():
         VideoJob(720, 1280, 81, 50, cfg_passes=3)
 
 
+@pytest.mark.parametrize("field", ["height_px", "width_px", "frames", "steps", "cfg_passes"])
+@pytest.mark.parametrize("bad", [720.5, 2.0, True])
+def test_video_job_rejects_non_int(field, bad):
+    good = {"height_px": 720, "width_px": 1280, "frames": 81, "steps": 50, "cfg_passes": 2}
+    with pytest.raises(ValueError, match=f"^{field} must be an int, got {bad!r}$"):
+        VideoJob(**{**good, field: bad})
+
+
 def test_dit_spec_defaults_and_validation():
     spec = DiTSpec()
     assert (spec.layers, spec.hidden, spec.text_tokens) == (32, 2048, 512)
