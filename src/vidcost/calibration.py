@@ -301,13 +301,21 @@ def read_measurements_csv(source) -> list[MeasurementRecord]:
 
 
 def read_measurements_json(source) -> list[MeasurementRecord]:
-    """Read measurement records from a JSON path holding a list of objects."""
+    """Read measurement records from a JSON path or file-like object holding a
+    list of objects; a value of another shape is a ValueError naming the source."""
     if hasattr(source, "read"):
-        rows = json.load(source)
+        rows, where = json.load(source), getattr(source, "name", "JSON measurements")
     else:
         with open(source, encoding="utf-8") as fh:
-            rows = json.load(fh)
-    return [_record_from_row({k: row.get(k) for k in row}, f"record {i}") for i, row in enumerate(rows)]
+            rows, where = json.load(fh), source
+    if not isinstance(rows, list):
+        raise ValueError(f"{where}: measurements must be a JSON list of objects, got {type(rows).__name__}")
+    records = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ValueError(f"{where}: record {i} must be a JSON object, got {type(row).__name__}")
+        records.append(_record_from_row(row, f"record {i}"))
+    return records
 
 
 def load_measurements(path: str | Path) -> list[MeasurementRecord]:

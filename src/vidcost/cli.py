@@ -11,16 +11,8 @@ import json
 import sys
 from pathlib import Path
 
-from .calibration import fit_mu, load_bundled_measurements, load_measurements
-from .cost import OPERATORS, estimate_cost, token_length
-from .report import (
-    SweepSpec,
-    compare_models,
-    emit,
-    load_model_defaults,
-    run_sweep,
-)
-from .roofline import balance, thresholds
+# Only the spec layer loads with the CLI; each subcommand imports the layers it
+# runs, so `vidcost roofline` never loads the cost, calibration or report code.
 from .specs import (
     DEFAULT_HARDWARE,
     DEFAULT_MODEL_ID,
@@ -136,6 +128,8 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
 
 
 def _resolve_job(args, model) -> VideoJob:
+    from .report import load_model_defaults
+
     height, width, frames, steps = _FALLBACK_JOB
     for d in load_model_defaults():
         if d.model_id == model.model_id:
@@ -157,6 +151,8 @@ def _load_context(args):
 
 
 def cmd_estimate(args) -> int:
+    from .cost import OPERATORS, estimate_cost, token_length
+
     model, hw = _load_context(args)
     job = _resolve_job(args, model)
     cost = estimate_cost(job, model, hw, args.mu)
@@ -221,6 +217,8 @@ def _sweep_values(args):
 
 
 def cmd_sweep(args) -> int:
+    from .report import SweepSpec, emit, run_sweep
+
     model, hw = _load_context(args)
     fixed = _resolve_job(args, model)
     sweep = SweepSpec(axis=args.axis, values=_sweep_values(args), fixed=fixed,
@@ -240,6 +238,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_roofline(args) -> int:
+    from .roofline import balance, thresholds
+
     if args.hardware is not None:
         entries = [load_hardware(args.hardware)]
     else:
@@ -284,6 +284,8 @@ def cmd_roofline(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    from .calibration import fit_mu, load_measurements
+
     model, hw = _load_context(args)
     records = load_measurements(args.measurements)
     # Every record is fitted against --model, whatever model it names.
@@ -315,6 +317,9 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .calibration import load_bundled_measurements, load_measurements
+    from .report import compare_models, emit, load_model_defaults
+
     defaults = load_model_defaults(args.defaults)
     if args.measurements is not None:
         records = load_measurements(args.measurements)

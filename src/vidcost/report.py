@@ -11,10 +11,13 @@ import csv
 import io
 import json
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-from .calibration import MeasurementRecord
 from .cost import CostEstimate, FlopBreakdown, cost_from_breakdown, token_length, total_flops
-from .specs import HardwareSpec, ModelSpec, VideoJob, bundled_data_path, _read_json
+from .specs import HardwareSpec, ModelSpec, VideoJob, bundled_data_path, _dataclass_from_dict, _read_json
+
+if TYPE_CHECKING:  # an annotation only: comparing reports does not load calibration
+    from .calibration import MeasurementRecord
 
 AXES = ("resolution", "frames", "steps")
 
@@ -61,11 +64,15 @@ class SweepSpec:
         if not values:
             raise ValueError("values must be nonempty")
         if self.axis == "resolution":
-            values = tuple((int(h), int(w)) for h, w in values)
-            keys = [h * w for h, w in values]
+            values = tuple((h, w) for h, w in values)
+            scalars = [v for pair in values for v in pair]
         else:
-            values = tuple(int(v) for v in values)
-            keys = list(values)
+            scalars = values
+        # Exact ints, as VideoJob requires: a float or bool is rejected, not truncated.
+        bad = [v for v in scalars if type(v) is not int]
+        if bad:
+            raise ValueError(f"{self.axis} values must be ints, got {bad[0]!r}")
+        keys = [h * w for h, w in values] if self.axis == "resolution" else values
         if any(b <= a for a, b in zip(keys, keys[1:])):
             raise ValueError("values must be strictly increasing along the swept axis")
         object.__setattr__(self, "values", values)
@@ -157,7 +164,13 @@ def run_sweep(spec: SweepSpec, model: ModelSpec) -> SweepResult:
 def load_model_defaults(path=None) -> list[ModelDefaults]:
     """Bundled (or explicit JSON) per-model default generation settings."""
     source = bundled_data_path(BUNDLED_DEFAULTS) if path is None else path
-    return [ModelDefaults(**row) for row in _read_json(source)]
+    rows = _read_json(source)
+    try:
+        if not isinstance(rows, list):
+            raise ValueError(f"model defaults must be a JSON list, got {type(rows).__name__}")
+        return [_dataclass_from_dict(ModelDefaults, row, f"model defaults[{i}]") for i, row in enumerate(rows)]
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from exc
 
 
 def compare_models(

@@ -445,6 +445,13 @@ def _hardware_from_entry(data: dict, source) -> HardwareSpec:
         raise ValueError(f"{source}: {exc}") from exc
 
 
+def _hardware_from_list(entries, source) -> list[HardwareSpec]:
+    """The hardware entries of a JSON list read from ``source``; any other value names the file."""
+    if not isinstance(entries, list):
+        raise ValueError(f"{source}: expected a JSON list of hardware entries, got {type(entries).__name__}")
+    return [_hardware_from_entry(entry, source) for entry in entries]
+
+
 def load_hardware_db(path: str | Path | None = None) -> dict[str, HardwareSpec]:
     """Load the accelerator database (bundled by default), keyed by entry name."""
     if path is None:
@@ -453,12 +460,7 @@ def load_hardware_db(path: str | Path | None = None) -> dict[str, HardwareSpec]:
         source = override if override is not None and override.is_file() else bundled_data_path("hardware.json")
     else:
         source = Path(path)
-    entries = _read_json(source)
-    db = {}
-    for entry in entries:
-        spec = _hardware_from_entry(entry, source)
-        db[spec.name] = spec
-    return db
+    return {spec.name: spec for spec in _hardware_from_list(_read_json(source), source)}
 
 
 def load_hardware(name_or_path: str | Path = DEFAULT_HARDWARE) -> HardwareSpec:
@@ -468,7 +470,7 @@ def load_hardware(name_or_path: str | Path = DEFAULT_HARDWARE) -> HardwareSpec:
         entries = _read_json(path)
         if isinstance(entries, dict):
             return _hardware_from_entry(entries, path)
-        specs = [_hardware_from_entry(e, path) for e in entries]
+        specs = _hardware_from_list(entries, path)
         if len(specs) != 1:
             raise ValueError(f"{path} holds {len(specs)} entries; pass a name to pick one")
         return specs[0]

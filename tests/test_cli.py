@@ -219,6 +219,20 @@ def test_roofline_rejects_non_finite_hardware(capsys, tmp_path, monkeypatch):
     assert err == f"error: {tmp_path / 'hardware.json'}: theta_peak must be finite, got nan\n"
 
 
+def test_bad_hardware_file_is_one_error_line(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "f.json"
+    path.write_text("5")
+    code, out, err = run_cli(capsys, "roofline", "--hardware", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: expected a JSON list of hardware entries, got int\n"
+
+    monkeypatch.setenv("VIDCOST_DATA_DIR", str(tmp_path))
+    path.rename(tmp_path / "hardware.json")
+    code, out, err = run_cli(capsys, "roofline")
+    assert (code, out) == (1, "")
+    assert err == f"error: {tmp_path / 'hardware.json'}: expected a JSON list of hardware entries, got int\n"
+
+
 def test_calibrate_synthetic(capsys, tmp_path, wan, h100):
     rows = ["model_id,height,width,frames,steps,latency_s"]
     for steps in (10, 20, 40, 80):
@@ -284,13 +298,30 @@ def test_calibrate_rejects_non_finite(capsys, tmp_path, suffix, text):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[[1, 2]]", "record 0 must be a JSON object, got list"),
+    ('{"a": 1}', "measurements must be a JSON list of objects, got dict"),
+], ids=["list-of-lists", "object"])
+def test_bad_measurements_json_is_one_error_line(capsys, tmp_path, text, message):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "calibrate", "--measurements", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: {message}\n"
+
+
 def test_runtime_imports_stdlib_only():
+    # Every module, listed from the package: `import vidcost` alone loads none of them.
     src = str(Path(vidcost.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = ("import sys, vidcost, vidcost.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))")
+    code = ("import importlib, json, pkgutil, sys, vidcost\n"
+            "names = [m.name for m in pkgutil.iter_modules(vidcost.__path__, 'vidcost.')]\n"
+            "for name in names: importlib.import_module(name)\n"
+            "print(json.dumps([names, sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))]))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    names, third_party = json.loads(out.stdout)
+    assert {"vidcost.calibration", "vidcost.charts", "vidcost.cli", "vidcost.report"} <= set(names)
+    assert third_party == []
 
 
 def test_compare_bundled(capsys):
@@ -306,6 +337,18 @@ def test_compare_csv_rows(capsys):
     assert code == 0
     rows = out.strip().splitlines()
     assert len(rows) == 8
+
+
+@pytest.mark.parametrize("text, message", [
+    ("5", "model defaults must be a JSON list, got int"),
+    ('[{"model_id": "a", "steps": 50}]', "model defaults[0]: missing keys ['height', 'width', 'frames', 'fps']"),
+], ids=["not-a-list", "missing-keys"])
+def test_bad_model_defaults_is_one_error_line(capsys, tmp_path, text, message):
+    path = tmp_path / "d.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "compare", "--defaults", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: {message}\n"
 
 
 def test_compare_explicit_measurements(capsys, tmp_path):

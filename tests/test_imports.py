@@ -1,0 +1,70 @@
+"""What each entry point loads: `import vidcost` is lazy, and each caller pays
+only for the modules it uses. Every check runs in a fresh interpreter, since
+this test process has long since loaded the whole package."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import vidcost
+
+SRC = str(Path(vidcost.__file__).resolve().parents[1])
+
+# Prints the vidcost modules loaded so far as the last line of stdout.
+LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('vidcost.'))))"
+
+
+def child(code: str) -> list:
+    """The last stdout line of ``code`` run in a fresh interpreter, read as JSON."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    env.pop("VIDCOST_DATA_DIR", None)
+    out = subprocess.run([sys.executable, "-c", "import json, sys\n" + code], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_submodule():
+    assert child("import vidcost\n" + LOADED) == []
+
+
+def test_spec_loads_load_only_specs():
+    code = "import vidcost\nvidcost.load_model_spec()\nvidcost.load_hardware()\n" + LOADED
+    assert child(code) == ["vidcost.data", "vidcost.specs"]
+
+
+def test_roofline_command_skips_cost_layers():
+    code = "from vidcost.cli import main\nassert main(['roofline', '--format', 'json']) == 0\n" + LOADED
+    loaded = child(code)
+    assert "vidcost.roofline" in loaded
+    assert not {f"vidcost.{m}" for m in ("cost", "vae", "calibration", "report", "charts")} & set(loaded)
+
+
+def test_public_names_resolve_and_cache():
+    code = """import importlib, vidcost
+bad = []
+for name in vidcost.__all__:
+    if name in vars(vidcost):
+        bad.append(f'{name} cached before first access')
+    value = getattr(vidcost, name)
+    if value is not getattr(importlib.import_module('vidcost.' + vidcost._EXPORTS[name]), name):
+        bad.append(f'{name} differs from its module')
+    if vars(vidcost).get(name) is not value:
+        bad.append(f'{name} not cached')
+print(json.dumps(bad))"""
+    assert child(code) == []
+
+
+def test_unknown_name_and_star_import():
+    code = """import vidcost
+try:
+    vidcost.nope
+    missing = False
+except AttributeError:
+    missing = True
+namespace = {}
+exec('from vidcost import *', namespace)
+print(json.dumps([missing, sorted(set(vidcost.__all__) - namespace.keys()), 'nope' in dir(vidcost),
+                  set(vidcost.__all__) <= set(dir(vidcost))]))"""
+    assert child(code) == [True, [], False, True]

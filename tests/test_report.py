@@ -41,6 +41,17 @@ def test_sweep_spec_validation(h100):
         SweepSpec(axis="steps", values=(1, 2), fixed=FIXED, mu=0.0, hardware=h100)
 
 
+@pytest.mark.parametrize("axis, values, bad", [
+    ("frames", (80.7, 81.2), "80.7"),
+    ("steps", (True, 2), "True"),
+    ("resolution", ((720.5, 1280), (1080, 1920)), "720.5"),
+], ids=["float", "bool", "fractional-resolution"])
+def test_sweep_spec_rejects_non_int_values(h100, axis, values, bad):
+    # Truncating would cost a job other than the one asked for.
+    with pytest.raises(ValueError, match=rf"^{axis} values must be ints, got {bad}$"):
+        SweepSpec(axis=axis, values=values, fixed=FIXED, mu=0.5, hardware=h100)
+
+
 def test_steps_sweep_arithmetic_progression(wan, h100):
     result = run_sweep(steps_sweep(h100), wan)
     lat = [p.cost.latency_s for p in result]
