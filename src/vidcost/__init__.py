@@ -27,17 +27,17 @@ _EXPORTS = {name: module for module, names in {
         "text_encoder_flops", "timestep_flops_per_pass", "token_length", "total_flops",
     ),
     "report": (
-        "ComparisonReport", "ComparisonRow", "ModelDefaults", "SweepPoint", "SweepResult", "SweepSpec",
-        "compare_models", "emit", "load_model_defaults", "run_sweep",
+        "ComparisonReport", "ComparisonRow", "SweepPoint", "SweepResult", "SweepSpec", "compare_models", "emit",
+        "run_sweep",
     ),
     "roofline": (
         "BoundClassification", "attn_intensity", "balance", "classify", "mlp_intensity",
         "mlp_saturation_intensity", "mlp_threshold_exact", "thresholds",
     ),
     "specs": (
-        "DEFAULT_HARDWARE", "DEFAULT_MODEL_ID", "DiTSpec", "HardwareSpec", "LayerKind", "ModelSpec",
-        "TextEncoderSpec", "TimeRule", "VAEDecoderLayer", "VAEDecoderSchedule", "VideoJob",
-        "load_hardware", "load_hardware_db", "load_model_spec",
+        "DEFAULT_HARDWARE", "DEFAULT_MODEL_ID", "DiTSpec", "HardwareSpec", "LayerKind", "ModelDefaults",
+        "ModelSpec", "TextEncoderSpec", "TimeRule", "VAEDecoderLayer", "VAEDecoderSchedule", "VideoJob",
+        "load_hardware", "load_hardware_db", "load_model_defaults", "load_model_spec",
     ),
     "vae": ("conv3d_flops", "decoder_flops", "mid_attention_flops"),
 }.items() for name in names}

@@ -302,24 +302,25 @@ def read_measurements_csv(source) -> list[MeasurementRecord]:
 
 def read_measurements_json(source) -> list[MeasurementRecord]:
     """Read measurement records from a JSON path or file-like object holding a
-    list of objects; a value of another shape is a ValueError naming the source."""
+    list of objects; a value of another shape is a ValueError."""
     if hasattr(source, "read"):
-        rows, where = json.load(source), getattr(source, "name", "JSON measurements")
+        rows = json.load(source)
     else:
         with open(source, encoding="utf-8") as fh:
-            rows, where = json.load(fh), source
+            rows = json.load(fh)
     if not isinstance(rows, list):
-        raise ValueError(f"{where}: measurements must be a JSON list of objects, got {type(rows).__name__}")
+        raise ValueError(f"measurements must be a JSON list of objects, got {type(rows).__name__}")
     records = []
     for i, row in enumerate(rows):
         if not isinstance(row, dict):
-            raise ValueError(f"{where}: record {i} must be a JSON object, got {type(row).__name__}")
+            raise ValueError(f"record {i} must be a JSON object, got {type(row).__name__}")
         records.append(_record_from_row(row, f"record {i}"))
     return records
 
 
 def load_measurements(path: str | Path) -> list[MeasurementRecord]:
-    """Load records from .csv or .json, by extension."""
+    """Load records from .csv or .json, by extension. Rejected content is a
+    ValueError that names the row or record, not the file."""
     path = Path(path)
     if path.suffix == ".json":
         return read_measurements_json(path)

@@ -19,6 +19,7 @@ from .specs import (
     VideoJob,
     load_hardware,
     load_hardware_db,
+    load_model_defaults,
     load_model_spec,
 )
 
@@ -128,8 +129,6 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
 
 
 def _resolve_job(args, model) -> VideoJob:
-    from .report import load_model_defaults
-
     height, width, frames, steps = _FALLBACK_JOB
     for d in load_model_defaults():
         if d.model_id == model.model_id:
@@ -142,6 +141,16 @@ def _resolve_job(args, model) -> VideoJob:
         steps=args.steps if args.steps is not None else steps,
         cfg_passes=args.cfg_passes if args.cfg_passes is not None else model.cfg_passes,
     )
+
+
+def _load_measurements(path: Path):
+    """The records of a measurement file; rejected content is a ValueError naming the file."""
+    from .calibration import load_measurements
+
+    try:
+        return load_measurements(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_context(args):
@@ -284,10 +293,10 @@ def cmd_roofline(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    from .calibration import fit_mu, load_measurements
+    from .calibration import fit_mu
 
     model, hw = _load_context(args)
-    records = load_measurements(args.measurements)
+    records = _load_measurements(args.measurements)
     # Every record is fitted against --model, whatever model it names.
     others = [r.model_id for r in records if r.model_id != model.model_id]
     if others:
@@ -317,12 +326,12 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from .calibration import load_bundled_measurements, load_measurements
-    from .report import compare_models, emit, load_model_defaults
+    from .calibration import load_bundled_measurements
+    from .report import compare_models, emit
 
     defaults = load_model_defaults(args.defaults)
     if args.measurements is not None:
-        records = load_measurements(args.measurements)
+        records = _load_measurements(args.measurements)
     else:
         records = load_bundled_measurements()
     report = compare_models(defaults, records)
@@ -347,8 +356,11 @@ def main(argv: list[str] | None = None) -> int:
     except argparse.ArgumentTypeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, KeyError, ValueError, NotImplementedError) as exc:
-        message = exc.args[0] if exc.args else exc
+    except (OSError, KeyError, ValueError, OverflowError) as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:
+            message = f"{exc.filename}: {exc.strerror}"  # its first argument is the errno
+        else:
+            message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 1
 

@@ -37,8 +37,8 @@ class FlopBreakdown:
     """Per-operator FLOPs for one generated video.
 
     ``self_attn``, ``cross_attn``, ``mlp``, and ``timestep`` already include
-    the cfg_passes * steps multiplier; ``text`` and the VAE fields are once
-    per video. ``total`` is the exact integer sum.
+    the cfg_passes * steps multiplier and ``text`` the cfg_passes one; the VAE
+    fields are once per video. ``total`` is the exact integer sum.
     """
 
     text: int
@@ -112,13 +112,10 @@ def self_attention_flops(tokens: int, spec: DiTSpec) -> int:
 def cross_attention_flops(tokens: int, spec: DiTSpec) -> int:
     """Cross-attention FLOPs over all layers: N * (4*l*d^2 + 4*m*d^2 + 4*l*m*d).
 
-    Text keys/values are recomputed every pass (no KV cache), matching the
-    default accounting.
+    Text keys/values are recomputed every pass (no KV cache).
     """
     if tokens < 1:
         raise ValueError("tokens must be at least 1")
-    if spec.kv_cache:
-        raise NotImplementedError("cached cross-attention accounting is reserved but not implemented")
     d = spec.hidden
     m = spec.text_tokens
     return spec.layers * (4 * tokens * d * d + 4 * m * d * d + 4 * tokens * m * d)
@@ -138,12 +135,14 @@ def timestep_flops_per_pass(spec: DiTSpec) -> int:
     return 2 * spec.timestep_hidden * d + 14 * d * d
 
 
-def text_encoder_flops(tspec: TextEncoderSpec) -> int:
-    """Text-encoder FLOPs per video: p * L * (8*m*d^2 + 4*m^2*d + 4*f*m*d^2).
+def text_encoder_flops(job: VideoJob, tspec: TextEncoderSpec) -> int:
+    """Text-encoder FLOPs per video: g * L * (8*m*d^2 + 4*m^2*d + 4*f*m*d^2),
+    one pass per guidance pass g = ``job.cfg_passes``.
 
-    A per-spec constant, computed once by ``TextEncoderSpec.flops_per_video``.
+    The per-pass term is a per-spec constant, computed once by
+    ``TextEncoderSpec.flops_per_pass``.
     """
-    return tspec.flops_per_video
+    return job.cfg_passes * tspec.flops_per_pass
 
 
 def total_flops(
@@ -154,8 +153,8 @@ def total_flops(
 ) -> FlopBreakdown:
     """Compose all operators into the per-video breakdown.
 
-    Transformer operators are multiplied by cfg_passes * steps; the text
-    encoder and VAE decoder run once per video.
+    Transformer operators are multiplied by cfg_passes * steps, the text
+    encoder by cfg_passes; the VAE decoder runs once per video.
     """
     tokens = token_length(job, spec)
     passes = job.cfg_passes * job.steps
@@ -163,7 +162,7 @@ def total_flops(
     cross_attn = passes * cross_attention_flops(tokens, spec)
     mlp = passes * mlp_flops(tokens, spec)
     timestep = passes * timestep_flops_per_pass(spec)
-    text = text_encoder_flops(tspec)
+    text = text_encoder_flops(job, tspec)
     vae_conv, vae_mid_attn = decoder_flops(job, vae)
     total = text + vae_conv + vae_mid_attn + self_attn + cross_attn + mlp + timestep
     return FlopBreakdown(text, vae_conv, vae_mid_attn, self_attn, cross_attn, mlp, timestep, total)

@@ -14,14 +14,12 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .cost import CostEstimate, FlopBreakdown, cost_from_breakdown, token_length, total_flops
-from .specs import HardwareSpec, ModelSpec, VideoJob, bundled_data_path, _dataclass_from_dict, _read_json
+from .specs import HardwareSpec, ModelDefaults, ModelSpec, VideoJob
 
 if TYPE_CHECKING:  # an annotation only: comparing reports does not load calibration
     from .calibration import MeasurementRecord
 
 AXES = ("resolution", "frames", "steps")
-
-BUNDLED_DEFAULTS = "model_defaults.json"
 
 SWEEP_CSV_COLUMNS = (
     "axis_value", "tokens",
@@ -113,18 +111,6 @@ class SweepResult:
 
 
 @dataclass(frozen=True)
-class ModelDefaults:
-    """Default generation settings of one benchmarked model."""
-
-    model_id: str
-    steps: int
-    height: int
-    width: int
-    frames: int
-    fps: int
-
-
-@dataclass(frozen=True)
 class ComparisonRow:
     model_id: str
     latency_s: float
@@ -159,18 +145,6 @@ def run_sweep(spec: SweepSpec, model: ModelSpec) -> SweepResult:
             cost=cost,
         ))
     return SweepResult(spec=spec, points=tuple(points))
-
-
-def load_model_defaults(path=None) -> list[ModelDefaults]:
-    """Bundled (or explicit JSON) per-model default generation settings."""
-    source = bundled_data_path(BUNDLED_DEFAULTS) if path is None else path
-    rows = _read_json(source)
-    try:
-        if not isinstance(rows, list):
-            raise ValueError(f"model defaults must be a JSON list, got {type(rows).__name__}")
-        return [_dataclass_from_dict(ModelDefaults, row, f"model defaults[{i}]") for i, row in enumerate(rows)]
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from exc
 
 
 def compare_models(

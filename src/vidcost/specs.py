@@ -5,6 +5,10 @@ safe to share across threads. Model specs (transformer + text encoder + VAE
 decoder schedule) load from a single JSON config file; a spec for
 ``wan2.1-t2v-1.3b`` ships with the package, as does a small database of
 accelerator constants.
+
+The field annotations of the spec classes are their schema: ``_check_fields``
+checks every field by its annotation on construction, and ``from_dict`` and
+``to_dict`` read and write the JSON form by the same annotations.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import os
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from importlib import resources
 from pathlib import Path
 
@@ -24,6 +28,8 @@ DATA_DIR_ENV = "VIDCOST_DATA_DIR"
 DEFAULT_MODEL_ID = "wan2.1-t2v-1.3b"
 DEFAULT_HARDWARE = "h100"
 
+BUNDLED_DEFAULTS = "model_defaults.json"
+
 
 def exact_div(numerator: int, denominator: int, what: str) -> int:
     """numerator / denominator, which must be an integer so FLOP counts stay exact."""
@@ -31,13 +37,6 @@ def exact_div(numerator: int, denominator: int, what: str) -> int:
     if remainder:
         raise ValueError(f"{what} is not an integer FLOP count ({Fraction(numerator, denominator)})")
     return quotient
-
-
-def as_fraction(value: int | float | str | Fraction) -> Fraction:
-    """Convert a config value to an exact Fraction (floats must be exact, e.g. 2.5)."""
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -51,6 +50,7 @@ class VideoJob:
     cfg_passes: int = 2
 
     def __post_init__(self) -> None:
+        # Hand-written rather than _check_fields: a job is built per estimate, on the hot path.
         # Exact int, so FLOP counts stay ints: bool, float and int-like types are rejected.
         if (type(self.height_px) is not int or type(self.width_px) is not int or type(self.frames) is not int
                 or type(self.steps) is not int or type(self.cfg_passes) is not int):
@@ -71,9 +71,7 @@ class DiTSpec:
     """Diffusion-transformer hyperparameters.
 
     Field defaults are the WAN2.1-T2V-1.3B values. ``mlp_expansion`` is kept
-    as an exact rational so FLOP counts stay exact integers. ``kv_cache``
-    reserves cached cross-attention accounting; only the recompute-every-step
-    default is implemented.
+    as an exact rational so FLOP counts stay exact integers.
     """
 
     layers: int = 32
@@ -85,16 +83,9 @@ class DiTSpec:
     patch_w: int = 2
     vae_t_down: int = 4
     vae_s_down: int = 8
-    kv_cache: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mlp_expansion", as_fraction(self.mlp_expansion))
-        for name in ("layers", "hidden", "text_tokens", "timestep_hidden",
-                     "patch_h", "patch_w", "vae_t_down", "vae_s_down"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be strictly positive")
-        if self.mlp_expansion <= 0:
-            raise ValueError("mlp_expansion must be strictly positive")
+        _check_fields(self)
 
     @cached_property
     def mlp_ratio(self) -> tuple[int, int]:
@@ -112,25 +103,23 @@ class DiTSpec:
 
 @dataclass(frozen=True)
 class TextEncoderSpec:
-    """Text-encoder hyperparameters; defaults are the T5-XXL-style encoder of WAN2.1."""
+    """Text-encoder hyperparameters; defaults are the T5-XXL-style encoder of WAN2.1.
+
+    A job encodes its prompt once per guidance pass, so the encoder runs the
+    job's ``cfg_passes`` times.
+    """
 
     layers: int = 24
     hidden: int = 4096
     mlp_expansion: Fraction = Fraction(5, 2)
     tokens: int = 512
-    passes_per_video: int = 2
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mlp_expansion", as_fraction(self.mlp_expansion))
-        for name in ("layers", "hidden", "tokens", "passes_per_video"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be strictly positive")
-        if self.mlp_expansion <= 0:
-            raise ValueError("mlp_expansion must be strictly positive")
+        _check_fields(self)
 
     @cached_property
-    def flops_per_video(self) -> int:
-        """Text-encoder FLOPs per video: p * L * (8*m*d^2 + 4*m^2*d + 4*f*m*d^2).
+    def flops_per_pass(self) -> int:
+        """Text-encoder FLOPs of one pass: L * (8*m*d^2 + 4*m^2*d + 4*f*m*d^2).
 
         The feed-forward term may involve a fractional expansion factor; the
         per-layer term must still come out integral.
@@ -139,7 +128,7 @@ class TextEncoderSpec:
         d = self.hidden
         f = self.mlp_expansion
         ffn = exact_div(4 * f.numerator * m * d * d, f.denominator, "text encoder feed-forward term")
-        return self.passes_per_video * self.layers * (8 * m * d * d + 4 * m * m * d + ffn)
+        return self.layers * (8 * m * d * d + 4 * m * m * d + ffn)
 
 
 class LayerKind(str, Enum):
@@ -168,7 +157,9 @@ class VAEDecoderLayer:
 
     ``h_div``/``w_div`` divide the pixel resolution to get the layer's output
     grid (ceiling division when not exact). ``repeat`` multiplies the row, for
-    modeling stages with several identical residual convs.
+    modeling stages with several identical residual convs. A conv3d row has a
+    (k_t, k_h, k_w) kernel; an attn2d row has none and keeps its width,
+    ``c_out == c_in``.
     """
 
     kind: LayerKind
@@ -182,21 +173,14 @@ class VAEDecoderLayer:
     label: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", LayerKind(self.kind))
-        object.__setattr__(self, "t_rule", TimeRule(self.t_rule))
-        if self.kernel is not None:
-            object.__setattr__(self, "kernel", tuple(int(k) for k in self.kernel))
-        if self.c_in < 1 or self.c_out < 1:
-            raise ValueError("channel counts must be strictly positive")
-        if self.h_div < 1 or self.w_div < 1:
-            raise ValueError("grid divisors must be strictly positive")
-        if self.repeat < 1:
-            raise ValueError("repeat must be at least 1")
+        _check_fields(self)
         if self.kind is LayerKind.CONV3D:
-            if self.kernel is None or len(self.kernel) != 3 or min(self.kernel) < 1:
-                raise ValueError("conv3d layers need a (k_t, k_h, k_w) kernel with dims >= 1")
+            if self.kernel is None:
+                raise ValueError("kernel must be given for a conv3d row")
         elif self.kernel is not None:
-            raise ValueError("attn2d layers have no kernel")
+            raise ValueError("kernel must be left out of an attn2d row")
+        elif self.c_out != self.c_in:
+            raise ValueError(f"c_out must equal c_in in an attn2d row, got {self.c_out} and {self.c_in}")
 
     @cached_property
     def t_div(self) -> int:
@@ -212,20 +196,20 @@ class VAEDecoderLayer:
 
 @dataclass(frozen=True)
 class VAEDecoderSchedule:
-    """Ordered decoder layer rows plus the middle-attention channel width."""
+    """Ordered decoder layer rows: the convs and the middle attention."""
 
     layers: tuple[VAEDecoderLayer, ...]
-    mid_channels: int = 384
-    latent_channels: int = 16
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "layers", tuple(self.layers))
-        if self.mid_channels < 1 or self.latent_channels < 1:
-            raise ValueError("channel counts must be strictly positive")
+        _check_fields(self)
 
     @cached_property
     def conv_layers(self) -> tuple[VAEDecoderLayer, ...]:
         return tuple(l for l in self.layers if l.kind is LayerKind.CONV3D)
+
+    @cached_property
+    def attn_layers(self) -> tuple[VAEDecoderLayer, ...]:
+        return tuple(l for l in self.layers if l.kind is LayerKind.ATTN2D)
 
 
 @dataclass(frozen=True)
@@ -250,14 +234,9 @@ class HardwareSpec:
     balance_consistent: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("theta_peak", "bandwidth", "p_max"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.theta_peak <= 0 or self.bandwidth <= 0 or self.p_max <= 0:
-            raise ValueError("theta_peak, bandwidth, and p_max must be strictly positive")
+        _check_fields(self)
         if self.scalar_bytes not in (1, 2, 4):
-            raise ValueError("scalar_bytes must be 1, 2, or 4")
+            raise ValueError(f"scalar_bytes must be 1, 2, or 4, got {self.scalar_bytes}")
 
 
 @dataclass(frozen=True)
@@ -271,123 +250,159 @@ class ModelSpec:
     cfg_passes: int = 2
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         if self.cfg_passes not in (1, 2):
-            raise ValueError("cfg_passes must be 1 or 2")
+            raise ValueError(f"cfg_passes must be 1 or 2, got {self.cfg_passes}")
 
 
-# --- dict / JSON conversion ---
+@dataclass(frozen=True)
+class ModelDefaults:
+    """Default generation settings of one benchmarked model."""
 
-def _fraction_to_config(value: Fraction):
-    if value.denominator == 1:
-        return value.numerator
-    as_float = value.numerator / value.denominator
-    if Fraction(as_float) == value:
-        return as_float
-    return f"{value.numerator}/{value.denominator}"
+    model_id: str
+    steps: int
+    height: int
+    width: int
+    frames: int
+    fps: int
+
+    def __post_init__(self) -> None:
+        _check_fields(self)
 
 
-def _check_object(data, where: str, allowed, required=()) -> None:
-    """Reject a JSON value that is not an object, has a key outside ``allowed``,
-    or lacks one of ``required``; the message names ``where`` and the keys."""
+# --- the schema: field annotation -> check ---
+# Each check takes a field's name and value and returns the value to store
+# (an enum member, a Fraction, a tuple), or raises a ValueError naming the field.
+
+def _require(ok: bool, name: str, value, what: str):
+    if not ok:
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def _number(name: str, value):
+    """A finite positive float; an int is stored as the float nearest to it."""
+    _require(type(value) in (int, float), name, value, "a number")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    _require(math.isfinite(number), name, value, "finite")
+    _require(number > 0, name, value, "positive")
+    return number
+
+
+def _fraction(name: str, value):
+    """An int, a finite float or a "p/q" string, read as the exact rational it denotes."""
+    try:
+        exact = Fraction(value) if type(value) in (int, float, str, Fraction) else None
+    except (ValueError, OverflowError, ZeroDivisionError):
+        exact = None
+    _require(exact is not None and exact > 0, name, value, "a positive int, float or 'p/q' string")
+    return exact
+
+
+def _member(enum: type[Enum]):
+    """The check of an enum field: the member whose value is given."""
+    values = [m.value for m in enum]
+    return lambda name, value: enum(_require(value in values, name, value, f"one of {values}"))
+
+
+def _instance(cls: type):
+    return lambda name, value: _require(isinstance(value, cls), name, value, f"a {cls.__name__}")
+
+
+# Annotations naming spec classes, which from_dict reads from nested JSON
+# objects; a "tuple[...]" annotation holds a JSON list of them.
+_NESTED = {
+    "DiTSpec": DiTSpec,
+    "TextEncoderSpec": TextEncoderSpec,
+    "VAEDecoderSchedule": VAEDecoderSchedule,
+    "tuple[VAEDecoderLayer, ...]": VAEDecoderLayer,
+}
+
+_FIELD_CHECKS = {
+    "int": lambda name, v: _require(type(v) is int and v > 0, name, v, "a positive int"),
+    "int | None": lambda name, v: _require(v is None or type(v) is int and v > 0, name, v, "a positive int"),
+    "float": _number,
+    "Fraction": _fraction,
+    "str": lambda name, v: _require(type(v) is str, name, v, "a string"),
+    "bool": lambda name, v: _require(type(v) is bool, name, v, "true or false"),
+    "LayerKind": _member(LayerKind),
+    "TimeRule": _member(TimeRule),
+    "tuple[int, int, int] | None": lambda name, v: v if v is None else tuple(_require(
+        type(v) in (list, tuple) and len(v) == 3 and all(type(k) is int and k > 0 for k in v),
+        name, v, "three positive ints")),
+    "tuple[VAEDecoderLayer, ...]": lambda name, v: tuple(_require(
+        type(v) in (list, tuple) and all(isinstance(row, VAEDecoderLayer) for row in v),
+        name, v, "a list of VAEDecoderLayer")),
+    **{name: _instance(cls) for name, cls in _NESTED.items() if not name.startswith("tuple[")},
+}
+
+# What a rejected top-level object of a file is called.
+_TOP_LEVEL = {ModelSpec: "model spec", HardwareSpec: "hardware entry"}
+
+
+def _check_fields(spec) -> None:
+    """Check every field of a spec dataclass by its annotation, storing the value its check returns."""
+    for f in spec.__dataclass_fields__.values():
+        value = getattr(spec, f.name)
+        checked = _FIELD_CHECKS[f.type](f.name, value)
+        if checked is not value:
+            object.__setattr__(spec, f.name, checked)
+
+
+def from_dict(cls, data, where: str = ""):
+    """The ``cls`` spec held by the JSON object ``data``.
+
+    ``where`` is the dotted path of ``data`` in its file, "" at the top. Every
+    rejection is a ValueError naming the path of the value at fault, e.g.
+    ``vae.layers[3].c_in must be a positive int, got 16.5``.
+    """
+    what = where or _TOP_LEVEL.get(cls, cls.__name__)
     if not isinstance(data, dict):
-        raise ValueError(f"{where} must be a JSON object, got {type(data).__name__}")
-    unknown = data.keys() - allowed
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    cls_fields = cls.__dataclass_fields__  # name -> Field
+    unknown = data.keys() - cls_fields
     if unknown:
-        raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = [key for key in required if key not in data]
+        raise ValueError(f"{what}: unknown keys {sorted(unknown)}")
+    missing = [name for name, f in cls_fields.items() if f.default is MISSING and name not in data]
     if missing:
-        raise ValueError(f"{where}: missing keys {missing}")
+        raise ValueError(f"{what}: missing keys {missing}")
+    prefix = f"{where}." if where else ""
+    values = dict(data)
+    for name, f in cls_fields.items():
+        nested = _NESTED.get(f.type)
+        if nested is None or name not in data:
+            continue
+        path, value = prefix + name, data[name]
+        if f.type.startswith("tuple["):
+            rows = _require(isinstance(value, list), path, value, "a JSON list")
+            values[name] = [from_dict(nested, row, f"{path}[{i}]") for i, row in enumerate(rows)]
+        else:
+            values[name] = from_dict(nested, value, path)
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{prefix}{exc}") from None
 
 
-def _dataclass_from_dict(cls, data, where: str):
-    """``cls(**data)`` for a JSON object whose keys are fields of ``cls``."""
-    cls_fields = fields(cls)
-    _check_object(data, where, [f.name for f in cls_fields], [f.name for f in cls_fields if f.default is MISSING])
-    return cls(**data)
+def _to_json(value):
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, Fraction):  # an int, else a float when exact, else "p/q"
+        if value.denominator == 1:
+            return value.numerator
+        return float(value) if Fraction(float(value)) == value else str(value)
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return to_dict(value) if hasattr(value, "__dataclass_fields__") else value
 
 
-def dit_spec_from_dict(data: dict) -> DiTSpec:
-    return _dataclass_from_dict(DiTSpec, data, "dit")
-
-
-def dit_spec_to_dict(spec: DiTSpec) -> dict:
-    out = {f.name: getattr(spec, f.name) for f in fields(spec)}
-    out["mlp_expansion"] = _fraction_to_config(spec.mlp_expansion)
-    return out
-
-
-def text_encoder_spec_from_dict(data: dict) -> TextEncoderSpec:
-    return _dataclass_from_dict(TextEncoderSpec, data, "text_encoder")
-
-
-def text_encoder_spec_to_dict(spec: TextEncoderSpec) -> dict:
-    out = {f.name: getattr(spec, f.name) for f in fields(spec)}
-    out["mlp_expansion"] = _fraction_to_config(spec.mlp_expansion)
-    return out
-
-
-def vae_layer_from_dict(data: dict, where: str = "vae layer") -> VAEDecoderLayer:
-    return _dataclass_from_dict(VAEDecoderLayer, data, where)
-
-
-def vae_layer_to_dict(layer: VAEDecoderLayer) -> dict:
-    out = {
-        "kind": layer.kind.value,
-        "c_in": layer.c_in,
-        "c_out": layer.c_out,
-        "t_rule": layer.t_rule.value,
-        "h_div": layer.h_div,
-        "w_div": layer.w_div,
-        "repeat": layer.repeat,
-    }
-    if layer.kernel is not None:
-        out["kernel"] = list(layer.kernel)
-    if layer.label:
-        out["label"] = layer.label
-    return out
-
-
-def vae_schedule_from_dict(data: dict) -> VAEDecoderSchedule:
-    _check_object(data, "vae", [f.name for f in fields(VAEDecoderSchedule)], ["layers"])
-    return VAEDecoderSchedule(
-        layers=tuple(vae_layer_from_dict(row, f"vae.layers[{i}]") for i, row in enumerate(data["layers"])),
-        mid_channels=data.get("mid_channels", 384),
-        latent_channels=data.get("latent_channels", 16),
-    )
-
-
-def vae_schedule_to_dict(schedule: VAEDecoderSchedule) -> dict:
-    return {
-        "mid_channels": schedule.mid_channels,
-        "latent_channels": schedule.latent_channels,
-        "layers": [vae_layer_to_dict(l) for l in schedule.layers],
-    }
-
-
-def model_spec_from_dict(data: dict) -> ModelSpec:
-    _check_object(data, "model spec", [f.name for f in fields(ModelSpec)],
-                  ["model_id", "dit", "text_encoder", "vae"])
-    return ModelSpec(
-        model_id=data["model_id"],
-        dit=dit_spec_from_dict(data["dit"]),
-        text_encoder=text_encoder_spec_from_dict(data["text_encoder"]),
-        vae=vae_schedule_from_dict(data["vae"]),
-        cfg_passes=data.get("cfg_passes", 2),
-    )
-
-
-def model_spec_to_dict(spec: ModelSpec) -> dict:
-    return {
-        "model_id": spec.model_id,
-        "cfg_passes": spec.cfg_passes,
-        "dit": dit_spec_to_dict(spec.dit),
-        "text_encoder": text_encoder_spec_to_dict(spec.text_encoder),
-        "vae": vae_schedule_to_dict(spec.vae),
-    }
-
-
-def hardware_spec_from_dict(data: dict) -> HardwareSpec:
-    return _dataclass_from_dict(HardwareSpec, data, "hardware entry")
+def to_dict(spec) -> dict:
+    """The JSON object of a spec, as ``from_dict`` reads it back; fields holding None are left out."""
+    values = {f.name: getattr(spec, f.name) for f in fields(spec)}
+    return {name: _to_json(value) for name, value in values.items() if value is not None}
 
 
 # --- bundled data and file loading ---
@@ -397,59 +412,41 @@ def bundled_data_path(filename: str):
     return resources.files("vidcost.data").joinpath(filename)
 
 
-def _read_json(source) -> dict | list:
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.loads(source.read_text(encoding="utf-8"))
-
-
-def _search_paths(name: str) -> list:
-    """Candidate files for a spec name: env-dir override first, then bundled."""
-    candidates = []
-    env_dir = os.environ.get(DATA_DIR_ENV)
-    if env_dir:
-        candidates.append(Path(env_dir) / f"{name}.json")
-    candidates.append(bundled_data_path(f"{name}.json"))
-    return candidates
-
-
-def _model_spec_from_file(source) -> ModelSpec:
-    """The model spec in ``source``; rejected content is a ValueError naming the file."""
+def _read_file(source, read):
+    """``read`` of the JSON value in ``source``, a path or a bundled-data handle.
+    Text that does not decode or parse, or a value ``read`` rejects, is a
+    ValueError naming the file."""
     try:
-        return model_spec_from_dict(_read_json(source))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{source}: {exc}") from exc
+        if isinstance(source, (str, Path)):
+            with open(source, "r", encoding="utf-8") as fh:
+                return read(json.load(fh))
+        return read(json.loads(source.read_text(encoding="utf-8")))
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def load_model_spec(name_or_path: str | Path = DEFAULT_MODEL_ID) -> ModelSpec:
-    """Load a model spec by bundled name, env-dir name, or explicit file path."""
+    """Load a model spec by explicit file path, or by name: a file in the env dir
+    first, then a bundled one."""
     path = Path(name_or_path)
-    if path.suffix == ".json" or path.is_file():
-        return _model_spec_from_file(path)
-    for candidate in _search_paths(str(name_or_path)):
-        try:
-            exists = candidate.is_file()
-        except OSError:
-            exists = False
-        if exists:
-            return _model_spec_from_file(candidate)
-    raise FileNotFoundError(f"no model spec named {name_or_path!r} (set {DATA_DIR_ENV} or pass a path)")
+    if path.suffix != ".json" and not path.is_file():
+        env_dir = os.environ.get(DATA_DIR_ENV)
+        candidates = [Path(env_dir) / f"{name_or_path}.json"] if env_dir else []
+        for path in candidates + [bundled_data_path(f"{name_or_path}.json")]:
+            try:
+                if path.is_file():
+                    break
+            except OSError:
+                pass
+        else:
+            raise FileNotFoundError(f"no model spec named {name_or_path!r} (set {DATA_DIR_ENV} or pass a path)")
+    return _read_file(path, partial(from_dict, ModelSpec))
 
 
-def _hardware_from_entry(data: dict, source) -> HardwareSpec:
-    """One hardware entry read from ``source``; a rejected value names the file."""
-    try:
-        return hardware_spec_from_dict(data)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{source}: {exc}") from exc
-
-
-def _hardware_from_list(entries, source) -> list[HardwareSpec]:
-    """The hardware entries of a JSON list read from ``source``; any other value names the file."""
+def _hardware_list(entries) -> list[HardwareSpec]:
     if not isinstance(entries, list):
-        raise ValueError(f"{source}: expected a JSON list of hardware entries, got {type(entries).__name__}")
-    return [_hardware_from_entry(entry, source) for entry in entries]
+        raise ValueError(f"expected a JSON list of hardware entries, got {type(entries).__name__}")
+    return [from_dict(HardwareSpec, entry) for entry in entries]
 
 
 def load_hardware_db(path: str | Path | None = None) -> dict[str, HardwareSpec]:
@@ -460,17 +457,16 @@ def load_hardware_db(path: str | Path | None = None) -> dict[str, HardwareSpec]:
         source = override if override is not None and override.is_file() else bundled_data_path("hardware.json")
     else:
         source = Path(path)
-    return {spec.name: spec for spec in _hardware_from_list(_read_json(source), source)}
+    return {spec.name: spec for spec in _read_file(source, _hardware_list)}
 
 
 def load_hardware(name_or_path: str | Path = DEFAULT_HARDWARE) -> HardwareSpec:
     """Load one accelerator entry by name, or the sole/first entry of a JSON file."""
     path = Path(name_or_path)
     if path.suffix == ".json" or path.is_file():
-        entries = _read_json(path)
-        if isinstance(entries, dict):
-            return _hardware_from_entry(entries, path)
-        specs = _hardware_from_list(entries, path)
+        # A file holds a list of entries, or one entry on its own.
+        specs = _read_file(path, lambda data: [from_dict(HardwareSpec, data)] if isinstance(data, dict)
+                           else _hardware_list(data))
         if len(specs) != 1:
             raise ValueError(f"{path} holds {len(specs)} entries; pass a name to pick one")
         return specs[0]
@@ -479,3 +475,14 @@ def load_hardware(name_or_path: str | Path = DEFAULT_HARDWARE) -> HardwareSpec:
     if name not in db:
         raise KeyError(f"unknown hardware {name!r}; available: {', '.join(sorted(db))}")
     return db[name]
+
+
+def _model_defaults(rows) -> list[ModelDefaults]:
+    if not isinstance(rows, list):
+        raise ValueError(f"model defaults must be a JSON list, got {type(rows).__name__}")
+    return [from_dict(ModelDefaults, row, f"model defaults[{i}]") for i, row in enumerate(rows)]
+
+
+def load_model_defaults(path: str | Path | None = None) -> list[ModelDefaults]:
+    """Bundled (or explicit JSON) per-model default generation settings."""
+    return _read_file(bundled_data_path(BUNDLED_DEFAULTS) if path is None else path, _model_defaults)

@@ -9,10 +9,6 @@ from __future__ import annotations
 
 from .specs import LayerKind, VAEDecoderLayer, VAEDecoderSchedule, VideoJob
 
-# Grid divisors at the decoder's middle block (temporal, spatial).
-MID_T_DIV = 4
-MID_S_DIV = 8
-
 # A module global: on Python 3.11 every ``LayerKind.CONV3D`` lookup goes
 # through the enum metaclass, once per conv row.
 _CONV3D = LayerKind.CONV3D
@@ -28,12 +24,15 @@ def conv3d_flops(layer: VAEDecoderLayer, job: VideoJob) -> int:
 
 
 def mid_attention_flops(job: VideoJob, schedule: VAEDecoderSchedule) -> int:
-    """FLOPs of the per-time-slice 2D self-attention at the middle resolution."""
-    # Ceiling divisions, written as -(-n // d) as in conv3d_flops.
-    t_mid = -(-job.frames // MID_T_DIV)
-    tokens = -(-job.height_px // MID_S_DIV) * -(-job.width_px // MID_S_DIV)
-    c = schedule.mid_channels
-    return t_mid * (8 * c * c * tokens + 4 * tokens * tokens * c)
+    """FLOPs of the schedule's attn2d rows, each a per-time-slice 2D self-attention
+    over L = H'*W' tokens of width c = C_in: repeat * T' * (8*c^2*L + 4*L^2*c)."""
+    flops = 0
+    for layer in schedule.attn_layers:
+        # Ceiling divisions, written as -(-n // d) as in conv3d_flops.
+        tokens = -(-job.height_px // layer.h_div) * -(-job.width_px // layer.w_div)
+        c = layer.c_in
+        flops += layer.repeat * -(-job.frames // layer.t_div) * (8 * c * c * tokens + 4 * tokens * tokens * c)
+    return flops
 
 
 def decoder_flops(job: VideoJob, schedule: VAEDecoderSchedule) -> tuple[int, int]:

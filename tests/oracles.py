@@ -62,10 +62,23 @@ def conv3d_oracle(repeat, kt, kh, kw, cin, cout, t_out, h_out, w_out):
     return repeat * 2 * kt * kh * kw * cin * cout * t_out * h_out * w_out
 
 
-def mid_attn_oracle(T, H, W, C):
-    t_mid = math.ceil(T / 4)
-    l_mid = math.ceil(H / 8) * math.ceil(W / 8)
-    return t_mid * (8 * C**2 * l_mid + 4 * l_mid**2 * C)
+def attn2d_oracle(repeat, c, t_out, h_out, w_out):
+    l = h_out * w_out
+    return repeat * t_out * (8 * c**2 * l + 4 * l**2 * c)
+
+
+def t_out_oracle(rule, T):
+    return {"ceil_T_over_4": math.ceil(T / 4), "ceil_T_over_2": math.ceil(T / 2), "full_T": T}[rule]
+
+
+def vae_row_oracle(layer, job):
+    """One decoder row, costed from its own fields alone."""
+    t_out = t_out_oracle(layer.t_rule.value, job.frames)
+    h_out = math.ceil(job.height_px / layer.h_div)
+    w_out = math.ceil(job.width_px / layer.w_div)
+    if layer.kind.value == "conv3d":
+        return conv3d_oracle(layer.repeat, *layer.kernel, layer.c_in, layer.c_out, t_out, h_out, w_out)
+    return attn2d_oracle(layer.repeat, layer.c_in, t_out, h_out, w_out)
 
 
 def total_oracle(job, dit, tspec, schedule):
@@ -78,21 +91,9 @@ def total_oracle(job, dit, tspec, schedule):
         + mlp_oracle(l, dit.hidden, dit.mlp_expansion, dit.layers)
         + timestep_oracle(dit.timestep_hidden, dit.hidden)
     )
-    once = text_oracle(tspec.passes_per_video, tspec.layers, tspec.tokens,
-                       tspec.hidden, tspec.mlp_expansion)
-    t_rules = {"ceil_T_over_4": math.ceil(job.frames / 4),
-               "ceil_T_over_2": math.ceil(job.frames / 2),
-               "full_T": job.frames}
-    for layer in schedule.layers:
-        if layer.kind.value != "conv3d":
-            continue
-        once += conv3d_oracle(
-            layer.repeat, *layer.kernel, layer.c_in, layer.c_out,
-            t_rules[layer.t_rule.value],
-            math.ceil(job.height_px / layer.h_div),
-            math.ceil(job.width_px / layer.w_div),
-        )
-    once += mid_attn_oracle(job.frames, job.height_px, job.width_px, schedule.mid_channels)
+    # The text encoder runs once per guidance pass; the VAE decoder once per video.
+    once = text_oracle(job.cfg_passes, tspec.layers, tspec.tokens, tspec.hidden, tspec.mlp_expansion)
+    once += sum(vae_row_oracle(layer, job) for layer in schedule.layers)
     return once + job.cfg_passes * job.steps * per_step
 
 
@@ -116,7 +117,6 @@ def random_text_encoder(rng: random.Random) -> TextEncoderSpec:
         hidden=rng.randint(1, 64),
         mlp_expansion=Fraction(rng.randint(1, 12), rng.choice((1, 2, 4))),
         tokens=rng.randint(1, 64),
-        passes_per_video=rng.randint(1, 3),
     )
 
 
@@ -133,12 +133,25 @@ def random_conv_layer(rng: random.Random) -> VAEDecoderLayer:
     )
 
 
-def random_schedule(rng: random.Random) -> VAEDecoderSchedule:
-    return VAEDecoderSchedule(
-        layers=tuple(random_conv_layer(rng) for _ in range(rng.randint(0, 6))),
-        mid_channels=rng.randint(1, 64),
-        latent_channels=rng.randint(1, 16),
+def random_attn_layer(rng: random.Random) -> VAEDecoderLayer:
+    c = rng.randint(1, 64)
+    return VAEDecoderLayer(
+        kind="attn2d",
+        c_in=c,
+        c_out=c,
+        t_rule=rng.choice(("ceil_T_over_4", "ceil_T_over_2", "full_T")),
+        h_div=rng.choice((1, 2, 4, 8)),
+        w_div=rng.choice((1, 2, 4, 8)),
+        repeat=rng.randint(1, 3),
     )
+
+
+def random_schedule(rng: random.Random) -> VAEDecoderSchedule:
+    """0-6 conv rows and 0-2 attention rows, in random order."""
+    layers = [random_conv_layer(rng) for _ in range(rng.randint(0, 6))]
+    layers += [random_attn_layer(rng) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(layers)
+    return VAEDecoderSchedule(layers=tuple(layers))
 
 
 def random_job(rng: random.Random) -> VideoJob:
@@ -173,19 +186,15 @@ def check_equivalence(seed: int, iterations: int) -> int:
             tokens, dit.text_tokens, dit.hidden, dit.layers)
         assert mlp_flops(tokens, dit) == mlp_oracle(tokens, dit.hidden, dit.mlp_expansion, dit.layers)
         assert timestep_flops_per_pass(dit) == timestep_oracle(dit.timestep_hidden, dit.hidden)
-        assert text_encoder_flops(tspec) == text_oracle(
-            tspec.passes_per_video, tspec.layers, tspec.tokens, tspec.hidden, tspec.mlp_expansion)
+        assert text_encoder_flops(job, tspec) == text_oracle(
+            job.cfg_passes, tspec.layers, tspec.tokens, tspec.hidden, tspec.mlp_expansion)
 
-        for layer in schedule.layers:
-            t_out = {"ceil_T_over_4": math.ceil(job.frames / 4),
-                     "ceil_T_over_2": math.ceil(job.frames / 2),
-                     "full_T": job.frames}[layer.t_rule.value]
-            assert conv3d_flops(layer, job) == conv3d_oracle(
-                layer.repeat, *layer.kernel, layer.c_in, layer.c_out, t_out,
-                math.ceil(job.height_px / layer.h_div), math.ceil(job.width_px / layer.w_div))
-        assert mid_attention_flops(job, schedule) == mid_attn_oracle(
-            job.frames, job.height_px, job.width_px, schedule.mid_channels)
+        conv_rows = [l for l in schedule.layers if l.kind.value == "conv3d"]
+        attn_rows = [l for l in schedule.layers if l.kind.value == "attn2d"]
+        for layer in conv_rows:
+            assert conv3d_flops(layer, job) == vae_row_oracle(layer, job)
+        assert mid_attention_flops(job, schedule) == sum(vae_row_oracle(l, job) for l in attn_rows)
         conv_total, mid = decoder_flops(job, schedule)
-        assert conv_total == sum(conv3d_flops(l, job) for l in schedule.layers)
+        assert conv_total == sum(conv3d_flops(l, job) for l in conv_rows)
         assert total_flops(job, dit, tspec, schedule).total == total_oracle(job, dit, tspec, schedule)
     return iterations

@@ -14,7 +14,9 @@ import vidcost
 
 from vidcost import VideoJob, total_flops
 from vidcost.cli import main
-from vidcost.specs import model_spec_to_dict
+from vidcost.specs import to_dict
+
+BUNDLED_SPEC = Path(vidcost.__file__).with_name("data") / "wan2.1-t2v-1.3b.json"
 
 
 def run_cli(capsys, *argv):
@@ -164,13 +166,85 @@ def test_sweep_bad_resolution_value_is_usage_error(capsys):
     (lambda doc: [doc], "model spec must be a JSON object, got list"),
 ], ids=["unknown-key", "unknown-layer-key", "missing-key", "top-level-list"])
 def test_bad_model_spec_is_one_error_line(capsys, tmp_path, wan, edit, message):
-    doc = model_spec_to_dict(wan)
+    doc = to_dict(wan)
     edited = edit(doc)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(edited if isinstance(edited, list) else doc))
     code, out, err = run_cli(capsys, "estimate", "--model", str(path))
     assert (code, out) == (1, "")
     assert err == f"error: {path}: {message}\n"
+
+
+def _int_fields():
+    """(dotted path, keys to it) of every int field of the bundled spec file."""
+    doc = json.loads(BUNDLED_SPEC.read_text())
+    found = [("cfg_passes", ("cfg_passes",))]
+    found += [(f"{part}.{key}", (part, key)) for part in ("dit", "text_encoder") for key in doc[part]
+              if key != "mlp_expansion"]
+    found += [(f"vae.layers[{i}].{key}", ("vae", "layers", i, key)) for i in range(len(doc["vae"]["layers"]))
+              for key in ("c_in", "c_out", "h_div", "w_div", "repeat")]
+    return found
+
+
+@pytest.mark.parametrize("path, keys", _int_fields(), ids=[path for path, _ in _int_fields()])
+def test_spec_int_field_rejects_non_int(capsys, tmp_path, path, keys):
+    # A float or bool in an int field would make every FLOP count it feeds a float.
+    spec = tmp_path / "spec.json"
+    for bad, shown in ((2.0, "2.0"), (True, "True"), (16.5, "16.5")):
+        doc = json.loads(BUNDLED_SPEC.read_text())
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = bad
+        spec.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "estimate", "--model", str(spec), "--format", "json")
+        assert (code, out) == (1, "")
+        assert err == f"error: {spec}: {path} must be a positive int, got {shown}\n"
+
+
+@pytest.mark.parametrize("key", ["scalar_bytes", "reference_balance", "reference_attn_threshold",
+                                 "reference_mlp_threshold"])
+def test_hardware_int_field_rejects_non_int(capsys, tmp_path, key):
+    entry = {"name": "toy", "theta_peak": 1e12, "bandwidth": 1e12, "p_max": 700, "scalar_bytes": 2}
+    path = tmp_path / "hw.json"
+    for bad, shown in ((2.0, "2.0"), (True, "True"), (16.5, "16.5")):
+        path.write_text(json.dumps([{**entry, key: bad}]))
+        code, out, err = run_cli(capsys, "roofline", "--hardware", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: {key} must be a positive int, got {shown}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--model", "{missing}.json"],
+    ["calibrate", "--measurements", "{missing}.csv"],
+    ["estimate", "--out", "{missing}/x.json"],
+], ids=["model", "measurements", "out"])
+def test_missing_file_names_the_path(capsys, tmp_path, argv):
+    argv = [a.format(missing=tmp_path / "nope") for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {argv[-1]}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["calibrate", "--measurements"], "m.json"),
+    (["roofline", "--hardware"], "hw.json"),
+    (["compare", "--defaults"], "d.json"),
+    (["estimate", "--model"], "spec.json"),
+], ids=["measurements", "hardware", "defaults", "model"])
+def test_malformed_json_names_the_file(capsys, tmp_path, argv, name):
+    path = tmp_path / name
+    path.write_text("{")
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: Expecting property name enclosed in double quotes")
+    assert err.count("\n") == 1
+
+
+def test_huge_steps_is_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "estimate", "--steps", "9" * 321)
+    assert (code, out) == (1, "")
+    assert err == "error: int too large to convert to float\n"
 
 
 def test_roofline_single_row(capsys):
@@ -293,7 +367,7 @@ def test_calibrate_rejects_non_finite(capsys, tmp_path, suffix, text):
     assert code == 1
     assert out == ""
     row = "row 3" if suffix == ".csv" else "record 1"
-    assert err.startswith(f"error: {row}: ")
+    assert err.startswith(f"error: {path}: {row}: ")
     assert "must be finite" in err
     assert err.count("\n") == 1
 

@@ -11,6 +11,7 @@ import pytest
 from vidcost import (
     DiTSpec,
     TextEncoderSpec,
+    VAEDecoderLayer,
     VAEDecoderSchedule,
     VideoJob,
     cross_attention_flops,
@@ -71,12 +72,6 @@ def test_cross_attention_examples(wan):
     assert cross_attention_flops(75_600, wan.dit) == CROSS_75600
 
 
-def test_kv_cache_reserved(wan):
-    cached = DiTSpec(kv_cache=True)
-    with pytest.raises(NotImplementedError):
-        cross_attention_flops(100, cached)
-
-
 def test_mlp_examples(wan):
     assert mlp_flops(1, DiTSpec(layers=1, hidden=1, mlp_expansion=1)) == 4
     assert mlp_flops(10, DiTSpec(layers=3, hidden=2, mlp_expansion=2)) == 960
@@ -102,24 +97,27 @@ def test_timestep_examples(wan):
 
 
 def test_text_encoder_examples(wan):
-    tiny = TextEncoderSpec(layers=1, hidden=1, mlp_expansion=1, tokens=1, passes_per_video=1)
-    assert text_encoder_flops(tiny) == 16
-    assert text_encoder_flops(wan.text_encoder) == TEXT_DEFAULT
-    single_pass = TextEncoderSpec(passes_per_video=1)
-    assert 2 * text_encoder_flops(single_pass) == text_encoder_flops(wan.text_encoder)
+    tiny = TextEncoderSpec(layers=1, hidden=1, mlp_expansion=1, tokens=1)
+    assert text_encoder_flops(VideoJob(16, 16, 1, 1, cfg_passes=1), tiny) == 16
+    assert text_encoder_flops(WAN_JOB, wan.text_encoder) == TEXT_DEFAULT
+    # One encoder pass per guidance pass: an unguided job encodes once.
+    single_pass = VideoJob(720, 1280, 81, 50, cfg_passes=1)
+    assert 2 * text_encoder_flops(single_pass, wan.text_encoder) == TEXT_DEFAULT
+    assert total_flops(single_pass, wan.dit, wan.text_encoder, wan.vae).text == TEXT_DEFAULT // 2
 
 
 def test_text_encoder_rejects_non_integral_ffn():
     spec = TextEncoderSpec(layers=4, hidden=1, mlp_expansion=Fraction(1, 8), tokens=1)
     with pytest.raises(ValueError):
-        text_encoder_flops(spec)
+        text_encoder_flops(WAN_JOB, spec)
 
 
 def test_total_flops_minimal_composition():
     job = VideoJob(16, 16, 1, 1, cfg_passes=1)
     dit = DiTSpec(layers=1, hidden=1, mlp_expansion=1, text_tokens=1, timestep_hidden=1)
-    text = TextEncoderSpec(layers=1, hidden=1, mlp_expansion=1, tokens=1, passes_per_video=1)
-    schedule = VAEDecoderSchedule(layers=(), mid_channels=1, latent_channels=1)
+    text = TextEncoderSpec(layers=1, hidden=1, mlp_expansion=1, tokens=1)
+    attn = VAEDecoderLayer(kind="attn2d", c_in=1, c_out=1, t_rule="ceil_T_over_4", h_div=8, w_div=8)
+    schedule = VAEDecoderSchedule(layers=(attn,))
     bd = total_flops(job, dit, text, schedule)
     assert bd.self_attn == 12
     assert bd.cross_attn == 12

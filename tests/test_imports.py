@@ -41,6 +41,14 @@ def test_roofline_command_skips_cost_layers():
     assert not {f"vidcost.{m}" for m in ("cost", "vae", "calibration", "report", "charts")} & set(loaded)
 
 
+def test_estimate_command_skips_report():
+    code = ("import contextlib, io\nfrom vidcost.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n    assert main(['estimate']) == 0\n" + LOADED)
+    loaded = child(code)
+    assert "vidcost.cost" in loaded
+    assert not {"vidcost.report", "vidcost.calibration", "vidcost.charts"} & set(loaded)
+
+
 def test_public_names_resolve_and_cache():
     code = """import importlib, vidcost
 bad = []

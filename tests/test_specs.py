@@ -1,16 +1,22 @@
 """Spec type validation and config file round trips."""
 
 import json
-from dataclasses import fields
+import random
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import random_dit, random_schedule, random_text_encoder
 from vidcost import (
     DiTSpec,
     HardwareSpec,
+    ModelSpec,
     TextEncoderSpec,
     VAEDecoderLayer,
+    VAEDecoderSchedule,
     VideoJob,
     classify,
     load_hardware,
@@ -18,7 +24,7 @@ from vidcost import (
     load_model_spec,
     total_flops,
 )
-from vidcost.specs import model_spec_from_dict, model_spec_to_dict
+from vidcost.specs import from_dict, to_dict
 
 
 def test_video_job_validation():
@@ -61,13 +67,57 @@ def test_fraction_coercion():
     assert DiTSpec(mlp_expansion=2.5).mlp_expansion == Fraction(5, 2)
     assert DiTSpec(mlp_expansion="5/2").mlp_expansion == Fraction(5, 2)
     assert TextEncoderSpec().mlp_expansion == Fraction(5, 2)
+    # Written back as an int, a float when exact, else "p/q".
+    assert [to_dict(DiTSpec(mlp_expansion=f))["mlp_expansion"] for f in (4, "5/2", "8/3")] == [4, 2.5, "8/3"]
 
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: DiTSpec(hidden=2048.0), "hidden must be a positive int, got 2048.0"),
+    (lambda: DiTSpec(layers=True), "layers must be a positive int, got True"),
+    (lambda: TextEncoderSpec(tokens=-1), "tokens must be a positive int, got -1"),
+    (lambda: DiTSpec(mlp_expansion="x/2"), "mlp_expansion must be a positive int, float or 'p/q' string, got 'x/2'"),
+    (lambda: DiTSpec(mlp_expansion=True), "mlp_expansion must be a positive int, float or 'p/q' string, got True"),
+    (lambda: DiTSpec(mlp_expansion=float("nan")),
+     "mlp_expansion must be a positive int, float or 'p/q' string, got nan"),
+    (lambda: VAEDecoderLayer(kind="conv3d", kernel=[3.5, 3, 3], c_in=1, c_out=1, t_rule="full_T", h_div=1, w_div=1),
+     "kernel must be three positive ints, got [3.5, 3, 3]"),
+    (lambda: VAEDecoderLayer(kind="conv", kernel=(3, 3, 3), c_in=1, c_out=1, t_rule="full_T", h_div=1, w_div=1),
+     "kind must be one of ['conv3d', 'attn2d'], got 'conv'"),
+    (lambda: VAEDecoderSchedule(layers=[{"kind": "attn2d"}]),
+     "layers must be a list of VAEDecoderLayer, got [{'kind': 'attn2d'}]"),
+    (lambda: HardwareSpec(name="x", theta_peak=1e12, bandwidth=1e12, p_max=700, scalar_bytes=True),
+     "scalar_bytes must be a positive int, got True"),
+    (lambda: HardwareSpec(name="x", theta_peak="1e12", bandwidth=1e12, p_max=700),
+     "theta_peak must be a number, got '1e12'"),
+    (lambda: HardwareSpec(name="x", theta_peak=10**400, bandwidth=1e12, p_max=700),
+     f"theta_peak must be finite, got {10**400}"),
+    (lambda: HardwareSpec(name="x", theta_peak=1e12, bandwidth=1e12, p_max=700, balance_consistent=1),
+     "balance_consistent must be true or false, got 1"),
+    (lambda: ModelSpec("m", DiTSpec(), {}, VAEDecoderSchedule(())), "text_encoder must be a TextEncoderSpec, got {}"),
+], ids=["float-count", "bool-count", "negative-count", "bad-fraction", "bool-fraction", "nan-fraction",
+        "float-kernel", "unknown-kind", "raw-row", "bool-scalar-bytes", "string-float", "huge-int-float", "int-flag",
+        "raw-nested-spec"])
+def test_fields_checked_by_annotation(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_spec_dict_round_trip(seed):
+    rng = random.Random(seed)
+    dit = replace(random_dit(rng), mlp_expansion=Fraction(rng.randint(1, 50), rng.randint(1, 12)))
+    model = ModelSpec("m", dit, random_text_encoder(rng), random_schedule(rng), cfg_passes=rng.choice((1, 2)))
+    for spec in (model, model.dit, model.text_encoder, model.vae, *model.vae.layers):
+        doc = json.loads(json.dumps(to_dict(spec)))
+        assert from_dict(type(spec), doc, "spec") == spec
 
 def test_text_encoder_defaults():
     spec = TextEncoderSpec()
-    assert (spec.layers, spec.hidden, spec.tokens, spec.passes_per_video) == (24, 4096, 512, 2)
+    assert (spec.layers, spec.hidden, spec.tokens) == (24, 4096, 512)
     with pytest.raises(ValueError):
-        TextEncoderSpec(passes_per_video=0)
+        TextEncoderSpec(tokens=0)
 
 
 def test_vae_layer_validation():
@@ -93,6 +143,7 @@ def test_hardware_validation():
     with pytest.raises(ValueError):
         HardwareSpec(name="x", theta_peak=1, bandwidth=1, p_max=1, scalar_bytes=3)
     valid = dict(name="x", theta_peak=1e12, bandwidth=1e12, p_max=700)
+    assert HardwareSpec(**valid).p_max == 700.0 and type(HardwareSpec(**valid).p_max) is float
     for name in ("theta_peak", "bandwidth", "p_max"):
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -104,37 +155,38 @@ def test_bundled_model_spec(wan):
     assert wan.cfg_passes == 2
     assert wan.dit == DiTSpec()
     assert wan.text_encoder == TextEncoderSpec()
-    assert wan.vae.mid_channels == 384
-    assert wan.vae.latent_channels == 16
     assert len(wan.vae.layers) == 12
     assert len(wan.vae.conv_layers) == 11
+    assert wan.vae.attn_layers == (wan.vae.layers[2],)
+    assert wan.vae.layers[2].c_in == 384
 
 
 def test_model_spec_round_trip(wan):
-    again = model_spec_from_dict(model_spec_to_dict(wan))
+    again = from_dict(ModelSpec, to_dict(wan))
     assert again == wan
 
 
 def test_cached_coefficients_leave_spec_unchanged():
     spec = load_model_spec()
-    before = (model_spec_to_dict(spec), repr(spec), hash(spec))
+    before = (to_dict(spec), repr(spec), hash(spec))
     field_names = [[f.name for f in fields(part)] for part in (spec.dit, spec.text_encoder, spec.vae)]
     total_flops(VideoJob(720, 1280, 81, 50, 2), spec.dit, spec.text_encoder, spec.vae)
     assert "mlp_coefficient" in vars(spec.dit)
-    assert "flops_per_video" in vars(spec.text_encoder)
+    assert "flops_per_pass" in vars(spec.text_encoder)
     assert "conv_layers" in vars(spec.vae)
+    assert "attn_layers" in vars(spec.vae)
     assert "flops_per_position" in vars(spec.vae.layers[0])
     classify(1, load_hardware(), spec.dit)
     assert "mlp_ratio" in vars(spec.dit)
     assert "t_div" in vars(spec.vae.layers[0])
-    assert (model_spec_to_dict(spec), repr(spec), hash(spec)) == before
+    assert (to_dict(spec), repr(spec), hash(spec)) == before
     assert [[f.name for f in fields(part)] for part in (spec.dit, spec.text_encoder, spec.vae)] == field_names
     assert spec == load_model_spec()
 
 
 def test_model_spec_from_file_and_env(tmp_path, wan, monkeypatch):
     path = tmp_path / "custom.json"
-    doc = model_spec_to_dict(wan)
+    doc = to_dict(wan)
     doc["model_id"] = "custom"
     path.write_text(json.dumps(doc))
     assert load_model_spec(path).model_id == "custom"

@@ -11,7 +11,7 @@ from vidcost import (
     mid_attention_flops,
     total_flops,
 )
-from vidcost.specs import vae_schedule_from_dict, vae_schedule_to_dict
+from vidcost.specs import from_dict, to_dict
 
 JOB = VideoJob(720, 1280, 81, 50, 2)
 
@@ -73,10 +73,36 @@ def test_conv3d_ceiling_division():
     assert conv3d_flops(layer, VideoJob(17, 33, 1, 1)) == 2 * 2 * 3
 
 
+def attn_layer(**overrides):
+    base = dict(kind="attn2d", c_in=1, c_out=1, t_rule="ceil_T_over_4", h_div=8, w_div=8)
+    base.update(overrides)
+    return VAEDecoderLayer(**base)
+
+
 def test_mid_attention_unit():
-    schedule = VAEDecoderSchedule(layers=(), mid_channels=1, latent_channels=1)
+    schedule = VAEDecoderSchedule(layers=(attn_layer(),))
     # One time slice, a 2x2 token tile, one channel.
     assert mid_attention_flops(VideoJob(16, 16, 1, 1), schedule) == 8 * 1 * 4 + 4 * 16 * 1
+
+
+def test_mid_attention_follows_its_rows(wan):
+    # Each attn2d row is costed from its own fields: width, grid rule and repeat.
+    job = VideoJob(64, 128, 9, 1)
+    wide = VAEDecoderSchedule(layers=(attn_layer(c_in=999, c_out=999),))
+    t, l = 3, 8 * 16
+    assert mid_attention_flops(job, wide) == t * (8 * 999**2 * l + 4 * l**2 * 999)
+    fine = VAEDecoderSchedule(layers=(attn_layer(t_rule="full_T", h_div=4, w_div=2, repeat=2),))
+    t, l = 9, 16 * 64
+    assert mid_attention_flops(job, fine) == 2 * t * (8 * l + 4 * l**2)
+    both = VAEDecoderSchedule(layers=wide.layers + fine.layers)
+    assert mid_attention_flops(job, both) == mid_attention_flops(job, wide) + mid_attention_flops(job, fine)
+    no_attention = VAEDecoderSchedule(layers=wan.vae.conv_layers)
+    assert mid_attention_flops(JOB, no_attention) == 0
+
+
+def test_attention_row_keeps_its_width():
+    with pytest.raises(ValueError, match="^c_out must equal c_in in an attn2d row, got 8 and 4$"):
+        attn_layer(c_in=4, c_out=8)
 
 
 def test_mid_attention_bundled(wan):
@@ -88,17 +114,17 @@ def test_mid_attention_quadratic_term(wan):
     # second term by 4: check via the closed forms at two widths.
     a = mid_attention_flops(VideoJob(256, 256, 4, 1), wan.vae)
     b = mid_attention_flops(VideoJob(256, 512, 4, 1), wan.vae)
-    c = wan.vae.mid_channels
+    c = wan.vae.attn_layers[0].c_in
     l = 32 * 32
     assert a == 1 * (8 * c * c * l + 4 * l * l * c)
     assert b == 1 * (8 * c * c * 2 * l + 4 * (2 * l) ** 2 * c)
 
 
 def test_decoder_flops_empty_schedule():
-    schedule = VAEDecoderSchedule(layers=(), mid_channels=384, latent_channels=16)
+    schedule = VAEDecoderSchedule(layers=())
     conv, mid = decoder_flops(JOB, schedule)
     assert conv == 0
-    assert mid == MID_ATTN
+    assert mid == 0
 
 
 def test_decoder_flops_bundled(wan):
@@ -110,7 +136,7 @@ def test_decoder_flops_bundled(wan):
 def test_decoder_conv_linear_in_frames_when_full_t():
     rows = tuple(unit_layer(c_in=4, c_out=8, kernel=(3, 3, 3), h_div=2, w_div=2)
                  for _ in range(3))
-    schedule = VAEDecoderSchedule(layers=rows, mid_channels=1, latent_channels=1)
+    schedule = VAEDecoderSchedule(layers=rows)
     conv_1 = decoder_flops(VideoJob(64, 64, 10, 1), schedule)[0]
     conv_3 = decoder_flops(VideoJob(64, 64, 30, 1), schedule)[0]
     assert conv_3 == 3 * conv_1
@@ -143,6 +169,6 @@ def test_schedule_fidelity(wan):
 
 
 def test_schedule_serialization_round_trip(wan):
-    doc = vae_schedule_to_dict(wan.vae)
+    doc = to_dict(wan.vae)
     assert all({"kind", "c_in", "c_out", "t_rule", "h_div", "w_div"} <= set(row) for row in doc["layers"])
-    assert vae_schedule_from_dict(doc) == wan.vae
+    assert from_dict(VAEDecoderSchedule, doc, "vae") == wan.vae
