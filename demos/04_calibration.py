@@ -38,7 +38,7 @@ print(f"fitted efficiency: {result.mu:.4f}")
 print(f"intercept:         {result.intercept_s:.3f} s")
 print(f"r_squared:         {result.r_squared:.5f}")
 
-report = validate(records, result.mu, model.dit, model.text_encoder, model.vae, hw, axis="steps")
+report = validate(records, result.mu, model.dit, model.text_encoder, model.vae, hw)
 print(f"\nvalidation over the same sweep:")
 print(f"latency MPE: {report.mpe_latency_pct:.2f}%")
 print(f"energy MPE:  {report.mpe_energy_pct:.2f}%")

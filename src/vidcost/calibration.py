@@ -8,7 +8,6 @@ intercept absorbing fixed overhead; mu is the reciprocal of the slope.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -114,21 +113,13 @@ class PointError:
     energy_pct: float
 
 
-VALIDATION_AXES = ("resolution", "frames", "steps", "custom")
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     """Per-record and mean absolute percentage errors of predictions."""
 
-    axis: str
     mpe_latency_pct: float
     mpe_energy_pct: float
     per_point_errors: tuple[PointError, ...]
-
-    def __post_init__(self) -> None:
-        if self.axis not in VALIDATION_AXES:
-            raise ValueError(f"axis must be one of {VALIDATION_AXES}")
 
 
 def _predicted_flops(
@@ -197,7 +188,6 @@ def validate(
     tspec: TextEncoderSpec,
     vae: VAEDecoderSchedule,
     hw: HardwareSpec,
-    axis: str = "custom",
     cfg_passes: int = 2,
 ) -> ValidationReport:
     """Predict each record at efficiency mu and report percentage errors."""
@@ -221,7 +211,6 @@ def validate(
             energy_pct=100.0 * abs(p_wh - m_wh) / m_wh,
         ))
     return ValidationReport(
-        axis=axis,
         mpe_latency_pct=mean_percentage_error(pred_lat, meas_lat),
         mpe_energy_pct=mean_percentage_error(pred_wh, meas_wh),
         per_point_errors=tuple(points),
@@ -273,13 +262,18 @@ def read_measurements_csv(source) -> list[MeasurementRecord]:
 
     The header (row 1) is checked once, whether or not records follow. Blank
     lines are skipped and not counted as rows; a row with more cells than the
-    header is rejected, and missing trailing cells read as empty.
+    header is rejected, and missing trailing cells read as empty. Text the
+    ``csv`` module rejects, such as a cell over its field size limit, is a
+    ValueError naming the row.
     """
     if not hasattr(source, "read"):
         with open(source, newline="", encoding="utf-8") as fh:
             return read_measurements_csv(fh)
     rows = csv.reader(source)
-    header = next(rows, None)
+    try:
+        header = next(rows, None)
+    except csv.Error as exc:
+        raise ValueError(f"row 1: {exc}") from None
     if header is None:
         return []
     unknown = set(header) - _COLUMN_SET
@@ -290,13 +284,16 @@ def read_measurements_csv(source) -> list[MeasurementRecord]:
         raise ValueError(f"row 1: missing required columns {missing}")
     width = len(header)
     records = []
-    for row in rows:
-        if not row:
-            continue
-        context = f"row {len(records) + 2}"
-        if len(row) > width:
-            raise ValueError(f"{context}: {len(row)} cells, header has {width}")
-        records.append(_record_from_row(dict(zip(header, row)), context))
+    try:
+        for row in rows:
+            if not row:
+                continue
+            context = f"row {len(records) + 2}"
+            if len(row) > width:
+                raise ValueError(f"{context}: {len(row)} cells, header has {width}")
+            records.append(_record_from_row(dict(zip(header, row)), context))
+    except csv.Error as exc:
+        raise ValueError(f"row {len(records) + 2}: {exc}") from None
     return records
 
 
@@ -331,5 +328,4 @@ def load_measurements(path: str | Path) -> list[MeasurementRecord]:
 
 def load_bundled_measurements() -> list[MeasurementRecord]:
     """The packaged cross-model benchmark dataset."""
-    text = bundled_data_path(BUNDLED_MEASUREMENTS).read_text(encoding="utf-8")
-    return read_measurements_csv(io.StringIO(text))
+    return read_measurements_csv(bundled_data_path(BUNDLED_MEASUREMENTS))

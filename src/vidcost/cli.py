@@ -7,12 +7,12 @@ success, 1 on runtime failures, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-# Only the spec layer loads with the CLI; each subcommand imports the layers it
-# runs, so `vidcost roofline` never loads the cost, calibration or report code.
+# Only the spec and output layers load with the CLI; each subcommand imports the
+# layers it runs, so `vidcost roofline` never loads the cost, calibration or report code.
+from . import output
 from .specs import (
     DEFAULT_HARDWARE,
     DEFAULT_MODEL_ID,
@@ -61,8 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"hardware name or JSON path (default: {DEFAULT_HARDWARE})")
     common.add_argument("--mu", type=_mu_value, default=DEFAULT_MU,
                         help="sustained-over-peak efficiency in (0, 1] (default: %(default)s)")
-    common.add_argument("--format", choices=("table", "csv", "json", "svg"), default=None,
-                        help="output format (default depends on subcommand)")
     common.add_argument("--out", type=Path, default=None, help="write output to a file instead of stdout")
 
     parser = argparse.ArgumentParser(
@@ -77,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--frames", type=_positive_int, default=None)
     est.add_argument("--steps", type=_positive_int, default=None)
     est.add_argument("--cfg-passes", type=int, choices=(1, 2), default=None)
-    est.set_defaults(func=cmd_estimate, default_format="table")
+    est.set_defaults(func=cmd_estimate)
 
     swp = sub.add_parser("sweep", parents=[common], help="sweep one axis and report per-point costs")
     swp.add_argument("--axis", required=True, choices=("resolution", "frames", "steps"))
@@ -91,24 +89,28 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--frames", type=_positive_int, default=None)
     swp.add_argument("--steps", type=_positive_int, default=None)
     swp.add_argument("--cfg-passes", type=int, choices=(1, 2), default=None)
-    swp.set_defaults(func=cmd_sweep, default_format="csv")
+    swp.set_defaults(func=cmd_sweep)
 
     roof = sub.add_parser("roofline", parents=[common],
                           help="hardware balance and compute-bound thresholds")
-    roof.set_defaults(func=cmd_roofline, default_format="table")
+    roof.set_defaults(func=cmd_roofline)
 
     cal = sub.add_parser("calibrate", parents=[common], help="fit efficiency from measurements")
     cal.add_argument("--measurements", required=True, type=Path)
     cal.add_argument("--cfg-passes", type=int, choices=(1, 2), default=None)
-    cal.set_defaults(func=cmd_calibrate, default_format="table")
+    cal.set_defaults(func=cmd_calibrate)
 
     cmp_ = sub.add_parser("compare", parents=[common], help="cross-model energy/latency report")
     cmp_.add_argument("--measurements", type=Path, default=None,
                       help="measurement CSV/JSON (default: bundled dataset)")
     cmp_.add_argument("--defaults", type=Path, default=None,
                       help="model defaults JSON (default: bundled dataset)")
-    cmp_.set_defaults(func=cmd_compare, default_format="table")
+    cmp_.set_defaults(func=cmd_compare)
 
+    text, charted = output.FORMATS, (*output.FORMATS, "svg")
+    for cmd, formats, default in ((est, text, "table"), (swp, charted, "csv"), (roof, text, "table"),
+                                  (cal, text, "table"), (cmp_, charted, "table")):
+        cmd.add_argument("--format", choices=formats, default=default, help="output format (default: %(default)s)")
     return parser
 
 
@@ -118,14 +120,6 @@ def _write(args, payload: bytes | str) -> None:
         args.out.write_bytes(data)
     else:
         sys.stdout.write(data.decode("utf-8"))
-
-
-def _table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [max(len(str(r[i])) for r in [headers] + rows) for i in range(len(headers))]
-    lines = ["  ".join(str(c).ljust(w) for c, w in zip(row, widths)).rstrip()
-             for row in [headers] + rows]
-    lines.insert(1, "  ".join("-" * w for w in widths))
-    return "\n".join(lines) + "\n"
 
 
 def _resolve_job(args, model) -> VideoJob:
@@ -160,54 +154,12 @@ def _load_context(args):
 
 
 def cmd_estimate(args) -> int:
-    from .cost import OPERATORS, estimate_cost, token_length
+    from .cost import estimate_cost
 
     model, hw = _load_context(args)
     job = _resolve_job(args, model)
-    cost = estimate_cost(job, model, hw, args.mu)
-    fmt = args.format or args.default_format
-    bd = cost.breakdown
-    if fmt == "json":
-        doc = {
-            "model_id": model.model_id,
-            "hardware": hw.name,
-            "mu": args.mu,
-            "job": {"height_px": job.height_px, "width_px": job.width_px,
-                    "frames": job.frames, "steps": job.steps, "cfg_passes": job.cfg_passes},
-            "tokens": token_length(job, model.dit),
-            "flops": bd.as_dict(),
-            "latency_s": cost.latency_s,
-            "energy_j": cost.energy_j,
-            "energy_wh": cost.energy_wh,
-            "operator_latency_s": cost.operator_latency_s,
-            "operator_energy_wh": cost.operator_energy_wh,
-        }
-        _write(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        return 0
-    if fmt == "csv":
-        lines = ["operator,flops,latency_s,energy_wh"]
-        for op in OPERATORS:
-            lines.append(f"{op},{getattr(bd, op)},{cost.operator_latency_s[op]},{cost.operator_energy_wh[op]}")
-        lines.append(f"total,{bd.total},{cost.latency_s},{cost.energy_wh}")
-        _write(args, "\n".join(lines) + "\n")
-        return 0
-    if fmt == "table":
-        rows = [[op, f"{getattr(bd, op):.4e}", f"{getattr(bd, op) / bd.total * 100:6.2f}%",
-                 f"{cost.operator_latency_s[op]:.2f}", f"{cost.operator_energy_wh[op]:.3f}"]
-                for op in OPERATORS]
-        rows.append(["total", f"{bd.total:.4e}", "100.00%",
-                     f"{cost.latency_s:.2f}", f"{cost.energy_wh:.3f}"])
-        head = (
-            f"model     {model.model_id}\n"
-            f"hardware  {hw.name} (mu={args.mu})\n"
-            f"job       {job.height_px}x{job.width_px}, {job.frames} frames, "
-            f"{job.steps} steps, {job.cfg_passes} cfg passes\n"
-            f"tokens    {token_length(job, model.dit)}\n\n"
-        )
-        _write(args, head + _table(["operator", "flops", "share", "latency_s", "energy_wh"], rows))
-        return 0
-    print(f"error: format {fmt!r} not supported by estimate", file=sys.stderr)
-    return 2
+    _write(args, output.estimate(model, hw, job, args.mu, estimate_cost(job, model, hw, args.mu), args.format))
+    return 0
 
 
 def _sweep_values(args):
@@ -232,64 +184,17 @@ def cmd_sweep(args) -> int:
     fixed = _resolve_job(args, model)
     sweep = SweepSpec(axis=args.axis, values=_sweep_values(args), fixed=fixed,
                       mu=args.mu, hardware=hw)
-    result = run_sweep(sweep, model)
-    fmt = args.format or args.default_format
-    if fmt == "table":
-        rows = [[str(p.axis_value) if not isinstance(p.axis_value, tuple)
-                 else f"{p.axis_value[0]}x{p.axis_value[1]}",
-                 str(p.tokens), f"{p.breakdown.total:.4e}",
-                 f"{p.cost.latency_s:.2f}", f"{p.cost.energy_wh:.3f}"]
-                for p in result.points]
-        _write(args, _table([args.axis, "tokens", "flops_total", "latency_s", "energy_wh"], rows))
-        return 0
-    _write(args, emit(result, fmt))
+    _write(args, emit(run_sweep(sweep, model), args.format))
     return 0
 
 
 def cmd_roofline(args) -> int:
-    from .roofline import balance, thresholds
-
     if args.hardware is not None:
         entries = [load_hardware(args.hardware)]
     else:
         entries = list(load_hardware_db().values())
-    fmt = args.format or args.default_format
-    rows = []
-    for hw in entries:
-        attn_thr, mlp_thr = thresholds(hw)
-        rows.append({
-            "name": hw.name,
-            "theta_peak_tflops": hw.theta_peak / 1e12,
-            "bandwidth_tbps": hw.bandwidth / 1e12,
-            "balance": balance(hw),
-            "attn_threshold": attn_thr,
-            "mlp_threshold": mlp_thr,
-            "consistent": hw.balance_consistent,
-            "reference_balance": hw.reference_balance,
-        })
-    if fmt == "json":
-        _write(args, json.dumps(rows, indent=2, sort_keys=True) + "\n")
-        return 0
-    if fmt == "csv":
-        lines = ["name,theta_peak_tflops,bandwidth_tbps,balance,attn_threshold,mlp_threshold,consistent"]
-        for r in rows:
-            lines.append(f"{r['name']},{r['theta_peak_tflops']},{r['bandwidth_tbps']},"
-                         f"{r['balance']},{r['attn_threshold']},{r['mlp_threshold']},{r['consistent']}")
-        _write(args, "\n".join(lines) + "\n")
-        return 0
-    if fmt == "table":
-        table_rows = []
-        for r in rows:
-            note = ""
-            if not r["consistent"]:
-                note = f"published balance {r['reference_balance']} inconsistent with computed"
-            table_rows.append([r["name"], f"{r['theta_peak_tflops']:.0f}", f"{r['bandwidth_tbps']:.2f}",
-                               f"{r['balance']:.0f}", str(r["attn_threshold"]), str(r["mlp_threshold"]), note])
-        _write(args, _table(["name", "tflops", "tb_per_s", "balance", "attn_thr", "mlp_thr", "note"],
-                            table_rows))
-        return 0
-    print(f"error: format {fmt!r} not supported by roofline", file=sys.stderr)
-    return 2
+    _write(args, output.roofline(entries, args.format))
+    return 0
 
 
 def cmd_calibrate(args) -> int:
@@ -304,25 +209,8 @@ def cmd_calibrate(args) -> int:
               f"{model.model_id}: {', '.join(sorted(set(others)))}", file=sys.stderr)
     cfg = args.cfg_passes if args.cfg_passes is not None else model.cfg_passes
     result = fit_mu(records, model.dit, model.text_encoder, model.vae, hw, cfg_passes=cfg)
-    fmt = args.format or args.default_format
-    if fmt == "json":
-        doc = {"mu": result.mu, "intercept_s": result.intercept_s, "r_squared": result.r_squared,
-               "records": len(records)}
-        _write(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        return 0
-    if fmt == "csv":
-        _write(args, "mu,intercept_s,r_squared\n"
-               f"{result.mu},{result.intercept_s},{result.r_squared}\n")
-        return 0
-    if fmt == "table":
-        _write(args,
-               f"mu           {result.mu:.6f}\n"
-               f"intercept_s  {result.intercept_s:.6f}\n"
-               f"r_squared    {result.r_squared:.6f}\n"
-               f"records      {len(records)}\n")
-        return 0
-    print(f"error: format {fmt!r} not supported by calibrate", file=sys.stderr)
-    return 2
+    _write(args, output.calibration(result, len(records), args.format))
+    return 0
 
 
 def cmd_compare(args) -> int:
@@ -334,17 +222,7 @@ def cmd_compare(args) -> int:
         records = _load_measurements(args.measurements)
     else:
         records = load_bundled_measurements()
-    report = compare_models(defaults, records)
-    fmt = args.format or args.default_format
-    if fmt == "table":
-        rows = [[r.model_id, f"{r.latency_s:g}", f"{r.gpu_wh:g}", f"{r.cpu_wh:g}", f"{r.ram_wh:g}",
-                 f"{r.total_wh:.4g}", f"{r.gpu_share * 100:.1f}%"] for r in report.rows]
-        text = _table(["model", "latency_s", "gpu_wh", "cpu_wh", "ram_wh", "total_wh", "gpu_share"], rows)
-        for (a, b), ratio in sorted(report.ratios.items()):
-            text += f"\ntotal energy ratio {a} / {b} ≈ {ratio:.0f}×\n"
-        _write(args, text)
-        return 0
-    _write(args, emit(report, fmt))
+    _write(args, emit(compare_models(defaults, records), args.format))
     return 0
 
 

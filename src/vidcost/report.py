@@ -1,15 +1,13 @@
 """Scaling-law sweeps and cross-model comparison reports.
 
 Sweep points carry the full FLOP breakdown plus latency/energy with
-per-operator shares prorated by FLOP fraction. Serialization to CSV and JSON
-is byte-deterministic; SVG charts are a convenience rendering.
+per-operator shares prorated by FLOP fraction. ``emit`` serializes a report
+through ``output`` (table, CSV, JSON) or ``charts`` (SVG); every format is
+byte-deterministic.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -20,29 +18,6 @@ if TYPE_CHECKING:  # an annotation only: comparing reports does not load calibra
     from .calibration import MeasurementRecord
 
 AXES = ("resolution", "frames", "steps")
-
-SWEEP_CSV_COLUMNS = (
-    "axis_value", "tokens",
-    "flops_text", "flops_vae_conv", "flops_vae_attn",
-    "flops_self", "flops_cross", "flops_mlp", "flops_timestep", "flops_total",
-    "latency_s", "energy_wh",
-)
-
-COMPARISON_CSV_COLUMNS = (
-    "model_id", "latency_s", "gpu_wh", "cpu_wh", "ram_wh",
-    "total_wh", "gpu_share", "cpu_share", "ram_share",
-)
-
-# FLOP CSV column -> breakdown field.
-_FLOP_COLUMNS = {
-    "flops_text": "text",
-    "flops_vae_conv": "vae_conv",
-    "flops_vae_attn": "vae_mid_attn",
-    "flops_self": "self_attn",
-    "flops_cross": "cross_attn",
-    "flops_mlp": "mlp",
-    "flops_timestep": "timestep",
-}
 
 
 @dataclass(frozen=True)
@@ -184,100 +159,16 @@ def compare_models(
     return ComparisonReport(rows=tuple(rows), ratios=ratios)
 
 
-# --- serialization ---
-
-def _axis_value_str(value) -> str:
-    if isinstance(value, tuple):
-        return f"{value[0]}x{value[1]}"
-    return str(value)
-
-
-def _sweep_csv(result: SweepResult) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_CSV_COLUMNS)
-    for point in result.points:
-        row = [_axis_value_str(point.axis_value), point.tokens]
-        row += [getattr(point.breakdown, field) for field in _FLOP_COLUMNS.values()]
-        row += [point.breakdown.total, point.cost.latency_s, point.cost.energy_wh]
-        writer.writerow(row)
-    return buf.getvalue().encode("utf-8")
-
-
-def _sweep_json(result: SweepResult) -> bytes:
-    doc = {
-        "axis": result.spec.axis,
-        "mu": result.spec.mu,
-        "hardware": result.spec.hardware.name,
-        "points": [
-            {
-                "axis_value": _axis_value_str(p.axis_value),
-                "tokens": p.tokens,
-                "flops": p.breakdown.as_dict(),
-                "latency_s": p.cost.latency_s,
-                "energy_j": p.cost.energy_j,
-                "energy_wh": p.cost.energy_wh,
-                "operator_latency_s": p.cost.operator_latency_s,
-                "operator_energy_wh": p.cost.operator_energy_wh,
-            }
-            for p in result.points
-        ],
-    }
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
-
-
-def _comparison_csv(report: ComparisonReport) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(COMPARISON_CSV_COLUMNS)
-    for r in report.rows:
-        writer.writerow([
-            r.model_id, r.latency_s, r.gpu_wh, r.cpu_wh, r.ram_wh,
-            r.total_wh, r.gpu_share, r.cpu_share, r.ram_share,
-        ])
-    return buf.getvalue().encode("utf-8")
-
-
-def _comparison_json(report: ComparisonReport) -> bytes:
-    doc = {
-        "rows": [
-            {
-                "model_id": r.model_id,
-                "latency_s": r.latency_s,
-                "gpu_wh": r.gpu_wh,
-                "cpu_wh": r.cpu_wh,
-                "ram_wh": r.ram_wh,
-                "total_wh": r.total_wh,
-                "gpu_share": r.gpu_share,
-                "cpu_share": r.cpu_share,
-                "ram_share": r.ram_share,
-            }
-            for r in report.rows
-        ],
-        "ratios": [
-            {"numerator": a, "denominator": b, "ratio": v}
-            for (a, b), v in sorted(report.ratios.items())
-        ],
-    }
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
-
-
 def emit(report: SweepResult | ComparisonReport, format: str) -> bytes:
-    """Serialize a report. CSV/JSON are contractual; SVG renders a chart."""
-    from . import charts
+    """Serialize a report as a table, CSV or JSON (laid out by ``output``) or as an SVG chart."""
+    if isinstance(report, (SweepResult, ComparisonReport)):
+        is_sweep = isinstance(report, SweepResult)
+        if format == "svg":
+            from . import charts
 
-    if isinstance(report, SweepResult):
-        if format == "csv":
-            return _sweep_csv(report)
-        if format == "json":
-            return _sweep_json(report)
-        if format == "svg":
-            return charts.stacked_area_svg(report).encode("utf-8")
-    elif isinstance(report, ComparisonReport):
-        if format == "csv":
-            return _comparison_csv(report)
-        if format == "json":
-            return _comparison_json(report)
-        if format == "svg":
-            return charts.log_bar_svg(report).encode("utf-8")
+            return (charts.stacked_area_svg if is_sweep else charts.log_bar_svg)(report).encode("utf-8")
+        from . import output
+
+        if format in output.FORMATS:
+            return (output.sweep if is_sweep else output.comparison)(report, format).encode("utf-8")
     raise ValueError(f"unsupported report/format pairing: {type(report).__name__} as {format!r}")

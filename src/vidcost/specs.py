@@ -20,7 +20,6 @@ from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
-from importlib import resources
 from pathlib import Path
 
 DATA_DIR_ENV = "VIDCOST_DATA_DIR"
@@ -407,22 +406,19 @@ def to_dict(spec) -> dict:
 
 # --- bundled data and file loading ---
 
-def bundled_data_path(filename: str):
-    """Traversable handle on a bundled data file."""
-    return resources.files("vidcost.data").joinpath(filename)
+def bundled_data_path(filename: str) -> Path:
+    """Path of a bundled data file, next to this module."""
+    return Path(__file__).with_name("data") / filename
 
 
-def _read_file(source, read):
-    """``read`` of the JSON value in ``source``, a path or a bundled-data handle.
-    Text that does not decode or parse, or a value ``read`` rejects, is a
-    ValueError naming the file."""
+def _read_file(path, read):
+    """``read`` of the JSON value in the file at ``path``. Text that does not
+    decode or parse, or a value ``read`` rejects, is a ValueError naming the file."""
     try:
-        if isinstance(source, (str, Path)):
-            with open(source, "r", encoding="utf-8") as fh:
-                return read(json.load(fh))
-        return read(json.loads(source.read_text(encoding="utf-8")))
+        with open(path, "r", encoding="utf-8") as fh:
+            return read(json.load(fh))
     except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_model_spec(name_or_path: str | Path = DEFAULT_MODEL_ID) -> ModelSpec:
@@ -446,7 +442,7 @@ def load_model_spec(name_or_path: str | Path = DEFAULT_MODEL_ID) -> ModelSpec:
 def _hardware_list(entries) -> list[HardwareSpec]:
     if not isinstance(entries, list):
         raise ValueError(f"expected a JSON list of hardware entries, got {type(entries).__name__}")
-    return [from_dict(HardwareSpec, entry) for entry in entries]
+    return [from_dict(HardwareSpec, entry, f"hardware[{i}]") for i, entry in enumerate(entries)]
 
 
 def load_hardware_db(path: str | Path | None = None) -> dict[str, HardwareSpec]:

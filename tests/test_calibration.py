@@ -188,8 +188,8 @@ def test_fit_mu_from_energy_only_records(wan, h100):
 
 def test_validate_exact_predictions(wan, h100):
     records = synthetic_records(wan, h100, 0.456)
-    report = validate(records, 0.456, wan.dit, wan.text_encoder, wan.vae, h100, axis="steps")
-    assert report.axis == "steps"
+    report = validate(records, 0.456, wan.dit, wan.text_encoder, wan.vae, h100)
+    assert [p.record_id for p in report.per_point_errors] == [f"{r.model_id}#{i}" for i, r in enumerate(records)]
     assert report.mpe_latency_pct == pytest.approx(0.0, abs=1e-9)
     assert report.mpe_energy_pct == pytest.approx(0.0, abs=1e-9)
     assert len(report.per_point_errors) == len(records)

@@ -78,9 +78,12 @@ def test_estimate_rejects_bad_mu(capsys):
 
 
 def test_estimate_svg_unsupported(capsys):
-    code, _, err = run_cli(capsys, "estimate", "--format", "svg")
-    assert code == 2
-    assert "svg" in err
+    with pytest.raises(SystemExit) as info:
+        main(["estimate", "--format", "svg"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "svg" in captured.err
 
 
 def test_sweep_steps_row_count(capsys):
@@ -211,7 +214,7 @@ def test_hardware_int_field_rejects_non_int(capsys, tmp_path, key):
         path.write_text(json.dumps([{**entry, key: bad}]))
         code, out, err = run_cli(capsys, "roofline", "--hardware", str(path))
         assert (code, out) == (1, "")
-        assert err == f"error: {path}: {key} must be a positive int, got {shown}\n"
+        assert err == f"error: {path}: hardware[0].{key} must be a positive int, got {shown}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -284,13 +287,28 @@ def test_roofline_rejects_non_finite_hardware(capsys, tmp_path, monkeypatch):
     code, out, err = run_cli(capsys, "roofline", "--hardware", str(path))
     assert code == 1
     assert out == ""
-    assert err == f"error: {path}: theta_peak must be finite, got nan\n"
+    assert err == f"error: {path}: hardware[0].theta_peak must be finite, got nan\n"
 
     monkeypatch.setenv("VIDCOST_DATA_DIR", str(tmp_path))
     path.rename(tmp_path / "hardware.json")
     code, out, err = run_cli(capsys, "roofline")
     assert (code, out) == (1, "")
-    assert err == f"error: {tmp_path / 'hardware.json'}: theta_peak must be finite, got nan\n"
+    assert err == f"error: {tmp_path / 'hardware.json'}: hardware[0].theta_peak must be finite, got nan\n"
+
+
+def test_hardware_error_names_the_entry(capsys, tmp_path, monkeypatch):
+    entry = {"name": "toy", "theta_peak": 1e12, "bandwidth": 1e12, "p_max": 700}
+    path = tmp_path / "hw.json"
+    path.write_text(json.dumps([entry, {**entry, "name": "bad", "p_max": -1}]))
+    code, out, err = run_cli(capsys, "roofline", "--hardware", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: hardware[1].p_max must be positive, got -1\n"
+
+    monkeypatch.setenv("VIDCOST_DATA_DIR", str(tmp_path))
+    path.rename(tmp_path / "hardware.json")
+    code, out, err = run_cli(capsys, "roofline")
+    assert (code, out) == (1, "")
+    assert err == f"error: {tmp_path / 'hardware.json'}: hardware[1].p_max must be positive, got -1\n"
 
 
 def test_bad_hardware_file_is_one_error_line(capsys, tmp_path, monkeypatch):
@@ -370,6 +388,17 @@ def test_calibrate_rejects_non_finite(capsys, tmp_path, suffix, text):
     assert err.startswith(f"error: {path}: {row}: ")
     assert "must be finite" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bad_row", [1, 2, 3], ids=["header", "first-record", "second-record"])
+def test_calibrate_over_limit_cell_is_one_error_line(capsys, tmp_path, bad_row):
+    limit = csv.field_size_limit()
+    lines = ["model_id,height,width,frames,steps,latency_s", "a,720,1280,81,50,410"][:bad_row - 1]
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join(lines + ["a," + "x" * (limit + 1)]) + "\n")
+    code, out, err = run_cli(capsys, "calibrate", "--measurements", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: row {bad_row}: field larger than field limit ({limit})\n"
 
 
 @pytest.mark.parametrize("text, message", [

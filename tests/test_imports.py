@@ -31,7 +31,7 @@ def test_import_loads_no_submodule():
 
 def test_spec_loads_load_only_specs():
     code = "import vidcost\nvidcost.load_model_spec()\nvidcost.load_hardware()\n" + LOADED
-    assert child(code) == ["vidcost.data", "vidcost.specs"]
+    assert child(code) == ["vidcost.specs"]
 
 
 def test_roofline_command_skips_cost_layers():

@@ -153,8 +153,8 @@ def test_emit_sweep_csv_columns(wan, h100):
     result = run_sweep(steps_sweep(h100), wan)
     payload = emit(result, "csv").decode("utf-8")
     rows = list(csv.reader(io.StringIO(payload)))
-    assert rows[0] == ["axis_value", "tokens", "flops_text", "flops_vae_conv", "flops_vae_attn",
-                       "flops_self", "flops_cross", "flops_mlp", "flops_timestep", "flops_total",
+    assert rows[0] == ["axis_value", "tokens", "flops_text", "flops_vae_conv", "flops_vae_mid_attn",
+                       "flops_self_attn", "flops_cross_attn", "flops_mlp", "flops_timestep", "flops_total",
                        "latency_s", "energy_wh"]
     assert len(rows) == 4
     assert rows[1][0] == "1"
@@ -165,8 +165,8 @@ def test_emit_empty_sweep_header_only(wan, h100):
     empty = SweepResult(spec=steps_sweep(h100), points=())
     payload = emit(empty, "csv").decode("utf-8")
     assert payload.splitlines() == [
-        "axis_value,tokens,flops_text,flops_vae_conv,flops_vae_attn,flops_self,"
-        "flops_cross,flops_mlp,flops_timestep,flops_total,latency_s,energy_wh"
+        "axis_value,tokens,flops_text,flops_vae_conv,flops_vae_mid_attn,flops_self_attn,"
+        "flops_cross_attn,flops_mlp,flops_timestep,flops_total,latency_s,energy_wh"
     ]
 
 
@@ -174,7 +174,7 @@ def test_emit_deterministic(wan, h100):
     result = run_sweep(steps_sweep(h100, values=(1, 5, 9)), wan)
     report = compare_models(load_model_defaults(), load_bundled_measurements())
     for obj in (result, report):
-        for fmt in ("csv", "json", "svg"):
+        for fmt in ("table", "csv", "json", "svg"):
             assert emit(obj, fmt) == emit(obj, fmt)
 
 
