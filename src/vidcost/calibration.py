@@ -21,7 +21,7 @@ from .specs import (
     TextEncoderSpec,
     VAEDecoderSchedule,
     VideoJob,
-    bundled_data_path,
+    data_path,
 )
 
 MEASUREMENT_COLUMNS = (
@@ -30,8 +30,9 @@ MEASUREMENT_COLUMNS = (
 )
 _COLUMN_SET = frozenset(MEASUREMENT_COLUMNS)
 _REQUIRED_COLUMNS = ("model_id", "height", "width", "frames", "steps")
+_INT_COLUMNS = ("height", "width", "frames", "steps")
 
-BUNDLED_MEASUREMENTS = "benchmark_measurements.csv"
+MEASUREMENTS_FILE = "benchmark_measurements.csv"
 
 _NUMERIC_FIELDS = (
     "height_px", "width_px", "frames", "steps",
@@ -195,24 +196,19 @@ def validate(
         raise ValueError("need at least one measurement record")
     flops = _predicted_flops(records, spec, tspec, vae, cfg_passes)
     points = []
-    pred_lat, meas_lat, pred_wh, meas_wh = [], [], [], []
     for i, (record, f) in enumerate(zip(records, flops)):
         p_lat = f / (mu * hw.theta_peak)
         p_wh = hw.p_max * p_lat / SECONDS_PER_HOUR
         m_lat = record.resolved_latency(hw)
         m_wh = record.resolved_gpu_wh(hw)
-        pred_lat.append(p_lat)
-        meas_lat.append(m_lat)
-        pred_wh.append(p_wh)
-        meas_wh.append(m_wh)
         points.append(PointError(
             record_id=f"{record.model_id}#{i}",
             latency_pct=100.0 * abs(p_lat - m_lat) / m_lat,
             energy_pct=100.0 * abs(p_wh - m_wh) / m_wh,
         ))
     return ValidationReport(
-        mpe_latency_pct=mean_percentage_error(pred_lat, meas_lat),
-        mpe_energy_pct=mean_percentage_error(pred_wh, meas_wh),
+        mpe_latency_pct=math.fsum(p.latency_pct for p in points) / len(points),
+        mpe_energy_pct=math.fsum(p.energy_pct for p in points) / len(points),
         per_point_errors=tuple(points),
     )
 
@@ -225,14 +221,6 @@ def _parse_optional(value: str | None) -> float | None:
     return float(value)
 
 
-def _parse_int(row: dict, column: str) -> int:
-    """An integer cell: CSV text, or a JSON number that must not be a fraction or a bool."""
-    value = row[column]
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{column} must be an integer")
-    return int(value)
-
-
 def _record_from_row(row: dict, context: str) -> MeasurementRecord:
     if not _COLUMN_SET.issuperset(row):
         raise ValueError(f"{context}: unknown columns {sorted(row.keys() - _COLUMN_SET)}")
@@ -241,11 +229,11 @@ def _record_from_row(row: dict, context: str) -> MeasurementRecord:
         raise ValueError(f"{context}: missing required columns {missing}")
     try:
         return MeasurementRecord(
-            model_id=str(row["model_id"]),
-            height_px=_parse_int(row, "height"),
-            width_px=_parse_int(row, "width"),
-            frames=_parse_int(row, "frames"),
-            steps=_parse_int(row, "steps"),
+            model_id=row["model_id"],
+            height_px=int(row["height"]),
+            width_px=int(row["width"]),
+            frames=int(row["frames"]),
+            steps=int(row["steps"]),
             latency_s=_parse_optional(row.get("latency_s")),
             latency_std_s=_parse_optional(row.get("latency_std_s")) or 0.0,
             gpu_wh=_parse_optional(row.get("gpu_wh")),
@@ -297,6 +285,23 @@ def read_measurements_csv(source) -> list[MeasurementRecord]:
     return records
 
 
+def _check_json_types(row: dict, context: str) -> None:
+    """Reject a JSON value that ``_record_from_row``, written for CSV text, would
+    coerce: a bool or string in a number column, a fraction in an integer column,
+    a model_id that is not a string. Nulls and unknown columns are left to it."""
+    for column, value in row.items():
+        if value is None or column not in _COLUMN_SET:
+            continue
+        if column == "model_id":
+            ok, what = type(value) is str, "a string"
+        elif column in _INT_COLUMNS:
+            ok, what = type(value) is int or type(value) is float and value.is_integer(), "an integer"
+        else:
+            ok, what = type(value) in (int, float), "a number"
+        if not ok:
+            raise ValueError(f"{context}: {column} must be {what}")
+
+
 def read_measurements_json(source) -> list[MeasurementRecord]:
     """Read measurement records from a JSON path or file-like object holding a
     list of objects; a value of another shape is a ValueError."""
@@ -311,6 +316,7 @@ def read_measurements_json(source) -> list[MeasurementRecord]:
     for i, row in enumerate(rows):
         if not isinstance(row, dict):
             raise ValueError(f"record {i} must be a JSON object, got {type(row).__name__}")
+        _check_json_types(row, f"record {i}")
         records.append(_record_from_row(row, f"record {i}"))
     return records
 
@@ -327,5 +333,5 @@ def load_measurements(path: str | Path) -> list[MeasurementRecord]:
 
 
 def load_bundled_measurements() -> list[MeasurementRecord]:
-    """The packaged cross-model benchmark dataset."""
-    return read_measurements_csv(bundled_data_path(BUNDLED_MEASUREMENTS))
+    """The cross-model benchmark dataset, found by ``specs.data_path``."""
+    return read_measurements_csv(data_path(MEASUREMENTS_FILE))

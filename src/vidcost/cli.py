@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 # Only the spec and output layers load with the CLI; each subcommand imports the
@@ -17,6 +18,8 @@ from .specs import (
     DEFAULT_HARDWARE,
     DEFAULT_MODEL_ID,
     VideoJob,
+    data_path,
+    is_path,
     load_hardware,
     load_hardware_db,
     load_model_defaults,
@@ -54,14 +57,19 @@ def _resolution(text: str) -> tuple[int, int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--model", default=DEFAULT_MODEL_ID,
-                        help="model spec name or JSON path (default: %(default)s)")
-    common.add_argument("--hardware", default=None,
-                        help=f"hardware name or JSON path (default: {DEFAULT_HARDWARE})")
-    common.add_argument("--mu", type=_mu_value, default=DEFAULT_MU,
-                        help="sustained-over-peak efficiency in (0, 1] (default: %(default)s)")
-    common.add_argument("--out", type=Path, default=None, help="write output to a file instead of stdout")
+    # Each subcommand takes only the flags it reads: calibrate those of `fit`,
+    # estimate and sweep those of `job`, which adds the cost context and the job geometry.
+    fit = argparse.ArgumentParser(add_help=False)
+    fit.add_argument("--model", default=DEFAULT_MODEL_ID,
+                     help="model spec name or JSON path (default: %(default)s)")
+    fit.add_argument("--hardware", default=DEFAULT_HARDWARE,
+                     help="hardware name or JSON path (default: %(default)s)")
+    fit.add_argument("--cfg-passes", type=int, choices=(1, 2), default=None)
+    job = argparse.ArgumentParser(add_help=False, parents=[fit])
+    job.add_argument("--mu", type=_mu_value, default=DEFAULT_MU,
+                     help="sustained-over-peak efficiency in (0, 1] (default: %(default)s)")
+    for dim in ("--height", "--width", "--frames", "--steps"):
+        job.add_argument(dim, type=_positive_int, default=None)
 
     parser = argparse.ArgumentParser(
         prog="vidcost",
@@ -69,48 +77,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    est = sub.add_parser("estimate", parents=[common], help="cost one generation job")
-    est.add_argument("--height", type=_positive_int, default=None)
-    est.add_argument("--width", type=_positive_int, default=None)
-    est.add_argument("--frames", type=_positive_int, default=None)
-    est.add_argument("--steps", type=_positive_int, default=None)
-    est.add_argument("--cfg-passes", type=int, choices=(1, 2), default=None)
+    est = sub.add_parser("estimate", parents=[job], help="cost one generation job")
     est.set_defaults(func=cmd_estimate)
 
-    swp = sub.add_parser("sweep", parents=[common], help="sweep one axis and report per-point costs")
+    swp = sub.add_parser("sweep", parents=[job], help="sweep one axis and report per-point costs")
     swp.add_argument("--axis", required=True, choices=("resolution", "frames", "steps"))
     swp.add_argument("--from", dest="start", type=_positive_int, default=None)
     swp.add_argument("--to", dest="stop", type=_positive_int, default=None)
     swp.add_argument("--step", type=_positive_int, default=1)
     swp.add_argument("--values", default=None,
                      help="comma-separated values; for resolution use HxW entries")
-    swp.add_argument("--height", type=_positive_int, default=None)
-    swp.add_argument("--width", type=_positive_int, default=None)
-    swp.add_argument("--frames", type=_positive_int, default=None)
-    swp.add_argument("--steps", type=_positive_int, default=None)
-    swp.add_argument("--cfg-passes", type=int, choices=(1, 2), default=None)
     swp.set_defaults(func=cmd_sweep)
 
-    roof = sub.add_parser("roofline", parents=[common],
-                          help="hardware balance and compute-bound thresholds")
+    roof = sub.add_parser("roofline", help="hardware balance and compute-bound thresholds")
+    roof.add_argument("--hardware", default=None,
+                      help="hardware name, or a JSON file whose entries are all listed (default: every entry "
+                           "of hardware.json)")
     roof.set_defaults(func=cmd_roofline)
 
-    cal = sub.add_parser("calibrate", parents=[common], help="fit efficiency from measurements")
+    cal = sub.add_parser("calibrate", parents=[fit], help="fit efficiency from measurements")
     cal.add_argument("--measurements", required=True, type=Path)
-    cal.add_argument("--cfg-passes", type=int, choices=(1, 2), default=None)
     cal.set_defaults(func=cmd_calibrate)
 
-    cmp_ = sub.add_parser("compare", parents=[common], help="cross-model energy/latency report")
+    cmp_ = sub.add_parser("compare", help="cross-model energy/latency report")
     cmp_.add_argument("--measurements", type=Path, default=None,
-                      help="measurement CSV/JSON (default: bundled dataset)")
+                      help="measurement CSV/JSON (default: benchmark_measurements.csv)")
     cmp_.add_argument("--defaults", type=Path, default=None,
-                      help="model defaults JSON (default: bundled dataset)")
+                      help="model defaults JSON (default: model_defaults.json)")
     cmp_.set_defaults(func=cmd_compare)
 
     text, charted = output.FORMATS, (*output.FORMATS, "svg")
     for cmd, formats, default in ((est, text, "table"), (swp, charted, "csv"), (roof, text, "table"),
                                   (cal, text, "table"), (cmp_, charted, "table")):
         cmd.add_argument("--format", choices=formats, default=default, help="output format (default: %(default)s)")
+        cmd.add_argument("--out", type=Path, default=None, help="write output to a file instead of stdout")
     return parser
 
 
@@ -123,40 +123,28 @@ def _write(args, payload: bytes | str) -> None:
 
 
 def _resolve_job(args, model) -> VideoJob:
-    height, width, frames, steps = _FALLBACK_JOB
-    for d in load_model_defaults():
-        if d.model_id == model.model_id:
-            height, width, frames, steps = d.height, d.width, d.frames, d.steps
-            break
-    return VideoJob(
-        height_px=args.height if args.height is not None else height,
-        width_px=args.width if args.width is not None else width,
-        frames=args.frames if args.frames is not None else frames,
-        steps=args.steps if args.steps is not None else steps,
-        cfg_passes=args.cfg_passes if args.cfg_passes is not None else model.cfg_passes,
-    )
+    """The job the flags give, each dimension left out taken from the model's defaults entry."""
+    entry = {d.model_id: d for d in load_model_defaults()}.get(model.model_id)
+    fallback = _FALLBACK_JOB if entry is None else (entry.height, entry.width, entry.frames, entry.steps)
+    given = (args.height, args.width, args.frames, args.steps, args.cfg_passes)
+    return VideoJob(*(g if g is not None else f for g, f in zip(given, (*fallback, model.cfg_passes))))
 
 
-def _load_measurements(path: Path):
-    """The records of a measurement file; rejected content is a ValueError naming the file."""
+def _measured(path, use=None):
+    """The records of a measurement file, or ``use`` of them; a ValueError either raises names the file."""
     from .calibration import load_measurements
 
     try:
-        return load_measurements(path)
+        records = load_measurements(path)
+        return records if use is None else use(records)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def _load_context(args):
-    model = load_model_spec(args.model)
-    hw = load_hardware(args.hardware if args.hardware is not None else DEFAULT_HARDWARE)
-    return model, hw
 
 
 def cmd_estimate(args) -> int:
     from .cost import estimate_cost
 
-    model, hw = _load_context(args)
+    model, hw = load_model_spec(args.model), load_hardware(args.hardware)
     job = _resolve_job(args, model)
     _write(args, output.estimate(model, hw, job, args.mu, estimate_cost(job, model, hw, args.mu), args.format))
     return 0
@@ -180,7 +168,7 @@ def _sweep_values(args):
 def cmd_sweep(args) -> int:
     from .report import SweepSpec, emit, run_sweep
 
-    model, hw = _load_context(args)
+    model, hw = load_model_spec(args.model), load_hardware(args.hardware)
     fixed = _resolve_job(args, model)
     sweep = SweepSpec(axis=args.axis, values=_sweep_values(args), fixed=fixed,
                       mu=args.mu, hardware=hw)
@@ -189,10 +177,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_roofline(args) -> int:
-    if args.hardware is not None:
+    if args.hardware is not None and not is_path(args.hardware):
         entries = [load_hardware(args.hardware)]
     else:
-        entries = list(load_hardware_db().values())
+        entries = list(load_hardware_db(args.hardware).values())
     _write(args, output.roofline(entries, args.format))
     return 0
 
@@ -200,8 +188,8 @@ def cmd_roofline(args) -> int:
 def cmd_calibrate(args) -> int:
     from .calibration import fit_mu
 
-    model, hw = _load_context(args)
-    records = _load_measurements(args.measurements)
+    model, hw = load_model_spec(args.model), load_hardware(args.hardware)
+    records = _measured(args.measurements)
     # Every record is fitted against --model, whatever model it names.
     others = [r.model_id for r in records if r.model_id != model.model_id]
     if others:
@@ -214,15 +202,12 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from .calibration import load_bundled_measurements
+    from .calibration import MEASUREMENTS_FILE
     from .report import compare_models, emit
 
     defaults = load_model_defaults(args.defaults)
-    if args.measurements is not None:
-        records = _load_measurements(args.measurements)
-    else:
-        records = load_bundled_measurements()
-    _write(args, emit(compare_models(defaults, records), args.format))
+    path = args.measurements if args.measurements is not None else data_path(MEASUREMENTS_FILE)
+    _write(args, emit(_measured(path, partial(compare_models, defaults)), args.format))
     return 0
 
 

@@ -4,7 +4,8 @@ All spec types are frozen dataclasses: they validate on construction and are
 safe to share across threads. Model specs (transformer + text encoder + VAE
 decoder schedule) load from a single JSON config file; a spec for
 ``wan2.1-t2v-1.3b`` ships with the package, as does a small database of
-accelerator constants.
+accelerator constants. ``data_path`` finds every data file: one in the
+``VIDCOST_DATA_DIR`` directory shadows the bundled file of the same name.
 
 The field annotations of the spec classes are their schema: ``_check_fields``
 checks every field by its annotation on construction, and ``from_dict`` and
@@ -26,8 +27,6 @@ DATA_DIR_ENV = "VIDCOST_DATA_DIR"
 
 DEFAULT_MODEL_ID = "wan2.1-t2v-1.3b"
 DEFAULT_HARDWARE = "h100"
-
-BUNDLED_DEFAULTS = "model_defaults.json"
 
 
 def exact_div(numerator: int, denominator: int, what: str) -> int:
@@ -404,11 +403,20 @@ def to_dict(spec) -> dict:
     return {name: _to_json(value) for name, value in values.items() if value is not None}
 
 
-# --- bundled data and file loading ---
+# --- data files and file loading ---
 
-def bundled_data_path(filename: str) -> Path:
-    """Path of a bundled data file, next to this module."""
+def data_path(filename: str) -> Path:
+    """The data file ``filename``: the one in the ``VIDCOST_DATA_DIR`` directory
+    when that is set and holds it, else the one bundled with this module."""
+    env_dir = os.environ.get(DATA_DIR_ENV)
+    if env_dir and os.path.isfile(os.path.join(env_dir, filename)):
+        return Path(env_dir) / filename
     return Path(__file__).with_name("data") / filename
+
+
+def is_path(name_or_path: str | Path) -> bool:
+    """Whether a model or hardware argument is a file path rather than a name."""
+    return Path(name_or_path).suffix == ".json" or os.path.isfile(name_or_path)
 
 
 def _read_file(path, read):
@@ -421,51 +429,48 @@ def _read_file(path, read):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _read_entries(path, cls, what: str, key: str) -> dict:
+    """The ``cls`` entries of a JSON file holding a list of objects, or one bare
+    object, keyed by their ``key`` field, which no two entries may share.
+    Entry i is ``<what>[i]`` in errors."""
+    def read(data):
+        rows = [data] if isinstance(data, dict) else data
+        if not isinstance(rows, list):
+            raise ValueError(f"{what} must be a JSON list or object, got {type(data).__name__}")
+        entries = {}
+        for i, row in enumerate(rows):
+            entry = from_dict(cls, row, f"{what}[{i}]")
+            name = getattr(entry, key)
+            if name in entries:
+                raise ValueError(f"{what}[{i}]: {key} {name!r} repeats {what}[{list(entries).index(name)}]")
+            entries[name] = entry
+        return entries
+    return _read_file(path, read)
+
+
 def load_model_spec(name_or_path: str | Path = DEFAULT_MODEL_ID) -> ModelSpec:
-    """Load a model spec by explicit file path, or by name: a file in the env dir
-    first, then a bundled one."""
-    path = Path(name_or_path)
-    if path.suffix != ".json" and not path.is_file():
-        env_dir = os.environ.get(DATA_DIR_ENV)
-        candidates = [Path(env_dir) / f"{name_or_path}.json"] if env_dir else []
-        for path in candidates + [bundled_data_path(f"{name_or_path}.json")]:
-            try:
-                if path.is_file():
-                    break
-            except OSError:
-                pass
-        else:
+    """Load a model spec from a file path, or by name through ``data_path``."""
+    path = name_or_path
+    if not is_path(path):
+        path = data_path(f"{name_or_path}.json")
+        if not os.path.isfile(path):
             raise FileNotFoundError(f"no model spec named {name_or_path!r} (set {DATA_DIR_ENV} or pass a path)")
     return _read_file(path, partial(from_dict, ModelSpec))
 
 
-def _hardware_list(entries) -> list[HardwareSpec]:
-    if not isinstance(entries, list):
-        raise ValueError(f"expected a JSON list of hardware entries, got {type(entries).__name__}")
-    return [from_dict(HardwareSpec, entry, f"hardware[{i}]") for i, entry in enumerate(entries)]
-
-
 def load_hardware_db(path: str | Path | None = None) -> dict[str, HardwareSpec]:
-    """Load the accelerator database (bundled by default), keyed by entry name."""
-    if path is None:
-        env_dir = os.environ.get(DATA_DIR_ENV)
-        override = Path(env_dir) / "hardware.json" if env_dir else None
-        source = override if override is not None and override.is_file() else bundled_data_path("hardware.json")
-    else:
-        source = Path(path)
-    return {spec.name: spec for spec in _read_file(source, _hardware_list)}
+    """Load an accelerator database (``hardware.json`` by default), keyed by entry name."""
+    return _read_entries(data_path("hardware.json") if path is None else path, HardwareSpec, "hardware", "name")
 
 
 def load_hardware(name_or_path: str | Path = DEFAULT_HARDWARE) -> HardwareSpec:
-    """Load one accelerator entry by name, or the sole/first entry of a JSON file."""
-    path = Path(name_or_path)
-    if path.suffix == ".json" or path.is_file():
-        # A file holds a list of entries, or one entry on its own.
-        specs = _read_file(path, lambda data: [from_dict(HardwareSpec, data)] if isinstance(data, dict)
-                           else _hardware_list(data))
-        if len(specs) != 1:
-            raise ValueError(f"{path} holds {len(specs)} entries; pass a name to pick one")
-        return specs[0]
+    """Load one accelerator entry by name, or the sole entry of a JSON file."""
+    if is_path(name_or_path):
+        db = load_hardware_db(name_or_path)
+        if len(db) != 1:
+            raise ValueError(f"{name_or_path} holds {len(db)} hardware entries {list(db)}; "
+                             "a single accelerator needs a file of one")
+        return next(iter(db.values()))
     db = load_hardware_db()
     name = str(name_or_path)
     if name not in db:
@@ -473,12 +478,7 @@ def load_hardware(name_or_path: str | Path = DEFAULT_HARDWARE) -> HardwareSpec:
     return db[name]
 
 
-def _model_defaults(rows) -> list[ModelDefaults]:
-    if not isinstance(rows, list):
-        raise ValueError(f"model defaults must be a JSON list, got {type(rows).__name__}")
-    return [from_dict(ModelDefaults, row, f"model defaults[{i}]") for i, row in enumerate(rows)]
-
-
 def load_model_defaults(path: str | Path | None = None) -> list[ModelDefaults]:
-    """Bundled (or explicit JSON) per-model default generation settings."""
-    return _read_file(bundled_data_path(BUNDLED_DEFAULTS) if path is None else path, _model_defaults)
+    """Per-model default generation settings (``model_defaults.json`` by default)."""
+    return list(_read_entries(data_path("model_defaults.json") if path is None else path,
+                              ModelDefaults, "model defaults", "model_id").values())

@@ -295,13 +295,54 @@ def test_json_records(tmp_path):
 
 
 @pytest.mark.parametrize("field", ["height", "width", "frames", "steps"])
-@pytest.mark.parametrize("bad", [720.9, True])
+@pytest.mark.parametrize("bad", [720.9, True, "720"])
 def test_json_records_reject_non_integers(tmp_path, field, bad):
     row = {"model_id": "demo", "height": 720, "width": 1280, "frames": 81, "steps": 50, "latency_s": 410.0}
     path = tmp_path / "m.json"
     path.write_text(json.dumps([row, {**row, field: bad}]))
     with pytest.raises(ValueError, match=f"^record 1: {field} must be an integer$"):
         load_measurements(path)
+
+
+@pytest.mark.parametrize("field, bad, what", [
+    ("latency_s", True, "a number"),
+    ("latency_s", "200", "a number"),
+    ("gpu_wh", "", "a number"),
+    ("cpu_wh", False, "a number"),
+    ("model_id", 5, "a string"),
+    ("model_id", ["demo"], "a string"),
+])
+def test_json_records_reject_wrong_types(tmp_path, field, bad, what):
+    # JSON values are not coerced: a bool or string is no number, a number no model_id.
+    row = {"model_id": "demo", "height": 720, "width": 1280, "frames": 81, "steps": 50, "latency_s": 410.0}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps([row, {**row, field: bad}]))
+    with pytest.raises(ValueError, match=f"^record 1: {field} must be {what}$"):
+        load_measurements(path)
+    # Null still means a missing value, and the same text in a CSV cell is parsed.
+    path.write_text(json.dumps([{**row, "gpu_wh": None}]))
+    assert load_measurements(path)[0].gpu_wh is None
+    csv_path = tmp_path / "m.csv"
+    csv_path.write_text("model_id,height,width,frames,steps,latency_s\n5,720,1280,81,50,200\n")
+    assert (load_measurements(csv_path)[0].model_id, load_measurements(csv_path)[0].latency_s) == ("5", 200.0)
+
+
+def test_validate_mpe_is_the_mean_of_the_point_errors(wan, h100):
+    noise = [0.03, -0.02, 0.05, -0.04, 0.01]
+    sets = [synthetic_records(wan, h100, 0.4, noise=noise),
+            synthetic_records(wan, h100, 0.3, intercept=12.5, noise=noise)]
+    sets.append([MeasurementRecord(model_id=r.model_id, height_px=r.height_px, width_px=r.width_px,
+                                   frames=r.frames, steps=r.steps, gpu_wh=h100.p_max * r.latency_s / 3600.0)
+                 for r in sets[0]])
+    for records in sets:
+        report = validate(records, 0.456, wan.dit, wan.text_encoder, wan.vae, h100)
+        pred = [total_flops(r.job(), wan.dit, wan.text_encoder, wan.vae).total / (0.456 * h100.theta_peak)
+                for r in records]
+        meas = [r.resolved_latency(h100) for r in records]
+        assert report.mpe_latency_pct == pytest.approx(mean_percentage_error(pred, meas), rel=1e-12, abs=0)
+        pred_wh = [h100.p_max * p / 3600.0 for p in pred]
+        meas_wh = [r.resolved_gpu_wh(h100) for r in records]
+        assert report.mpe_energy_pct == pytest.approx(mean_percentage_error(pred_wh, meas_wh), rel=1e-12, abs=0)
 
 
 def test_unsupported_extension(tmp_path):

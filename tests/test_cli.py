@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through main()."""
 
+import argparse
 import csv
 import io
 import json
@@ -13,7 +14,7 @@ import pytest
 import vidcost
 
 from vidcost import VideoJob, total_flops
-from vidcost.cli import main
+from vidcost.cli import build_parser, main
 from vidcost.specs import to_dict
 
 BUNDLED_SPEC = Path(vidcost.__file__).with_name("data") / "wan2.1-t2v-1.3b.json"
@@ -316,13 +317,13 @@ def test_bad_hardware_file_is_one_error_line(capsys, tmp_path, monkeypatch):
     path.write_text("5")
     code, out, err = run_cli(capsys, "roofline", "--hardware", str(path))
     assert (code, out) == (1, "")
-    assert err == f"error: {path}: expected a JSON list of hardware entries, got int\n"
+    assert err == f"error: {path}: hardware must be a JSON list or object, got int\n"
 
     monkeypatch.setenv("VIDCOST_DATA_DIR", str(tmp_path))
     path.rename(tmp_path / "hardware.json")
     code, out, err = run_cli(capsys, "roofline")
     assert (code, out) == (1, "")
-    assert err == f"error: {tmp_path / 'hardware.json'}: expected a JSON list of hardware entries, got int\n"
+    assert err == f"error: {tmp_path / 'hardware.json'}: hardware must be a JSON list or object, got int\n"
 
 
 def test_calibrate_synthetic(capsys, tmp_path, wan, h100):
@@ -443,7 +444,7 @@ def test_compare_csv_rows(capsys):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("5", "model defaults must be a JSON list, got int"),
+    ("5", "model defaults must be a JSON list or object, got int"),
     ('[{"model_id": "a", "steps": 50}]', "model defaults[0]: missing keys ['height', 'width', 'frames', 'fps']"),
 ], ids=["not-a-list", "missing-keys"])
 def test_bad_model_defaults_is_one_error_line(capsys, tmp_path, text, message):
@@ -465,3 +466,153 @@ def test_compare_explicit_measurements(capsys, tmp_path):
     assert code == 0
     assert "ltx-video" in out
     assert "×" in out
+
+
+def test_compare_errors_name_the_measurement_file(capsys, tmp_path):
+    path = tmp_path / "m.csv"
+    header = "model_id,height,width,frames,steps,latency_s,gpu_wh\n"
+    path.write_text(header + "unknown-model,512,512,16,4,0.68,0.115\n")
+    code, out, err = run_cli(capsys, "compare", "--measurements", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: measurement for unknown model_id 'unknown-model'\n"
+
+
+def test_compare_incomplete_record_error_names_the_file(capsys, tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("model_id,height,width,frames,steps,latency_s\nanimatediff,512,512,16,4,0.68\n")
+    code, out, err = run_cli(capsys, "compare", "--measurements", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: comparison needs latency_s and gpu_wh for 'animatediff'\n"
+
+
+# Each subcommand's options: it takes only the flags it reads.
+JOB_OPTIONS = {"--model", "--hardware", "--cfg-passes", "--mu", "--height", "--width", "--frames", "--steps",
+               "--format", "--out"}
+OPTIONS = {
+    "estimate": JOB_OPTIONS,
+    "sweep": JOB_OPTIONS | {"--axis", "--from", "--to", "--step", "--values"},
+    "roofline": {"--hardware", "--format", "--out"},
+    "calibrate": {"--model", "--hardware", "--cfg-passes", "--measurements", "--format", "--out"},
+    "compare": {"--measurements", "--defaults", "--format", "--out"},
+}
+
+
+def test_each_subcommand_has_its_own_options():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {name: {o for a in cmd._actions for o in a.option_strings} - {"-h", "--help"}
+               for name, cmd in sub.choices.items()}
+    assert options == OPTIONS
+    assert sum(map(len, options.values())) == 38
+
+
+@pytest.mark.parametrize("argv", [
+    ["roofline", "--model", "wan2.1-t2v-1.3b"],
+    ["roofline", "--mu", "0.5"],
+    ["calibrate", "--measurements", "m.csv", "--mu", "0.5"],
+    ["compare", "--model", "wan2.1-t2v-1.3b"],
+    ["compare", "--hardware", "h100"],
+    ["compare", "--mu", "0.5"],
+], ids=["roofline-model", "roofline-mu", "calibrate-mu", "compare-model", "compare-hardware", "compare-mu"])
+def test_flag_a_subcommand_ignores_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out) == (2, "")
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in captured.err
+
+
+def test_data_dir_shadows_model_defaults(capsys, tmp_path, monkeypatch):
+    doc = json.loads(BUNDLED_SPEC.read_text())
+    doc["model_id"] = "custom"
+    (tmp_path / "custom.json").write_text(json.dumps(doc))
+    defaults = {"model_id": "custom", "steps": 20, "height": 480, "width": 832, "frames": 33, "fps": 16}
+    (tmp_path / "model_defaults.json").write_text(json.dumps([defaults]))
+    monkeypatch.setenv("VIDCOST_DATA_DIR", str(tmp_path))
+    code, out, _ = run_cli(capsys, "estimate", "--model", "custom", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["job"] == {"height_px": 480, "width_px": 832, "frames": 33, "steps": 20,
+                                      "cfg_passes": 2}
+
+    (tmp_path / "model_defaults.json").write_text("[{}]")
+    code, out, err = run_cli(capsys, "estimate", "--model", "custom")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {tmp_path / 'model_defaults.json'}: model defaults[0]: missing keys")
+
+
+def test_data_dir_shadows_benchmark_measurements(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "benchmark_measurements.csv"
+    path.write_text("model_id,height,width,frames,steps,latency_s,gpu_wh\n"
+                    "animatediff,512,512,16,4,0.68,0.115\n"
+                    "ltx-video,512,704,121,40,9.7,3.16\n")
+    monkeypatch.setenv("VIDCOST_DATA_DIR", str(tmp_path))
+    code, out, _ = run_cli(capsys, "compare", "--format", "json")
+    assert code == 0
+    assert [row["model_id"] for row in json.loads(out)["rows"]] == ["ltx-video", "animatediff"]
+
+    path.write_text("model_id,height,width,frames,steps,latency_s\nanimatediff,512,512,16,4,-1\n")
+    code, out, err = run_cli(capsys, "compare")
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: row 2: latency_s must be positive\n"
+
+
+HW_ENTRY = {"name": "toy", "theta_peak": 1e15, "bandwidth": 1e12, "p_max": 100}
+DEFAULTS_ENTRY = {"model_id": "animatediff", "steps": 4, "height": 512, "width": 512, "frames": 16, "fps": 8}
+
+
+@pytest.mark.parametrize("shape", ["object", "list"])
+def test_one_entry_file_may_be_a_bare_object_through_every_door(capsys, tmp_path, monkeypatch, shape):
+    wrap = (lambda entry: entry) if shape == "object" else (lambda entry: [entry])
+    hw_path = tmp_path / "hw.json"
+    hw_path.write_text(json.dumps(wrap(HW_ENTRY)))
+    for argv in (["roofline", "--hardware", str(hw_path)], ["estimate", "--hardware", str(hw_path)]):
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert "toy" in out
+
+    defaults_path = tmp_path / "d.json"
+    defaults_path.write_text(json.dumps(wrap(DEFAULTS_ENTRY)))
+    measurements = tmp_path / "m.csv"
+    measurements.write_text("model_id,height,width,frames,steps,latency_s,gpu_wh\n"
+                            "animatediff,512,512,16,4,0.68,0.115\n")
+    code, out, _ = run_cli(capsys, "compare", "--defaults", str(defaults_path), "--measurements",
+                           str(measurements), "--format", "json")
+    assert (code, [row["model_id"] for row in json.loads(out)["rows"]]) == (0, ["animatediff"])
+
+    monkeypatch.setenv("VIDCOST_DATA_DIR", str(tmp_path))
+    hw_path.rename(tmp_path / "hardware.json")
+    defaults_path.rename(tmp_path / "model_defaults.json")
+    code, out, _ = run_cli(capsys, "roofline", "--format", "json")
+    assert (code, [row["name"] for row in json.loads(out)]) == (0, ["toy"])
+    code, out, _ = run_cli(capsys, "estimate", "--hardware", "toy", "--format", "json")
+    assert (code, json.loads(out)["hardware"]) == (0, "toy")
+
+
+@pytest.mark.parametrize("env", [False, True], ids=["path", "data-dir"])
+def test_duplicate_entries_are_one_error_line(capsys, tmp_path, monkeypatch, env):
+    hw_path = tmp_path / "hardware.json"
+    hw_path.write_text(json.dumps([HW_ENTRY, {**HW_ENTRY, "name": "other"}, {**HW_ENTRY, "p_max": 200}]))
+    defaults_path = tmp_path / "model_defaults.json"
+    defaults_path.write_text(json.dumps([DEFAULTS_ENTRY, DEFAULTS_ENTRY]))
+    if env:
+        monkeypatch.setenv("VIDCOST_DATA_DIR", str(tmp_path))
+    hw_argv = ["roofline"] if env else ["roofline", "--hardware", str(hw_path)]
+    defaults_argv = ["compare"] if env else ["compare", "--defaults", str(defaults_path)]
+    code, out, err = run_cli(capsys, *hw_argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {hw_path}: hardware[2]: name 'toy' repeats hardware[0]\n"
+    code, out, err = run_cli(capsys, *defaults_argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {defaults_path}: model defaults[1]: model_id 'animatediff' repeats model defaults[0]\n"
+
+
+def test_roofline_lists_every_entry_of_a_hardware_file(capsys, tmp_path):
+    path = tmp_path / "hw.json"
+    path.write_text(json.dumps([HW_ENTRY, {**HW_ENTRY, "name": "toy2"}]))
+    code, out, _ = run_cli(capsys, "roofline", "--hardware", str(path), "--format", "json")
+    assert (code, [row["name"] for row in json.loads(out)]) == (0, ["toy", "toy2"])
+
+    message = f"error: {path} holds 2 hardware entries ['toy', 'toy2']; a single accelerator needs a file of one\n"
+    for argv in (["estimate"], ["sweep", "--axis", "steps", "--from", "1", "--to", "2"],
+                 ["calibrate", "--measurements", str(Path(__file__).with_name("golden") / "input-calibrate.csv")]):
+        code, out, err = run_cli(capsys, *argv, "--hardware", str(path))
+        assert (code, out, err) == (1, "", message)

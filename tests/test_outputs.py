@@ -10,6 +10,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -91,5 +92,6 @@ def test_roofline_csv_quotes_a_hardware_name(tmp_path, capsys):
 
 
 if __name__ == "__main__":
+    os.environ.pop("VIDCOST_DATA_DIR", None)  # the goldens hold the bundled data's output only
     for case, fmt in RUNS:
         golden_path(case, fmt).write_text(stdout_of(case, fmt), encoding="utf-8")
