@@ -42,9 +42,12 @@ def _positive_int(text: str) -> int:
 
 
 def _mu_value(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError("must be in (0, 1]")
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0  # reported below, as an out-of-range value is
+    if not 0.0 < value <= 1.0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"expected a number in (0, 1], got {text!r}")
     return value
 
 
@@ -111,6 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   (cal, text, "table"), (cmp_, charted, "table")):
         cmd.add_argument("--format", choices=formats, default=default, help="output format (default: %(default)s)")
         cmd.add_argument("--out", type=Path, default=None, help="write output to a file instead of stdout")
+        cmd.set_defaults(subparser=cmd)
     return parser
 
 
@@ -162,6 +166,8 @@ def _sweep_values(args):
             raise argparse.ArgumentTypeError(f"--values: {exc}") from None
     if args.start is None or args.stop is None:
         raise ValueError("sweep needs --from/--to (or --values)")
+    if args.start > args.stop:
+        raise ValueError(f"--from {args.start} is above --to {args.stop}")
     return tuple(range(args.start, args.stop + 1, args.step))
 
 
@@ -212,8 +218,9 @@ def cmd_compare(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:  # reported by the subcommand, under its own usage line
+        args.subparser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args)
     except argparse.ArgumentTypeError as exc:

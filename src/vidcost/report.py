@@ -8,7 +8,7 @@ byte-deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .cost import CostEstimate, FlopBreakdown, cost_from_breakdown, token_length, total_flops
@@ -54,10 +54,10 @@ class SweepSpec:
 
     def job_for(self, value) -> VideoJob:
         if self.axis == "resolution":
-            return replace(self.fixed, height_px=value[0], width_px=value[1])
+            return self.fixed.replace(height_px=value[0], width_px=value[1])
         if self.axis == "frames":
-            return replace(self.fixed, frames=value)
-        return replace(self.fixed, steps=value)
+            return self.fixed.replace(frames=value)
+        return self.fixed.replace(steps=value)
 
 
 @dataclass(frozen=True)

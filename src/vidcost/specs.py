@@ -1,15 +1,15 @@
 """Architecture, job, and hardware descriptions that parameterize the cost model.
 
-All spec types are frozen dataclasses: they validate on construction and are
-safe to share across threads. Model specs (transformer + text encoder + VAE
-decoder schedule) load from a single JSON config file; a spec for
-``wan2.1-t2v-1.3b`` ships with the package, as does a small database of
-accelerator constants. ``data_path`` finds every data file: one in the
-``VIDCOST_DATA_DIR`` directory shadows the bundled file of the same name.
+Every spec type derives from ``Spec``: it validates on construction, is
+immutable (``spec.replace(...)`` builds a checked copy) and is safe to share
+across threads. Model specs (transformer + text encoder + VAE decoder schedule)
+load from a single JSON config file; a spec for ``wan2.1-t2v-1.3b`` ships with
+the package, as does a small database of accelerator constants. ``data_path``
+finds every data file: one in ``VIDCOST_DATA_DIR`` shadows the bundled one.
 
-The field annotations of the spec classes are their schema: ``_check_fields``
-checks every field by its annotation on construction, and ``from_dict`` and
-``to_dict`` read and write the JSON form by the same annotations.
+The field annotations of the spec classes are their schema: ``Spec`` takes its
+fields and defaults from them, ``_check_fields`` checks each field by them on
+construction, and ``from_dict`` and ``to_dict`` read and write JSON by them.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, partial
@@ -37,8 +36,53 @@ def exact_div(numerator: int, denominator: int, what: str) -> int:
     return quotient
 
 
-@dataclass(frozen=True)
-class VideoJob:
+class Spec:
+    """An immutable value whose fields are the annotations of its class body, in
+    order, defaulting to the values given there. Equality, hash and repr see the
+    fields only, not what a ``cached_property`` stored in ``__dict__``; no
+    ``__slots__``, as cached properties, pickle and ``copy`` write ``__dict__``."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = {**getattr(cls, "_fields", {}), **cls.__annotations__}  # name -> annotation: the schema
+        cls._defaults = {name: getattr(cls, name) for name in cls._fields if hasattr(cls, name)}
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls, values = type(self), dict(zip(type(self)._fields, args), **kwargs) if args else kwargs
+        # A repeated or surplus argument leaves ``values`` short; an unknown or missing one, its keys wrong.
+        if len(values) < len(args) + len(kwargs) or values.keys() | cls._defaults.keys() != cls._fields.keys():
+            raise TypeError(f"{cls.__name__}() takes the fields {list(cls._fields)}, each once; "
+                            f"got {len(args)} positional and the keywords {list(kwargs)}")
+        self.__dict__.update(cls._defaults, **values)
+        _check_fields(self)
+        self._check()
+
+    def _check(self) -> None:
+        """Checks across fields, run once each field has passed its own."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable; use replace() to change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """A copy with ``changes`` made to its fields, checked as the constructor checks it."""
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+
+class VideoJob(Spec):
     """A single generation request: output geometry plus sampler settings."""
 
     height_px: int
@@ -47,25 +91,25 @@ class VideoJob:
     steps: int
     cfg_passes: int = 2
 
-    def __post_init__(self) -> None:
-        # Hand-written rather than _check_fields: a job is built per estimate, on the hot path.
+    def __init__(self, height_px: int, width_px: int, frames: int, steps: int, cfg_passes: int = 2) -> None:
+        # Hand-written rather than the generic one: a job is built per estimate, on the hot path.
+        self.__dict__.update(height_px=height_px, width_px=width_px, frames=frames, steps=steps, cfg_passes=cfg_passes)
         # Exact int, so FLOP counts stay ints: bool, float and int-like types are rejected.
-        if (type(self.height_px) is not int or type(self.width_px) is not int or type(self.frames) is not int
-                or type(self.steps) is not int or type(self.cfg_passes) is not int):
-            name = next(f.name for f in fields(self) if type(getattr(self, f.name)) is not int)
-            raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
-        if self.height_px < 16 or self.width_px < 16:
+        if (type(height_px) is not int or type(width_px) is not int or type(frames) is not int
+                or type(steps) is not int or type(cfg_passes) is not int):
+            name = next(name for name in self._fields if type(vars(self)[name]) is not int)
+            raise ValueError(f"{name} must be an int, got {vars(self)[name]!r}")
+        if height_px < 16 or width_px < 16:
             raise ValueError("height_px and width_px must be at least 16")
-        if self.frames < 1:
+        if frames < 1:
             raise ValueError("frames must be at least 1")
-        if self.steps < 1:
+        if steps < 1:
             raise ValueError("steps must be at least 1")
-        if self.cfg_passes not in (1, 2):
+        if cfg_passes not in (1, 2):
             raise ValueError("cfg_passes must be 1 (no guidance) or 2 (guided)")
 
 
-@dataclass(frozen=True)
-class DiTSpec:
+class DiTSpec(Spec):
     """Diffusion-transformer hyperparameters.
 
     Field defaults are the WAN2.1-T2V-1.3B values. ``mlp_expansion`` is kept
@@ -82,9 +126,6 @@ class DiTSpec:
     vae_t_down: int = 4
     vae_s_down: int = 8
 
-    def __post_init__(self) -> None:
-        _check_fields(self)
-
     @cached_property
     def mlp_ratio(self) -> tuple[int, int]:
         """``mlp_expansion`` as plain integers (p, q) with f = p/q, so per-job
@@ -99,8 +140,7 @@ class DiTSpec:
         return self.layers * 4 * p * self.hidden * self.hidden, q
 
 
-@dataclass(frozen=True)
-class TextEncoderSpec:
+class TextEncoderSpec(Spec):
     """Text-encoder hyperparameters; defaults are the T5-XXL-style encoder of WAN2.1.
 
     A job encodes its prompt once per guidance pass, so the encoder runs the
@@ -111,9 +151,6 @@ class TextEncoderSpec:
     hidden: int = 4096
     mlp_expansion: Fraction = Fraction(5, 2)
     tokens: int = 512
-
-    def __post_init__(self) -> None:
-        _check_fields(self)
 
     @cached_property
     def flops_per_pass(self) -> int:
@@ -149,8 +186,7 @@ class TimeRule(str, Enum):
     FULL_T = ("full_T", 1)
 
 
-@dataclass(frozen=True)
-class VAEDecoderLayer:
+class VAEDecoderLayer(Spec):
     """One accounted operator row of the VAE decoder.
 
     ``h_div``/``w_div`` divide the pixel resolution to get the layer's output
@@ -170,8 +206,7 @@ class VAEDecoderLayer:
     repeat: int = 1
     label: str = ""
 
-    def __post_init__(self) -> None:
-        _check_fields(self)
+    def _check(self) -> None:
         if self.kind is LayerKind.CONV3D:
             if self.kernel is None:
                 raise ValueError("kernel must be given for a conv3d row")
@@ -192,14 +227,10 @@ class VAEDecoderLayer:
         return self.repeat * 2 * k_t * k_h * k_w * self.c_in * self.c_out
 
 
-@dataclass(frozen=True)
-class VAEDecoderSchedule:
+class VAEDecoderSchedule(Spec):
     """Ordered decoder layer rows: the convs and the middle attention."""
 
     layers: tuple[VAEDecoderLayer, ...]
-
-    def __post_init__(self) -> None:
-        _check_fields(self)
 
     @cached_property
     def conv_layers(self) -> tuple[VAEDecoderLayer, ...]:
@@ -210,8 +241,7 @@ class VAEDecoderSchedule:
         return tuple(l for l in self.layers if l.kind is LayerKind.ATTN2D)
 
 
-@dataclass(frozen=True)
-class HardwareSpec:
+class HardwareSpec(Spec):
     """Accelerator constants: peak throughput (FLOP/s), HBM bandwidth (byte/s),
     sustained power (W), and bytes per scalar for the working precision.
 
@@ -231,14 +261,12 @@ class HardwareSpec:
     reference_mlp_threshold: int | None = None
     balance_consistent: bool = True
 
-    def __post_init__(self) -> None:
-        _check_fields(self)
+    def _check(self) -> None:
         if self.scalar_bytes not in (1, 2, 4):
             raise ValueError(f"scalar_bytes must be 1, 2, or 4, got {self.scalar_bytes}")
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Spec):
     """Everything needed to cost one model: DiT, text encoder, VAE schedule."""
 
     model_id: str
@@ -247,14 +275,12 @@ class ModelSpec:
     vae: VAEDecoderSchedule
     cfg_passes: int = 2
 
-    def __post_init__(self) -> None:
-        _check_fields(self)
+    def _check(self) -> None:
         if self.cfg_passes not in (1, 2):
             raise ValueError(f"cfg_passes must be 1 or 2, got {self.cfg_passes}")
 
 
-@dataclass(frozen=True)
-class ModelDefaults:
+class ModelDefaults(Spec):
     """Default generation settings of one benchmarked model."""
 
     model_id: str
@@ -263,9 +289,6 @@ class ModelDefaults:
     width: int
     frames: int
     fps: int
-
-    def __post_init__(self) -> None:
-        _check_fields(self)
 
 
 # --- the schema: field annotation -> check ---
@@ -342,12 +365,10 @@ _TOP_LEVEL = {ModelSpec: "model spec", HardwareSpec: "hardware entry"}
 
 
 def _check_fields(spec) -> None:
-    """Check every field of a spec dataclass by its annotation, storing the value its check returns."""
-    for f in spec.__dataclass_fields__.values():
-        value = getattr(spec, f.name)
-        checked = _FIELD_CHECKS[f.type](f.name, value)
-        if checked is not value:
-            object.__setattr__(spec, f.name, checked)
+    """Check every field of a spec by its annotation, storing the value its check returns."""
+    values = spec.__dict__
+    for name, annotation in spec._fields.items():
+        values[name] = _FIELD_CHECKS[annotation](name, values[name])
 
 
 def from_dict(cls, data, where: str = ""):
@@ -360,21 +381,20 @@ def from_dict(cls, data, where: str = ""):
     what = where or _TOP_LEVEL.get(cls, cls.__name__)
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
-    cls_fields = cls.__dataclass_fields__  # name -> Field
-    unknown = data.keys() - cls_fields
+    unknown = data.keys() - cls._fields
     if unknown:
         raise ValueError(f"{what}: unknown keys {sorted(unknown)}")
-    missing = [name for name, f in cls_fields.items() if f.default is MISSING and name not in data]
+    missing = [name for name in cls._fields if name not in cls._defaults and name not in data]
     if missing:
         raise ValueError(f"{what}: missing keys {missing}")
     prefix = f"{where}." if where else ""
     values = dict(data)
-    for name, f in cls_fields.items():
-        nested = _NESTED.get(f.type)
+    for name, annotation in cls._fields.items():
+        nested = _NESTED.get(annotation)
         if nested is None or name not in data:
             continue
         path, value = prefix + name, data[name]
-        if f.type.startswith("tuple["):
+        if annotation.startswith("tuple["):
             rows = _require(isinstance(value, list), path, value, "a JSON list")
             values[name] = [from_dict(nested, row, f"{path}[{i}]") for i, row in enumerate(rows)]
         else:
@@ -394,13 +414,12 @@ def _to_json(value):
         return float(value) if Fraction(float(value)) == value else str(value)
     if isinstance(value, tuple):
         return [_to_json(v) for v in value]
-    return to_dict(value) if hasattr(value, "__dataclass_fields__") else value
+    return to_dict(value) if isinstance(value, Spec) else value
 
 
 def to_dict(spec) -> dict:
     """The JSON object of a spec, as ``from_dict`` reads it back; fields holding None are left out."""
-    values = {f.name: getattr(spec, f.name) for f in fields(spec)}
-    return {name: _to_json(value) for name, value in values.items() if value is not None}
+    return {name: _to_json(value) for name, value in zip(spec._fields, spec._values()) if value is not None}
 
 
 # --- data files and file loading ---

@@ -78,6 +78,15 @@ def test_estimate_rejects_bad_mu(capsys):
     assert "--mu" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mu", ["abc", "nan", "0"])
+def test_estimate_bad_mu_names_the_range(capsys, mu):
+    with pytest.raises(SystemExit) as info:
+        main(["estimate", "--mu", mu])
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out) == (2, "")
+    assert captured.err.endswith(f"vidcost estimate: error: argument --mu: expected a number in (0, 1], got '{mu}'\n")
+
+
 def test_estimate_svg_unsupported(capsys):
     with pytest.raises(SystemExit) as info:
         main(["estimate", "--format", "svg"])
@@ -117,6 +126,11 @@ def test_sweep_resolution_needs_values(capsys):
     code, _, err = run_cli(capsys, "sweep", "--axis", "resolution", "--from", "1", "--to", "2")
     assert code == 1
     assert "resolution" in err
+
+
+def test_sweep_empty_range_names_its_flags(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--axis", "frames", "--from", "5", "--to", "1")
+    assert (code, out, err) == (1, "", "error: --from 5 is above --to 1\n")
 
 
 def test_sweep_unknown_axis(capsys):
@@ -518,7 +532,8 @@ def test_flag_a_subcommand_ignores_is_a_usage_error(capsys, argv):
         main(argv)
     captured = capsys.readouterr()
     assert (info.value.code, captured.out) == (2, "")
-    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in captured.err
+    assert captured.err.startswith(f"usage: vidcost {argv[0]} ")
+    assert captured.err.endswith(f"vidcost {argv[0]}: error: unrecognized arguments: {argv[-2]} {argv[-1]}\n")
 
 
 def test_data_dir_shadows_model_defaults(capsys, tmp_path, monkeypatch):

@@ -3,7 +3,6 @@
 import fractions
 import math
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -91,7 +90,7 @@ def test_fraction_calls_are_seen():
 
 @pytest.mark.parametrize("expansion", [None, "8/3"])
 def test_per_job_path_makes_no_fraction_calls(wan, h100, expansion):
-    model = wan if expansion is None else replace(wan, dit=replace(wan.dit, hidden=3072, mlp_expansion=expansion))
+    model = wan if expansion is None else wan.replace(dit=wan.dit.replace(hidden=3072, mlp_expansion=expansion))
 
     def per_job():
         for height, width, frames, steps in ((720, 1280, 81, 50), (481, 833, 1, 7)):

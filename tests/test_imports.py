@@ -34,6 +34,13 @@ def test_spec_loads_load_only_specs():
     assert child(code) == ["vidcost.specs"]
 
 
+def test_spec_loads_skip_dataclasses_and_inspect():
+    # A diff of sys.modules, since a site module may load either before vidcost does.
+    code = ("import vidcost\nbefore = set(sys.modules)\nvidcost.load_model_spec()\nvidcost.load_hardware()\n"
+            "print(json.dumps(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))")
+    assert child(code) == []
+
+
 def test_roofline_command_skips_cost_layers():
     code = "from vidcost.cli import main\nassert main(['roofline', '--format', 'json']) == 0\n" + LOADED
     loaded = child(code)

@@ -1,9 +1,11 @@
 """Spec type validation and config file round trips."""
 
+import copy
 import json
+import pickle
 import random
-from dataclasses import fields, replace
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +23,11 @@ from vidcost import (
     classify,
     load_hardware,
     load_hardware_db,
+    load_model_defaults,
     load_model_spec,
     total_flops,
 )
-from vidcost.specs import from_dict, to_dict
+from vidcost.specs import Spec, from_dict, to_dict
 
 
 def test_video_job_validation():
@@ -107,7 +110,7 @@ def test_fields_checked_by_annotation(make, message):
 @given(seed=st.integers(0, 2**32))
 def test_spec_dict_round_trip(seed):
     rng = random.Random(seed)
-    dit = replace(random_dit(rng), mlp_expansion=Fraction(rng.randint(1, 50), rng.randint(1, 12)))
+    dit = random_dit(rng).replace(mlp_expansion=Fraction(rng.randint(1, 50), rng.randint(1, 12)))
     model = ModelSpec("m", dit, random_text_encoder(rng), random_schedule(rng), cfg_passes=rng.choice((1, 2)))
     for spec in (model, model.dit, model.text_encoder, model.vae, *model.vae.layers):
         doc = json.loads(json.dumps(to_dict(spec)))
@@ -169,7 +172,7 @@ def test_model_spec_round_trip(wan):
 def test_cached_coefficients_leave_spec_unchanged():
     spec = load_model_spec()
     before = (to_dict(spec), repr(spec), hash(spec))
-    field_names = [[f.name for f in fields(part)] for part in (spec.dit, spec.text_encoder, spec.vae)]
+    field_names = [list(part._fields) for part in (spec.dit, spec.text_encoder, spec.vae)]
     total_flops(VideoJob(720, 1280, 81, 50, 2), spec.dit, spec.text_encoder, spec.vae)
     assert "mlp_coefficient" in vars(spec.dit)
     assert "flops_per_pass" in vars(spec.text_encoder)
@@ -180,7 +183,7 @@ def test_cached_coefficients_leave_spec_unchanged():
     assert "mlp_ratio" in vars(spec.dit)
     assert "t_div" in vars(spec.vae.layers[0])
     assert (to_dict(spec), repr(spec), hash(spec)) == before
-    assert [[f.name for f in fields(part)] for part in (spec.dit, spec.text_encoder, spec.vae)] == field_names
+    assert [list(part._fields) for part in (spec.dit, spec.text_encoder, spec.vae)] == field_names
     assert spec == load_model_spec()
 
 
@@ -227,3 +230,133 @@ def test_load_hardware_from_file(tmp_path):
     path = tmp_path / "hw.json"
     path.write_text(json.dumps([{"name": "toy", "theta_peak": 1e12, "bandwidth": 1e12, "p_max": 100}]))
     assert load_hardware(path).name == "toy"
+
+
+# --- the Spec base: immutability, value semantics, copying and argument binding ---
+
+def one_of_each_spec():
+    """A freshly loaded instance of every spec class, no cached property filled."""
+    wan = load_model_spec()
+    return [VideoJob(720, 1280, 81, 50), wan.dit, wan.text_encoder, wan.vae.layers[2], wan.vae.layers[0],
+            wan.vae, load_hardware(), wan, load_model_defaults()[0]]
+
+
+SPEC_IDS = ["job", "dit", "text-encoder", "attn-row", "conv-row", "schedule", "hardware", "model", "defaults"]
+
+
+def test_every_spec_class_is_covered():
+    assert {type(spec) for spec in one_of_each_spec()} == set(Spec.__subclasses__())
+
+
+def fill_caches(spec) -> list:
+    """Read every cached property of ``spec`` (an attn2d row has no kernel to cost); return their names."""
+    names = [name for name, value in vars(type(spec)).items() if isinstance(value, cached_property)]
+    for name in names:
+        if name != "flops_per_position" or spec.kernel is not None:
+            getattr(spec, name)
+    return names
+
+
+@pytest.mark.parametrize("index", range(len(SPEC_IDS)), ids=SPEC_IDS)
+def test_spec_fields_cannot_be_assigned_or_deleted(index):
+    spec = one_of_each_spec()[index]
+    before = repr(spec)
+    for name in (*spec._fields, "new_attribute"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(spec, name)
+    assert repr(spec) == before
+
+
+@pytest.mark.parametrize("index", range(len(SPEC_IDS)), ids=SPEC_IDS)
+def test_spec_equality_and_hash_ignore_cached_values(index):
+    spec, fresh = one_of_each_spec()[index], one_of_each_spec()[index]
+    assert spec is not fresh
+    before = (hash(spec), repr(spec))
+    if fill_caches(spec):
+        assert vars(spec).keys() > vars(fresh).keys()
+    assert spec == fresh and fresh == spec and not spec != fresh
+    assert (hash(spec), repr(spec)) == (hash(fresh), repr(fresh)) == before
+    assert spec.replace() == spec and spec.replace() is not spec
+    assert spec.__eq__(to_dict(spec)) is NotImplemented
+
+
+@pytest.mark.parametrize("index", range(len(SPEC_IDS)), ids=SPEC_IDS)
+def test_spec_repr_lists_fields_in_declaration_order(index):
+    spec = one_of_each_spec()[index]
+    fill_caches(spec)
+    declared = list(type(spec).__annotations__)
+    assert list(spec._fields) == declared
+    fields = ", ".join(f"{name}={getattr(spec, name)!r}" for name in declared)
+    assert repr(spec) == f"{type(spec).__name__}({fields})"
+
+
+def test_subclass_keeps_the_fields_and_checks():
+    class Named(DiTSpec):
+        pass
+
+    assert Named._fields == DiTSpec._fields and Named(hidden=4096).hidden == 4096 and Named() != DiTSpec()
+    with pytest.raises(ValueError, match="^hidden must be a positive int, got 0$"):
+        Named(hidden=0)
+
+
+def test_video_job_repr():
+    expected = "VideoJob(height_px=720, width_px=1280, frames=81, steps=50, cfg_passes=2)"
+    assert repr(VideoJob(720, 1280, 81, 50)) == expected
+
+
+@pytest.mark.parametrize("index", range(len(SPEC_IDS)), ids=SPEC_IDS)
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda spec: pickle.loads(pickle.dumps(spec))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_spec_copies_and_pickles_equal(index, clone):
+    spec = one_of_each_spec()[index]
+    for cached in (False, True):
+        if cached:
+            fill_caches(spec)
+        again = clone(spec)
+        assert type(again) is type(spec)
+        assert again == spec and hash(again) == hash(spec) and repr(again) == repr(spec)
+        with pytest.raises(AttributeError):
+            setattr(again, next(iter(spec._fields)), 1)
+
+
+@pytest.mark.parametrize("index", range(len(SPEC_IDS)), ids=SPEC_IDS)
+def test_spec_constructor_rejects_bad_arguments(index):
+    spec = one_of_each_spec()[index]
+    cls, values = type(spec), {name: getattr(spec, name) for name in spec._fields}
+    assert cls(**values) == spec and cls(*values.values()) == spec
+    first = next(iter(values))
+    bad_calls = [
+        lambda: cls(**values, bogus=1),  # unknown
+        lambda: cls(values[first], **values),  # repeated
+        lambda: cls(*values.values(), 1),  # too many
+    ]
+    required = [name for name in values if name not in cls._defaults]
+    if required:  # missing
+        bad_calls.append(lambda: cls(**{k: v for k, v in values.items() if k != required[-1]}))
+    for call in bad_calls:
+        with pytest.raises(TypeError, match=cls.__name__):
+            call()
+
+
+def test_replace_checks_as_the_constructor_does(wan):
+    with pytest.raises(ValueError) as constructed:
+        DiTSpec(hidden=0)
+    with pytest.raises(ValueError) as replaced:
+        wan.dit.replace(hidden=0)
+    assert str(replaced.value) == str(constructed.value) == "hidden must be a positive int, got 0"
+    with pytest.raises(ValueError, match="^kernel must be given for a conv3d row$"):
+        wan.vae.layers[0].replace(kernel=None)
+    with pytest.raises(ValueError, match="^frames must be at least 1$"):
+        VideoJob(720, 1280, 81, 50).replace(frames=0)
+    with pytest.raises(TypeError, match="DiTSpec"):
+        wan.dit.replace(bogus=1)
+
+
+def test_replace_changes_only_the_named_fields(wan):
+    wide = wan.dit.replace(hidden=3072, mlp_expansion="8/3")
+    assert (wide.hidden, wide.mlp_expansion) == (3072, Fraction(8, 3))
+    assert to_dict(wide) == {**to_dict(wan.dit), "hidden": 3072, "mlp_expansion": "8/3"}
+    assert wan.dit == DiTSpec() and wan.dit.replace() == wan.dit
+    assert VideoJob(720, 1280, 81, 50).replace(steps=10) == VideoJob(720, 1280, 81, 10)
