@@ -18,7 +18,6 @@ import json
 import math
 import os
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property, partial
 from pathlib import Path
 
@@ -32,7 +31,8 @@ def exact_div(numerator: int, denominator: int, what: str) -> int:
     """numerator / denominator, which must be an integer so FLOP counts stay exact."""
     quotient, remainder = divmod(numerator, denominator)
     if remainder:
-        raise ValueError(f"{what} is not an integer FLOP count ({Fraction(numerator, denominator)})")
+        gcd = math.gcd(numerator, denominator)  # printed as the reduced p/q
+        raise ValueError(f"{what} is not an integer FLOP count ({numerator // gcd}/{denominator // gcd})")
     return quotient
 
 
@@ -113,12 +113,13 @@ class DiTSpec(Spec):
     """Diffusion-transformer hyperparameters.
 
     Field defaults are the WAN2.1-T2V-1.3B values. ``mlp_expansion`` is kept
-    as an exact rational so FLOP counts stay exact integers.
+    as an exact rational so FLOP counts stay exact integers: the int, else the
+    float, else the ``Fraction`` that equals it.
     """
 
     layers: int = 32
     hidden: int = 2048
-    mlp_expansion: Fraction = Fraction(4)
+    mlp_expansion: Fraction = 4
     text_tokens: int = 512
     timestep_hidden: int = 256
     patch_h: int = 2
@@ -130,7 +131,7 @@ class DiTSpec(Spec):
     def mlp_ratio(self) -> tuple[int, int]:
         """``mlp_expansion`` as plain integers (p, q) with f = p/q, so per-job
         arithmetic stays on ints and does no Fraction operations."""
-        return self.mlp_expansion.numerator, self.mlp_expansion.denominator
+        return self.mlp_expansion.as_integer_ratio()
 
     @cached_property
     def mlp_coefficient(self) -> tuple[int, int]:
@@ -149,7 +150,7 @@ class TextEncoderSpec(Spec):
 
     layers: int = 24
     hidden: int = 4096
-    mlp_expansion: Fraction = Fraction(5, 2)
+    mlp_expansion: Fraction = 2.5
     tokens: int = 512
 
     @cached_property
@@ -161,8 +162,8 @@ class TextEncoderSpec(Spec):
         """
         m = self.tokens
         d = self.hidden
-        f = self.mlp_expansion
-        ffn = exact_div(4 * f.numerator * m * d * d, f.denominator, "text encoder feed-forward term")
+        p, q = self.mlp_expansion.as_integer_ratio()
+        ffn = exact_div(4 * p * m * d * d, q, "text encoder feed-forward term")
         return self.layers * (8 * m * d * d + 4 * m * m * d + ffn)
 
 
@@ -293,7 +294,7 @@ class ModelDefaults(Spec):
 
 # --- the schema: field annotation -> check ---
 # Each check takes a field's name and value and returns the value to store
-# (an enum member, a Fraction, a tuple), or raises a ValueError naming the field.
+# (an enum member, an exact rational, a tuple), or raises a ValueError naming the field.
 
 def _require(ok: bool, name: str, value, what: str):
     if not ok:
@@ -314,13 +315,35 @@ def _number(name: str, value):
 
 
 def _fraction(name: str, value):
-    """An int, a finite float or a "p/q" string, read as the exact rational it denotes."""
-    try:
-        exact = Fraction(value) if type(value) in (int, float, str, Fraction) else None
-    except (ValueError, OverflowError, ZeroDivisionError):
-        exact = None
+    """An int, a finite float, a "p/q" string or a Fraction, read as the exact
+    rational it denotes and stored as the int equal to it, else the float, else
+    the Fraction."""
+    if type(value) is int:
+        exact = value
+    elif type(value) is float and math.isfinite(value):
+        exact = int(value) if value.is_integer() else value
+    else:
+        exact = _parsed_rational(value)
     _require(exact is not None and exact > 0, name, value, "a positive int, float or 'p/q' string")
     return exact
+
+
+def _parsed_rational(value):
+    """A "p/q" string or a Fraction as ``_fraction`` stores it; None for anything else."""
+    from fractions import Fraction  # here, so that a spec of plain numbers loads without it
+
+    if type(value) not in (str, Fraction):
+        return None
+    try:
+        p, q = Fraction(value).as_integer_ratio()
+    except (ValueError, ZeroDivisionError):
+        return None
+    if q == 1:
+        return p
+    # In lowest terms a float holds p/q only when q is a power of two and p fits its 53-bit significand.
+    if not q & (q - 1) and p.bit_length() <= 53 and (p / q).as_integer_ratio() == (p, q):
+        return p / q
+    return Fraction(p, q)
 
 
 def _member(enum: type[Enum]):
@@ -368,7 +391,11 @@ def _check_fields(spec) -> None:
     """Check every field of a spec by its annotation, storing the value its check returns."""
     values = spec.__dict__
     for name, annotation in spec._fields.items():
-        values[name] = _FIELD_CHECKS[annotation](name, values[name])
+        check = _FIELD_CHECKS.get(annotation)
+        if check is None:  # e.g. a class object, from a module without ``from __future__ import annotations``
+            raise TypeError(f"{type(spec).__qualname__}.{name} is annotated {annotation!r}, but a spec field's "
+                            f"annotation must be one of the schema's strings {list(_FIELD_CHECKS)}")
+        values[name] = check(name, values[name])
 
 
 def from_dict(cls, data, where: str = ""):
@@ -408,13 +435,12 @@ def from_dict(cls, data, where: str = ""):
 def _to_json(value):
     if isinstance(value, Enum):
         return value.value
-    if isinstance(value, Fraction):  # an int, else a float when exact, else "p/q"
-        if value.denominator == 1:
-            return value.numerator
-        return float(value) if Fraction(float(value)) == value else str(value)
     if isinstance(value, tuple):
         return [_to_json(v) for v in value]
-    return to_dict(value) if isinstance(value, Spec) else value
+    if isinstance(value, Spec):
+        return to_dict(value)
+    # The one other type a check stores is a Fraction no int or float equals, written as "p/q".
+    return value if type(value) in (int, float, str, bool) else str(value)
 
 
 def to_dict(spec) -> dict:

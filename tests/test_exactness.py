@@ -42,6 +42,7 @@ T_OUT = {
 def test_mlp_intensities_equal_rounded_fraction(p, q, hidden, tokens, s):
     f = Fraction(p, q)
     spec = DiTSpec(hidden=hidden, mlp_expansion=f)
+    assert spec.mlp_ratio == (f.numerator, f.denominator)  # whether an int, float or Fraction is stored
     assert mlp_intensity(tokens, spec, s) == float(f * tokens * hidden / ((f * hidden + tokens * (1 + f)) * s))
     assert mlp_saturation_intensity(spec, s) == float(f * hidden / ((1 + f) * s))
 

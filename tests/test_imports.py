@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import vidcost
 
 SRC = str(Path(vidcost.__file__).resolve().parents[1])
@@ -35,9 +37,25 @@ def test_spec_loads_load_only_specs():
 
 
 def test_spec_loads_skip_dataclasses_and_inspect():
-    # A diff of sys.modules, since a site module may load either before vidcost does.
+    # A diff of sys.modules, since a site module may load any of them before vidcost does. No
+    # fractions: a bundled spec's expansions are stored as the plain int and float equal to them.
     code = ("import vidcost\nbefore = set(sys.modules)\nvidcost.load_model_spec()\nvidcost.load_hardware()\n"
-            "print(json.dumps(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))")
+            "print(json.dumps(sorted({'dataclasses', 'inspect', 'fractions', 'decimal', 'numbers'}\n"
+            "                        & (set(sys.modules) - before))))")
+    assert child(code) == []
+
+
+@pytest.mark.parametrize("argv", [["estimate"], ["sweep", "--axis", "frames", "--from", "1", "--to", "3"],
+                                  ["roofline"], ["calibrate", "--measurements", "{measurements}"], ["compare"]],
+                         ids=lambda argv: argv[0])
+def test_commands_on_bundled_data_skip_fractions(argv, tmp_path):
+    # calibrate needs records of one model; the bundled file holds seven, so it gets a synthetic two-row file.
+    path = tmp_path / "m.csv"
+    path.write_text("model_id,height,width,frames,steps,latency_s\nm,720,1280,81,10,40\nm,720,1280,81,50,200\n")
+    argv = [arg.format(measurements=path) for arg in argv]
+    code = ("import contextlib, io\nbefore = set(sys.modules)\nfrom vidcost.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0\n"
+            "print(json.dumps(sorted({'fractions', 'decimal', 'numbers'} & (set(sys.modules) - before))))")
     assert child(code) == []
 
 

@@ -74,6 +74,36 @@ def test_fraction_coercion():
     assert [to_dict(DiTSpec(mlp_expansion=f))["mlp_expansion"] for f in (4, "5/2", "8/3")] == [4, 2.5, "8/3"]
 
 
+@pytest.mark.parametrize("spellings, stored_type", [
+    ((4, 4.0, "4", Fraction(4)), int),
+    ((2.5, "5/2", " 5/2 ", "2.5", Fraction(5, 2)), float),
+    (("8/3", Fraction(8, 3)), Fraction),
+], ids=["integral", "binary", "non-binary"])
+def test_rational_stored_in_one_canonical_form(spellings, stored_type):
+    specs = [DiTSpec(mlp_expansion=value) for value in spellings]
+    for value, spec in zip(spellings, specs):
+        assert spec.mlp_expansion == Fraction(value) and type(spec.mlp_expansion) is stored_type
+    assert len({(spec, hash(spec), repr(spec), json.dumps(to_dict(spec))) for spec in specs}) == 1
+
+
+@pytest.mark.parametrize("value", ["1" + "0" * 400 + "/3", Fraction(10**400, 3)], ids=["string", "fraction"])
+def test_rational_beyond_the_float_range_round_trips(value):
+    spec = DiTSpec(mlp_expansion=value)
+    assert spec.mlp_expansion == Fraction(10**400, 3)
+    doc = to_dict(spec)
+    assert doc["mlp_expansion"] == f"{10**400}/3"
+    assert from_dict(DiTSpec, json.loads(json.dumps(doc))) == spec
+
+
+def test_class_object_annotation_is_a_type_error_naming_the_field():
+    namespace = {"DiTSpec": DiTSpec}
+    exec("class Wide(DiTSpec):\n    extra: int = 3\n", namespace)  # no __future__ import: the annotation is int
+    with pytest.raises(TypeError) as info:
+        namespace["Wide"]()
+    assert str(info.value).startswith("Wide.extra is annotated <class 'int'>, but a spec field's annotation "
+                                      "must be one of the schema's strings ['int', ")
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda: DiTSpec(hidden=2048.0), "hidden must be a positive int, got 2048.0"),
     (lambda: DiTSpec(layers=True), "layers must be a positive int, got True"),
