@@ -9,6 +9,7 @@ classify a few concrete workloads on the H100.
 from vidcost import (
     VideoJob,
     balance,
+    balance_consistent,
     classify,
     load_hardware_db,
     load_model_spec,
@@ -23,7 +24,7 @@ db = load_hardware_db()
 print(f"{'accelerator':<12}{'balance':>9}{'attn thr':>10}{'mlp thr':>9}")
 for name, hw in db.items():
     attn_thr, mlp_thr = thresholds(hw)
-    flag = "" if hw.balance_consistent else "  <- published balance inconsistent"
+    flag = "" if balance_consistent(hw) else "  <- published balance inconsistent"
     print(f"{name:<12}{balance(hw):>9.0f}{attn_thr:>10}{mlp_thr:>9}{flag}")
 
 h100 = db["h100"]

@@ -31,12 +31,12 @@ _EXPORTS = {name: module for module, names in {
         "run_sweep",
     ),
     "roofline": (
-        "BoundClassification", "attn_intensity", "balance", "classify", "mlp_intensity",
+        "BoundClassification", "attn_intensity", "balance", "balance_consistent", "classify", "mlp_intensity",
         "mlp_saturation_intensity", "mlp_threshold_exact", "thresholds",
     ),
     "specs": (
-        "DEFAULT_HARDWARE", "DEFAULT_MODEL_ID", "DiTSpec", "HardwareSpec", "LayerKind", "ModelDefaults",
-        "ModelSpec", "TextEncoderSpec", "TimeRule", "VAEDecoderLayer", "VAEDecoderSchedule", "VideoJob",
+        "DEFAULT_HARDWARE", "DEFAULT_MODEL_ID", "DiTSpec", "HardwareSpec", "ModelDefaults", "ModelSpec",
+        "TextEncoderSpec", "VAEDecoderLayer", "VAEDecoderSchedule", "VideoJob",
         "load_hardware", "load_hardware_db", "load_model_defaults", "load_model_spec",
     ),
     "vae": ("conv3d_flops", "decoder_flops", "mid_attention_flops"),

@@ -30,6 +30,9 @@ DEFAULT_MU = 0.456
 
 _FALLBACK_JOB = (720, 1280, 81, 50)
 
+# The most points a --from/--to range may give; a longer one is rejected before it is built.
+MAX_SWEEP_POINTS = 100_000
+
 
 def _positive_int(text: str) -> int:
     try:
@@ -168,6 +171,10 @@ def _sweep_values(args):
         raise ValueError("sweep needs --from/--to (or --values)")
     if args.start > args.stop:
         raise ValueError(f"--from {args.start} is above --to {args.stop}")
+    points = (args.stop - args.start) // args.step + 1
+    if points > MAX_SWEEP_POINTS:
+        raise ValueError(f"--from {args.start} --to {args.stop} gives {points} points, "
+                         f"above the limit of {MAX_SWEEP_POINTS}")
     return tuple(range(args.start, args.stop + 1, args.step))
 
 

@@ -97,10 +97,10 @@ def estimate(model, hw, job, mu: float, cost, fmt: str) -> str:
 
 def roofline(entries, fmt: str) -> str:
     """Balance and compute-bound thresholds of each accelerator entry."""
-    from .roofline import balance, thresholds
+    from .roofline import balance, balance_consistent, thresholds
 
     rows = [(hw.name, hw.theta_peak / 1e12, hw.bandwidth / 1e12, balance(hw), *thresholds(hw),
-             hw.balance_consistent, hw.reference_balance) for hw in entries]
+             balance_consistent(hw), hw.reference_balance) for hw in entries]
     if fmt == "table":
         return _table(
             ("name", "tflops", "tb_per_s", "balance", "attn_thr", "mlp_thr", "note"),

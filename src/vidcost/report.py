@@ -9,13 +9,9 @@ byte-deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .cost import CostEstimate, FlopBreakdown, cost_from_breakdown, token_length, total_flops
 from .specs import HardwareSpec, ModelDefaults, ModelSpec, VideoJob
-
-if TYPE_CHECKING:  # an annotation only: comparing reports does not load calibration
-    from .calibration import MeasurementRecord
 
 AXES = ("resolution", "frames", "steps")
 

@@ -41,6 +41,11 @@ def balance(hw: HardwareSpec) -> float:
     return hw.theta_peak / hw.bandwidth
 
 
+def balance_consistent(hw: HardwareSpec) -> bool:
+    """Whether the published ``reference_balance``, if any, is within 1 of ``balance(hw)``."""
+    return hw.reference_balance is None or abs(hw.reference_balance - balance(hw)) <= 1
+
+
 def attn_intensity(tokens: int, scalar_bytes: int) -> float:
     """Attention-core arithmetic intensity: 2*l/s FLOP per byte."""
     if tokens < 1:

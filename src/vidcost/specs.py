@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from enum import Enum
 from functools import cached_property, partial
 from pathlib import Path
 
@@ -167,24 +166,9 @@ class TextEncoderSpec(Spec):
         return self.layers * (8 * m * d * d + 4 * m * m * d + ffn)
 
 
-class LayerKind(str, Enum):
-    CONV3D = "conv3d"
-    ATTN2D = "attn2d"
-
-
-class TimeRule(str, Enum):
-    """How a decoder layer's output temporal length derives from the frame count:
-    T' = ceil(T / divisor)."""
-
-    def __new__(cls, value: str, divisor: int):
-        member = str.__new__(cls, value)
-        member._value_ = value
-        member.divisor = divisor
-        return member
-
-    CEIL_T_OVER_4 = ("ceil_T_over_4", 4)
-    CEIL_T_OVER_2 = ("ceil_T_over_2", 2)
-    FULL_T = ("full_T", 1)
+# How a decoder row's output temporal length derives from the frame count,
+# T' = ceil(T / divisor): each value ``VAEDecoderLayer.t_rule`` may take, with its divisor.
+TIME_RULES = {"ceil_T_over_4": 4, "ceil_T_over_2": 2, "full_T": 1}
 
 
 class VAEDecoderLayer(Spec):
@@ -197,10 +181,10 @@ class VAEDecoderLayer(Spec):
     ``c_out == c_in``.
     """
 
-    kind: LayerKind
+    kind: Literal["conv3d", "attn2d"]
     c_in: int
     c_out: int
-    t_rule: TimeRule
+    t_rule: Literal["ceil_T_over_4", "ceil_T_over_2", "full_T"]
     h_div: int
     w_div: int
     kernel: tuple[int, int, int] | None = None
@@ -208,7 +192,7 @@ class VAEDecoderLayer(Spec):
     label: str = ""
 
     def _check(self) -> None:
-        if self.kind is LayerKind.CONV3D:
+        if self.kind == "conv3d":
             if self.kernel is None:
                 raise ValueError("kernel must be given for a conv3d row")
         elif self.kernel is not None:
@@ -219,7 +203,7 @@ class VAEDecoderLayer(Spec):
     @cached_property
     def t_div(self) -> int:
         """Temporal grid divisor of ``t_rule``."""
-        return self.t_rule.divisor
+        return TIME_RULES[self.t_rule]
 
     @cached_property
     def flops_per_position(self) -> int:
@@ -235,11 +219,11 @@ class VAEDecoderSchedule(Spec):
 
     @cached_property
     def conv_layers(self) -> tuple[VAEDecoderLayer, ...]:
-        return tuple(l for l in self.layers if l.kind is LayerKind.CONV3D)
+        return tuple(l for l in self.layers if l.kind == "conv3d")
 
     @cached_property
     def attn_layers(self) -> tuple[VAEDecoderLayer, ...]:
-        return tuple(l for l in self.layers if l.kind is LayerKind.ATTN2D)
+        return tuple(l for l in self.layers if l.kind == "attn2d")
 
 
 class HardwareSpec(Spec):
@@ -247,8 +231,8 @@ class HardwareSpec(Spec):
     sustained power (W), and bytes per scalar for the working precision.
 
     ``reference_*`` fields carry published values bundled with the hardware
-    database for cross-checking; ``balance_consistent`` is False when the
-    published balance disagrees with theta_peak / bandwidth.
+    database for cross-checking; ``roofline.balance_consistent`` tells whether
+    the published balance agrees with theta_peak / bandwidth.
     """
 
     name: str
@@ -256,15 +240,15 @@ class HardwareSpec(Spec):
     bandwidth: float
     p_max: float
     scalar_bytes: int = 2
-    display_name: str = ""
     reference_balance: int | None = None
     reference_attn_threshold: int | None = None
     reference_mlp_threshold: int | None = None
-    balance_consistent: bool = True
 
     def _check(self) -> None:
         if self.scalar_bytes not in (1, 2, 4):
             raise ValueError(f"scalar_bytes must be 1, 2, or 4, got {self.scalar_bytes}")
+        if not math.isfinite(self.theta_peak / self.bandwidth):  # the balance, which thresholds round
+            raise ValueError(f"theta_peak / bandwidth must be finite, got {self.theta_peak!r} / {self.bandwidth!r}")
 
 
 class ModelSpec(Spec):
@@ -289,12 +273,11 @@ class ModelDefaults(Spec):
     height: int
     width: int
     frames: int
-    fps: int
 
 
 # --- the schema: field annotation -> check ---
 # Each check takes a field's name and value and returns the value to store
-# (an enum member, an exact rational, a tuple), or raises a ValueError naming the field.
+# (an exact rational, a tuple), or raises a ValueError naming the field.
 
 def _require(ok: bool, name: str, value, what: str):
     if not ok:
@@ -346,10 +329,10 @@ def _parsed_rational(value):
     return Fraction(p, q)
 
 
-def _member(enum: type[Enum]):
-    """The check of an enum field: the member whose value is given."""
-    values = [m.value for m in enum]
-    return lambda name, value: enum(_require(value in values, name, value, f"one of {values}"))
+def _choice(values: list[str]) -> tuple[str, object]:
+    """The schema entry of a field holding one of ``values``: its ``Literal[...]`` annotation and check."""
+    annotation = f"Literal[{', '.join(map(repr, values))}]"  # as ``from __future__ import annotations`` spells it
+    return annotation, lambda name, value: _require(value in values, name, value, f"one of {values}")
 
 
 def _instance(cls: type):
@@ -371,9 +354,7 @@ _FIELD_CHECKS = {
     "float": _number,
     "Fraction": _fraction,
     "str": lambda name, v: _require(type(v) is str, name, v, "a string"),
-    "bool": lambda name, v: _require(type(v) is bool, name, v, "true or false"),
-    "LayerKind": _member(LayerKind),
-    "TimeRule": _member(TimeRule),
+    **dict([_choice(["conv3d", "attn2d"]), _choice(list(TIME_RULES))]),
     "tuple[int, int, int] | None": lambda name, v: v if v is None else tuple(_require(
         type(v) in (list, tuple) and len(v) == 3 and all(type(k) is int and k > 0 for k in v),
         name, v, "three positive ints")),
@@ -391,7 +372,7 @@ def _check_fields(spec) -> None:
     """Check every field of a spec by its annotation, storing the value its check returns."""
     values = spec.__dict__
     for name, annotation in spec._fields.items():
-        check = _FIELD_CHECKS.get(annotation)
+        check = _FIELD_CHECKS.get(annotation) if type(annotation) is str else None
         if check is None:  # e.g. a class object, from a module without ``from __future__ import annotations``
             raise TypeError(f"{type(spec).__qualname__}.{name} is annotated {annotation!r}, but a spec field's "
                             f"annotation must be one of the schema's strings {list(_FIELD_CHECKS)}")
@@ -433,14 +414,12 @@ def from_dict(cls, data, where: str = ""):
 
 
 def _to_json(value):
-    if isinstance(value, Enum):
-        return value.value
     if isinstance(value, tuple):
         return [_to_json(v) for v in value]
     if isinstance(value, Spec):
         return to_dict(value)
     # The one other type a check stores is a Fraction no int or float equals, written as "p/q".
-    return value if type(value) in (int, float, str, bool) else str(value)
+    return value if type(value) in (int, float, str) else str(value)
 
 
 def to_dict(spec) -> dict:

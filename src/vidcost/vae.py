@@ -7,17 +7,13 @@ upsampling shuffles are lower order and not accounted.
 
 from __future__ import annotations
 
-from .specs import LayerKind, VAEDecoderLayer, VAEDecoderSchedule, VideoJob
-
-# A module global: on Python 3.11 every ``LayerKind.CONV3D`` lookup goes
-# through the enum metaclass, once per conv row.
-_CONV3D = LayerKind.CONV3D
+from .specs import VAEDecoderLayer, VAEDecoderSchedule, VideoJob
 
 
 def conv3d_flops(layer: VAEDecoderLayer, job: VideoJob) -> int:
     """FLOPs of one conv row: repeat * 2 * k_t*k_h*k_w * C_in*C_out * T'*H'*W'."""
-    if layer.kind is not _CONV3D:
-        raise ValueError(f"conv3d_flops needs a conv3d layer, got {layer.kind.value}")
+    if layer.kind != "conv3d":
+        raise ValueError(f"conv3d_flops needs a conv3d layer, got {layer.kind}")
     # ceil(T/t) * ceil(H/h) * ceil(W/w), written as -(-n // d) to save calls.
     return (layer.flops_per_position * -(-job.frames // layer.t_div)
             * -(-job.height_px // layer.h_div) * -(-job.width_px // layer.w_div))

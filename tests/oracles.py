@@ -73,10 +73,12 @@ def t_out_oracle(rule, T):
 
 def vae_row_oracle(layer, job):
     """One decoder row, costed from its own fields alone."""
-    t_out = t_out_oracle(layer.t_rule.value, job.frames)
+    # Rows hold plain strings; perfbench's spec view wraps each in an object with a ``.value``.
+    kind, t_rule = (getattr(v, "value", v) for v in (layer.kind, layer.t_rule))
+    t_out = t_out_oracle(t_rule, job.frames)
     h_out = math.ceil(job.height_px / layer.h_div)
     w_out = math.ceil(job.width_px / layer.w_div)
-    if layer.kind.value == "conv3d":
+    if kind == "conv3d":
         return conv3d_oracle(layer.repeat, *layer.kernel, layer.c_in, layer.c_out, t_out, h_out, w_out)
     return attn2d_oracle(layer.repeat, layer.c_in, t_out, h_out, w_out)
 
@@ -189,8 +191,8 @@ def check_equivalence(seed: int, iterations: int) -> int:
         assert text_encoder_flops(job, tspec) == text_oracle(
             job.cfg_passes, tspec.layers, tspec.tokens, tspec.hidden, tspec.mlp_expansion)
 
-        conv_rows = [l for l in schedule.layers if l.kind.value == "conv3d"]
-        attn_rows = [l for l in schedule.layers if l.kind.value == "attn2d"]
+        conv_rows = [l for l in schedule.layers if l.kind == "conv3d"]
+        attn_rows = [l for l in schedule.layers if l.kind == "attn2d"]
         for layer in conv_rows:
             assert conv3d_flops(layer, job) == vae_row_oracle(layer, job)
         assert mid_attention_flops(job, schedule) == sum(vae_row_oracle(l, job) for l in attn_rows)

@@ -133,6 +133,12 @@ def test_sweep_empty_range_names_its_flags(capsys):
     assert (code, out, err) == (1, "", "error: --from 5 is above --to 1\n")
 
 
+def test_sweep_range_above_the_point_limit_is_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--axis", "frames", "--from", "1", "--to", str(10**18))
+    assert (code, out) == (1, "")
+    assert err == f"error: --from 1 --to {10**18} gives {10**18} points, above the limit of 100000\n"
+
+
 def test_sweep_unknown_axis(capsys):
     with pytest.raises(SystemExit) as info:
         main(["sweep", "--axis", "bogus", "--from", "1", "--to", "2"])
@@ -311,6 +317,28 @@ def test_roofline_rejects_non_finite_hardware(capsys, tmp_path, monkeypatch):
     assert err == f"error: {tmp_path / 'hardware.json'}: hardware[0].theta_peak must be finite, got nan\n"
 
 
+def test_roofline_rejects_an_overflowing_balance(capsys, tmp_path):
+    path = tmp_path / "hw.json"
+    path.write_text('[{"name": "toy", "theta_peak": 1e308, "bandwidth": 1e-300, "p_max": 700}]')
+    code, out, err = run_cli(capsys, "roofline", "--hardware", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: hardware[0].theta_peak / bandwidth must be finite, got 1e+308 / 1e-300\n"
+
+
+@pytest.mark.parametrize("argv, key, what", [
+    (["roofline", "--hardware"], "display_name", "hardware"),
+    (["roofline", "--hardware"], "balance_consistent", "hardware"),
+    (["compare", "--defaults"], "fps", "model defaults"),
+], ids=["display_name", "balance_consistent", "fps"])
+def test_removed_entry_key_is_unknown(capsys, tmp_path, argv, key, what):
+    entry = HW_ENTRY if what == "hardware" else DEFAULTS_ENTRY
+    path = tmp_path / "entries.json"
+    path.write_text(json.dumps([{**entry, key: True}]))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: {what}[0]: unknown keys ['{key}']\n"
+
+
 def test_hardware_error_names_the_entry(capsys, tmp_path, monkeypatch):
     entry = {"name": "toy", "theta_peak": 1e12, "bandwidth": 1e12, "p_max": 700}
     path = tmp_path / "hw.json"
@@ -459,7 +487,7 @@ def test_compare_csv_rows(capsys):
 
 @pytest.mark.parametrize("text, message", [
     ("5", "model defaults must be a JSON list or object, got int"),
-    ('[{"model_id": "a", "steps": 50}]', "model defaults[0]: missing keys ['height', 'width', 'frames', 'fps']"),
+    ('[{"model_id": "a", "steps": 50}]', "model defaults[0]: missing keys ['height', 'width', 'frames']"),
 ], ids=["not-a-list", "missing-keys"])
 def test_bad_model_defaults_is_one_error_line(capsys, tmp_path, text, message):
     path = tmp_path / "d.json"
@@ -540,7 +568,7 @@ def test_data_dir_shadows_model_defaults(capsys, tmp_path, monkeypatch):
     doc = json.loads(BUNDLED_SPEC.read_text())
     doc["model_id"] = "custom"
     (tmp_path / "custom.json").write_text(json.dumps(doc))
-    defaults = {"model_id": "custom", "steps": 20, "height": 480, "width": 832, "frames": 33, "fps": 16}
+    defaults = {"model_id": "custom", "steps": 20, "height": 480, "width": 832, "frames": 33}
     (tmp_path / "model_defaults.json").write_text(json.dumps([defaults]))
     monkeypatch.setenv("VIDCOST_DATA_DIR", str(tmp_path))
     code, out, _ = run_cli(capsys, "estimate", "--model", "custom", "--format", "json")
@@ -571,7 +599,7 @@ def test_data_dir_shadows_benchmark_measurements(capsys, tmp_path, monkeypatch):
 
 
 HW_ENTRY = {"name": "toy", "theta_peak": 1e15, "bandwidth": 1e12, "p_max": 100}
-DEFAULTS_ENTRY = {"model_id": "animatediff", "steps": 4, "height": 512, "width": 512, "frames": 16, "fps": 8}
+DEFAULTS_ENTRY = {"model_id": "animatediff", "steps": 4, "height": 512, "width": 512, "frames": 16}
 
 
 @pytest.mark.parametrize("shape", ["object", "list"])

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from oracles import conv3d_oracle
 from vidcost import (
     DiTSpec,
-    TimeRule,
     VAEDecoderLayer,
     VideoJob,
     classify,
@@ -22,8 +21,9 @@ from vidcost import (
     mlp_saturation_intensity,
     token_length,
 )
+from vidcost.specs import TIME_RULES
 
-# Output time steps per rule, written out independently of TimeRule.
+# Output time steps per rule, written out independently of TIME_RULES.
 T_OUT = {
     "ceil_T_over_4": lambda frames: math.ceil(frames / 4),
     "ceil_T_over_2": lambda frames: math.ceil(frames / 2),
@@ -47,7 +47,7 @@ def test_mlp_intensities_equal_rounded_fraction(p, q, hidden, tokens, s):
     assert mlp_saturation_intensity(spec, s) == float(f * hidden / ((1 + f) * s))
 
 
-@pytest.mark.parametrize("rule", [r.value for r in TimeRule])
+@pytest.mark.parametrize("rule", list(TIME_RULES))
 @settings(deadline=None)
 @given(
     kernel=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),

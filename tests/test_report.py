@@ -113,12 +113,12 @@ def test_model_defaults_bundled():
     defaults = {d.model_id: d for d in load_model_defaults()}
     assert len(defaults) == 7
     assert defaults["wan2.1-t2v-1.3b"] == ModelDefaults(
-        model_id="wan2.1-t2v-1.3b", steps=50, height=720, width=1280, frames=81, fps=15)
+        model_id="wan2.1-t2v-1.3b", steps=50, height=720, width=1280, frames=81)
     assert defaults["animatediff"] == ModelDefaults(
-        model_id="animatediff", steps=4, height=512, width=512, frames=16, fps=10)
+        model_id="animatediff", steps=4, height=512, width=512, frames=16)
     assert defaults["mochi-1-preview"].steps == 64
     assert defaults["ltx-video"].frames == 121
-    assert defaults["cogvideox-5b"].fps == 8
+    assert defaults["cogvideox-5b"].height == 480
 
 
 def test_compare_models_bundled():

@@ -7,6 +7,7 @@ from vidcost import (
     HardwareSpec,
     attn_intensity,
     balance,
+    balance_consistent,
     classify,
     load_hardware,
     load_hardware_db,
@@ -74,13 +75,20 @@ def test_thresholds_against_reference_values():
     db = load_hardware_db()
     for name, hw in db.items():
         attn_thr, mlp_thr = thresholds(hw)
-        if not hw.balance_consistent:
+        if not balance_consistent(hw):
             # Stored figures contradict the published balance; computed wins.
             assert round(balance(hw)) != hw.reference_balance
             continue
         assert abs(round(balance(hw)) - hw.reference_balance) <= 1, name
         assert abs(attn_thr - hw.reference_attn_threshold) <= 1, name
         assert abs(mlp_thr - hw.reference_mlp_threshold) <= 2, name
+
+
+def test_balance_consistent_within_one_of_the_reference():
+    assert balance_consistent(toy_hw(theta=400e12))  # no reference_balance
+    for reference, consistent in ((399, True), (401, True), (398, False), (402, False)):
+        hw = toy_hw(theta=400e12).replace(reference_balance=reference)
+        assert balance_consistent(hw) is consistent, reference
 
 
 def test_thresholds_round_half_to_even():

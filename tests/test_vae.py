@@ -56,7 +56,7 @@ def test_conv3d_bundled_rows(wan):
 
 
 def test_conv3d_rejects_attention_rows(wan):
-    attn_row = next(l for l in wan.vae.layers if l.kind.value == "attn2d")
+    attn_row = next(l for l in wan.vae.layers if l.kind == "attn2d")
     with pytest.raises(ValueError):
         conv3d_flops(attn_row, JOB)
 
@@ -161,10 +161,11 @@ def test_vae_small_against_dit(wan):
 
 def test_schedule_fidelity(wan):
     rows = [
-        (l.kind.value, l.kernel, l.c_in, l.c_out, l.t_rule.value, l.h_div, l.w_div)
+        (l.kind, l.kernel, l.c_in, l.c_out, l.t_rule, l.h_div, l.w_div)
         for l in wan.vae.layers
     ]
     assert rows == EXPECTED_ROWS
+    assert all(type(l.kind) is str and type(l.t_rule) is str for l in wan.vae.layers)
     assert all(l.repeat == 1 for l in wan.vae.layers)
 
 
