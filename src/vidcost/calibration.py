@@ -14,34 +14,28 @@ from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 
-from .cost import SECONDS_PER_HOUR, total_flops
-from .specs import (
-    DiTSpec,
-    HardwareSpec,
-    TextEncoderSpec,
-    VAEDecoderSchedule,
-    VideoJob,
-    data_path,
-)
-
-MEASUREMENT_COLUMNS = (
-    "model_id", "height", "width", "frames", "steps",
-    "latency_s", "latency_std_s", "gpu_wh", "gpu_wh_std", "cpu_wh", "ram_wh",
-)
-_COLUMN_SET = frozenset(MEASUREMENT_COLUMNS)
-_REQUIRED_COLUMNS = ("model_id", "height", "width", "frames", "steps")
-_INT_COLUMNS = ("height", "width", "frames", "steps")
+from .cost import SECONDS_PER_HOUR, energy, latency, total_flops
+from .specs import DiTSpec, HardwareSpec, TextEncoderSpec, VAEDecoderSchedule, VideoJob, data_path
 
 MEASUREMENTS_FILE = "benchmark_measurements.csv"
 
-_NUMERIC_FIELDS = (
-    "height_px", "width_px", "frames", "steps",
-    "latency_s", "latency_std_s", "gpu_wh", "gpu_wh_std", "cpu_wh", "ram_wh",
-)
-_NON_NEGATIVE_FIELDS = ("latency_std_s", "gpu_wh_std", "cpu_wh", "ram_wh")
-# A record's field values as tuples in the orders above, in one C call each.
-_numeric_values = attrgetter(*_NUMERIC_FIELDS)
-_non_negative_values = attrgetter(*_NON_NEGATIVE_FIELDS)
+# The measurement file format: column -> (record field, value type), in file order.
+# The first five columns are required; a missing value in another (an empty CSV
+# cell, a JSON null, an omitted column) takes the record's default.
+COLUMNS = {
+    "model_id": ("model_id", str),
+    "height": ("height_px", int), "width": ("width_px", int),
+    "frames": ("frames", int), "steps": ("steps", int),
+    "latency_s": ("latency_s", float), "latency_std_s": ("latency_std_s", float),
+    "gpu_wh": ("gpu_wh", float), "gpu_wh_std": ("gpu_wh_std", float),
+    "cpu_wh": ("cpu_wh", float), "ram_wh": ("ram_wh", float),
+}
+_REQUIRED = tuple(COLUMNS)[:5]
+_REQUIRED_FIELDS = frozenset(COLUMNS[c][0] for c in _REQUIRED)
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
+# A record's number fields, and their values as a tuple in one C call.
+_NUMBERS = tuple(field for field, kind in COLUMNS.values() if kind is not str)
+_number_values = attrgetter(*_NUMBERS)
 
 
 @dataclass(frozen=True)
@@ -65,28 +59,26 @@ class MeasurementRecord:
     ram_wh: float = 0.0
 
     def __post_init__(self) -> None:
-        for name, value in zip(_NUMERIC_FIELDS, _numeric_values(self)):
+        numbers = _number_values(self)
+        for name, value in zip(_NUMBERS, numbers):
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        self.job()  # rejects the geometry VideoJob rejects, with its message
         if self.latency_s is None and self.gpu_wh is None:
             raise ValueError("record needs latency_s or gpu_wh")
         if self.latency_s is not None and self.latency_s <= 0:
             raise ValueError("latency_s must be positive")
-        for name, value in zip(_NON_NEGATIVE_FIELDS, _non_negative_values(self)):
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative")
         if self.gpu_wh is not None and self.gpu_wh <= 0:
             raise ValueError("gpu_wh must be positive")
+        for name, value in zip(_NUMBERS, numbers):
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be non-negative")
 
     def resolved_latency(self, hw: HardwareSpec) -> float:
-        if self.latency_s is not None:
-            return self.latency_s
-        return self.gpu_wh * SECONDS_PER_HOUR / hw.p_max
+        return self.latency_s if self.latency_s is not None else self.gpu_wh * SECONDS_PER_HOUR / hw.p_max
 
     def resolved_gpu_wh(self, hw: HardwareSpec) -> float:
-        if self.gpu_wh is not None:
-            return self.gpu_wh
-        return hw.p_max * self.latency_s / SECONDS_PER_HOUR
+        return self.gpu_wh if self.gpu_wh is not None else energy(self.latency_s, hw)[1]
 
     def job(self, cfg_passes: int = 2) -> VideoJob:
         return VideoJob(self.height_px, self.width_px, self.frames, self.steps, cfg_passes)
@@ -191,14 +183,14 @@ def validate(
     hw: HardwareSpec,
     cfg_passes: int = 2,
 ) -> ValidationReport:
-    """Predict each record at efficiency mu and report percentage errors."""
+    """Predict each record at efficiency mu in (0, 1] and report percentage errors."""
     if not records:
         raise ValueError("need at least one measurement record")
     flops = _predicted_flops(records, spec, tspec, vae, cfg_passes)
     points = []
     for i, (record, f) in enumerate(zip(records, flops)):
-        p_lat = f / (mu * hw.theta_peak)
-        p_wh = hw.p_max * p_lat / SECONDS_PER_HOUR
+        p_lat = latency(f, hw, mu)
+        p_wh = energy(p_lat, hw)[1]
         m_lat = record.resolved_latency(hw)
         m_wh = record.resolved_gpu_wh(hw)
         points.append(PointError(
@@ -215,32 +207,46 @@ def validate(
 
 # --- ingestion ---
 
-def _parse_optional(value: str | None) -> float | None:
-    if value is None or value == "":
-        return None
-    return float(value)
+def _is_of_type(value, kind: type) -> bool:
+    """Whether a JSON value has the column's type: an integral float counts as
+    an integer and an int as a number, a bool or a string as neither."""
+    if kind is str:
+        return type(value) is str
+    return type(value) is int or type(value) is float and (kind is float or value.is_integer())
 
 
-def _record_from_row(row: dict, context: str) -> MeasurementRecord:
-    if not _COLUMN_SET.issuperset(row):
-        raise ValueError(f"{context}: unknown columns {sorted(row.keys() - _COLUMN_SET)}")
-    missing = [c for c in _REQUIRED_COLUMNS if row.get(c) in (None, "")]
+def _check_columns(columns, context: str) -> None:
+    """Reject a column set with a column not in COLUMNS or without a required one."""
+    unknown = set(columns).difference(COLUMNS)
+    if unknown:
+        raise ValueError(f"{context}: unknown columns {sorted(unknown)}")
+    missing = [c for c in _REQUIRED if c not in columns]
     if missing:
         raise ValueError(f"{context}: missing required columns {missing}")
+
+
+def _record(pairs, context: str, text: bool) -> MeasurementRecord:
+    """The record of one row's (column, value) pairs, each column in COLUMNS. CSV
+    ``text`` is parsed by the column's type; a JSON value is checked, not coerced.
+    An empty cell or a null is a missing value."""
+    values = {}
     try:
-        return MeasurementRecord(
-            model_id=row["model_id"],
-            height_px=int(row["height"]),
-            width_px=int(row["width"]),
-            frames=int(row["frames"]),
-            steps=int(row["steps"]),
-            latency_s=_parse_optional(row.get("latency_s")),
-            latency_std_s=_parse_optional(row.get("latency_std_s")) or 0.0,
-            gpu_wh=_parse_optional(row.get("gpu_wh")),
-            gpu_wh_std=_parse_optional(row.get("gpu_wh_std")) or 0.0,
-            cpu_wh=_parse_optional(row.get("cpu_wh")) or 0.0,
-            ram_wh=_parse_optional(row.get("ram_wh")) or 0.0,
-        )
+        for column, value in pairs:
+            if value is None or text and not value:
+                continue
+            field, kind = COLUMNS[column]
+            try:
+                if not (text or _is_of_type(value, kind)):
+                    raise ValueError
+                value = kind(value)
+            except ValueError:
+                raise ValueError(f"{column} must be {_TYPE_NAMES[kind]}") from None
+            # Adding 0.0 reads a -0 as 0, so a -0 energy cell prints as 0.
+            values[field] = value + 0.0 if kind is float else value
+        if not values.keys() >= _REQUIRED_FIELDS:
+            missing = [c for c in _REQUIRED if COLUMNS[c][0] not in values]
+            raise ValueError(f"missing required columns {missing}")
+        return MeasurementRecord(**values)
     except (ValueError, OverflowError) as exc:
         raise ValueError(f"{context}: {exc}") from exc
 
@@ -264,12 +270,7 @@ def read_measurements_csv(source) -> list[MeasurementRecord]:
         raise ValueError(f"row 1: {exc}") from None
     if header is None:
         return []
-    unknown = set(header) - _COLUMN_SET
-    if unknown:
-        raise ValueError(f"row 1: unknown columns {sorted(unknown)}")
-    missing = [c for c in _REQUIRED_COLUMNS if c not in header]
-    if missing:
-        raise ValueError(f"row 1: missing required columns {missing}")
+    _check_columns(header, "row 1")
     width = len(header)
     records = []
     try:
@@ -279,45 +280,27 @@ def read_measurements_csv(source) -> list[MeasurementRecord]:
             context = f"row {len(records) + 2}"
             if len(row) > width:
                 raise ValueError(f"{context}: {len(row)} cells, header has {width}")
-            records.append(_record_from_row(dict(zip(header, row)), context))
+            records.append(_record(zip(header, row), context, True))
     except csv.Error as exc:
         raise ValueError(f"row {len(records) + 2}: {exc}") from None
     return records
 
 
-def _check_json_types(row: dict, context: str) -> None:
-    """Reject a JSON value that ``_record_from_row``, written for CSV text, would
-    coerce: a bool or string in a number column, a fraction in an integer column,
-    a model_id that is not a string. Nulls and unknown columns are left to it."""
-    for column, value in row.items():
-        if value is None or column not in _COLUMN_SET:
-            continue
-        if column == "model_id":
-            ok, what = type(value) is str, "a string"
-        elif column in _INT_COLUMNS:
-            ok, what = type(value) is int or type(value) is float and value.is_integer(), "an integer"
-        else:
-            ok, what = type(value) in (int, float), "a number"
-        if not ok:
-            raise ValueError(f"{context}: {column} must be {what}")
-
-
 def read_measurements_json(source) -> list[MeasurementRecord]:
     """Read measurement records from a JSON path or file-like object holding a
     list of objects; a value of another shape is a ValueError."""
-    if hasattr(source, "read"):
-        rows = json.load(source)
-    else:
+    if not hasattr(source, "read"):
         with open(source, encoding="utf-8") as fh:
-            rows = json.load(fh)
+            return read_measurements_json(fh)
+    rows = json.load(source)
     if not isinstance(rows, list):
         raise ValueError(f"measurements must be a JSON list of objects, got {type(rows).__name__}")
     records = []
     for i, row in enumerate(rows):
         if not isinstance(row, dict):
             raise ValueError(f"record {i} must be a JSON object, got {type(row).__name__}")
-        _check_json_types(row, f"record {i}")
-        records.append(_record_from_row(row, f"record {i}"))
+        _check_columns(row, f"record {i}")
+        records.append(_record(row.items(), f"record {i}", False))
     return records
 
 

@@ -1,5 +1,7 @@
 """Efficiency fitting, error metrics, and measurement ingestion."""
 
+import csv
+import io
 import json
 import math
 import random
@@ -16,9 +18,31 @@ from vidcost import (
     load_bundled_measurements,
     load_measurements,
     mean_percentage_error,
+    read_measurements_csv,
     total_flops,
     validate,
 )
+from vidcost.calibration import MEASUREMENTS_FILE
+from vidcost.specs import data_path
+
+
+class Cell(str):
+    """A CSV cell's text, where a bare test value is a JSON value."""
+
+
+def write_rows(tmp_path, rows):
+    """Write measurement rows as CSV when a value is a ``Cell``, else as JSON;
+    return the path and the name errors give the second row."""
+    if any(isinstance(v, Cell) for row in rows for v in row.values()):
+        path = tmp_path / "m.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, dict.fromkeys(k for row in rows for k in row), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        return path, "row 3"
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(rows))
+    return path, "record 1"
 
 
 def synthetic_records(wan, h100, mu, steps_values=(10, 25, 50, 100, 150), intercept=0.0, noise=None):
@@ -210,6 +234,13 @@ def test_validate_empty_errors(wan, h100):
         validate([], 0.456, wan.dit, wan.text_encoder, wan.vae, h100)
 
 
+@pytest.mark.parametrize("mu", [0.0, -0.5, 1.5, math.nan])
+def test_validate_rejects_mu_outside_unit_interval(wan, h100, mu):
+    records = synthetic_records(wan, h100, 0.456)
+    with pytest.raises(ValueError, match=r"^mu must be in \(0, 1\], got"):
+        validate(records, mu, wan.dit, wan.text_encoder, wan.vae, h100)
+
+
 def test_csv_round_trip(tmp_path, wan, h100):
     path = tmp_path / "m.csv"
     path.write_text(
@@ -295,12 +326,17 @@ def test_json_records(tmp_path):
 
 
 @pytest.mark.parametrize("field", ["height", "width", "frames", "steps"])
-@pytest.mark.parametrize("bad", [720.9, True, "720"])
+@pytest.mark.parametrize("bad", [
+    720.9, True, "720",
+    # A CSV cell that does not parse as an integer names its column, as JSON does.
+    pytest.param(Cell("720.5"), id="csv-720.5"),
+    pytest.param(Cell("720.0"), id="csv-720.0"),
+    pytest.param(Cell("abc"), id="csv-abc"),
+])
 def test_json_records_reject_non_integers(tmp_path, field, bad):
     row = {"model_id": "demo", "height": 720, "width": 1280, "frames": 81, "steps": 50, "latency_s": 410.0}
-    path = tmp_path / "m.json"
-    path.write_text(json.dumps([row, {**row, field: bad}]))
-    with pytest.raises(ValueError, match=f"^record 1: {field} must be an integer$"):
+    path, where = write_rows(tmp_path, [row, {**row, field: bad}])
+    with pytest.raises(ValueError, match=f"^{where}: {field} must be an integer$"):
         load_measurements(path)
 
 
@@ -311,17 +347,20 @@ def test_json_records_reject_non_integers(tmp_path, field, bad):
     ("cpu_wh", False, "a number"),
     ("model_id", 5, "a string"),
     ("model_id", ["demo"], "a string"),
+    pytest.param("latency_s", Cell("abc"), "a number", id="csv-latency_s-abc"),
+    pytest.param("gpu_wh", Cell("0x10"), "a number", id="csv-gpu_wh-0x10"),
+    pytest.param("cpu_wh", Cell("false"), "a number", id="csv-cpu_wh-false"),
 ])
 def test_json_records_reject_wrong_types(tmp_path, field, bad, what):
     # JSON values are not coerced: a bool or string is no number, a number no model_id.
     row = {"model_id": "demo", "height": 720, "width": 1280, "frames": 81, "steps": 50, "latency_s": 410.0}
-    path = tmp_path / "m.json"
-    path.write_text(json.dumps([row, {**row, field: bad}]))
-    with pytest.raises(ValueError, match=f"^record 1: {field} must be {what}$"):
+    path, where = write_rows(tmp_path, [row, {**row, field: bad}])
+    with pytest.raises(ValueError, match=f"^{where}: {field} must be {what}$"):
         load_measurements(path)
     # Null still means a missing value, and the same text in a CSV cell is parsed.
-    path.write_text(json.dumps([{**row, "gpu_wh": None}]))
-    assert load_measurements(path)[0].gpu_wh is None
+    json_path = tmp_path / "m.json"
+    json_path.write_text(json.dumps([{**row, "gpu_wh": None}]))
+    assert load_measurements(json_path)[0].gpu_wh is None
     csv_path = tmp_path / "m.csv"
     csv_path.write_text("model_id,height,width,frames,steps,latency_s\n5,720,1280,81,50,200\n")
     assert (load_measurements(csv_path)[0].model_id, load_measurements(csv_path)[0].latency_s) == ("5", 200.0)
@@ -343,6 +382,37 @@ def test_validate_mpe_is_the_mean_of_the_point_errors(wan, h100):
         pred_wh = [h100.p_max * p / 3600.0 for p in pred]
         meas_wh = [r.resolved_gpu_wh(h100) for r in records]
         assert report.mpe_energy_pct == pytest.approx(mean_percentage_error(pred_wh, meas_wh), rel=1e-12, abs=0)
+
+
+def test_csv_and_json_read_the_same_records(tmp_path):
+    # The bundled CSV, each number cell written as its JSON literal, reads back equal.
+    with open(data_path(MEASUREMENTS_FILE), newline="") as fh:
+        rows = [{k: v if k == "model_id" else json.loads(v) for k, v in row.items()} for row in csv.DictReader(fh)]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(rows))
+    from_json, from_csv = load_measurements(path), load_bundled_measurements()
+    assert from_json == from_csv
+    assert [[type(v) for v in vars(r).values()] for r in from_json] == [
+        [type(v) for v in vars(r).values()] for r in from_csv]
+    # Edge cells: an empty cell against a null, an omitted optional column, -0.
+    text = ("model_id,height,width,frames,steps,latency_s,gpu_wh,cpu_wh,ram_wh\n"
+            "a,720,1280,81,50,410,,-0,0\n"
+            "a,720,1280,81,25,,78.8,,\n")
+    row = {"model_id": "a", "height": 720, "width": 1280, "frames": 81, "steps": 50, "latency_s": 410}
+    path.write_text(json.dumps([{**row, "gpu_wh": None, "cpu_wh": -0.0, "ram_wh": 0},
+                                {**row, "steps": 25, "latency_s": None, "gpu_wh": 78.8, "ram_wh": None}]))
+    records = load_measurements(path)
+    assert records == read_measurements_csv(io.StringIO(text))
+    assert [(r.latency_s, r.gpu_wh, r.cpu_wh, r.latency_std_s) for r in records] == [
+        (410.0, None, 0.0, 0.0), (None, 78.8, 0.0, 0.0)]
+    # A -0 reads as 0, in both formats.
+    assert math.copysign(1.0, records[0].cpu_wh) == 1.0
+    assert math.copysign(1.0, read_measurements_csv(io.StringIO(text))[0].cpu_wh) == 1.0
+    # An integral float is an integer in JSON only.
+    path.write_text(json.dumps([{**row, "height": 720.0}]))
+    assert load_measurements(path)[0].height_px == 720
+    with pytest.raises(ValueError, match="^row 2: height must be an integer$"):
+        read_measurements_csv(io.StringIO("model_id,height,width,frames,steps,latency_s\na,720.0,1280,81,50,410\n"))
 
 
 def test_unsupported_extension(tmp_path):

@@ -527,6 +527,29 @@ def test_compare_incomplete_record_error_names_the_file(capsys, tmp_path):
     assert err == f"error: {path}: comparison needs latency_s and gpu_wh for 'animatediff'\n"
 
 
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+@pytest.mark.parametrize("field, value, message", [
+    ("height", 8, "height_px and width_px must be at least 16"),
+    ("width", 15, "height_px and width_px must be at least 16"),
+    ("frames", 0, "frames must be at least 1"),
+    ("steps", 0, "steps must be at least 1"),
+])
+def test_measurement_geometry_is_checked_on_read(capsys, tmp_path, suffix, field, value, message):
+    # A row whose job VideoJob rejects is one error line naming the file and the row, in calibrate and compare.
+    row = {"model_id": "animatediff", "height": 512, "width": 512, "frames": 16, "steps": 4,
+           "latency_s": 0.68, "gpu_wh": 0.115}
+    rows = [row, {**row, field: value}]
+    path = tmp_path / f"m{suffix}"
+    if suffix == ".json":
+        path.write_text(json.dumps(rows))
+    else:
+        path.write_text("".join(",".join(map(str, r)) + "\n" for r in [row.keys(), *(r.values() for r in rows)]))
+    where = "row 3" if suffix == ".csv" else "record 1"
+    for command in ("calibrate", "compare"):
+        code, out, err = run_cli(capsys, command, "--measurements", str(path))
+        assert (code, out, err) == (1, "", f"error: {path}: {where}: {message}\n")
+
+
 # Each subcommand's options: it takes only the flags it reads.
 JOB_OPTIONS = {"--model", "--hardware", "--cfg-passes", "--mu", "--height", "--width", "--frames", "--steps",
                "--format", "--out"}
