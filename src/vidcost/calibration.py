@@ -122,7 +122,13 @@ def _predicted_flops(
     vae: VAEDecoderSchedule,
     cfg_passes: int,
 ) -> list[int]:
-    return [total_flops(r.job(cfg_passes), spec, tspec, vae).total for r in records]
+    # A record keeps its FLOP total under the last model it was predicted under in its
+    # __dict__, not as a field. The key holds cfg_passes' type, as VideoJob rejects 2.0.
+    key = (spec, tspec, vae, cfg_passes, type(cfg_passes))
+    for r in records:
+        if r.__dict__.get("_flops", (None,))[0] != key:
+            r.__dict__["_flops"] = key, total_flops(r.job(cfg_passes), spec, tspec, vae).total
+    return [r.__dict__["_flops"][1] for r in records]
 
 
 def fit_mu(
@@ -239,10 +245,13 @@ def _record(pairs, context: str, text: bool) -> MeasurementRecord:
                 if not (text or _is_of_type(value, kind)):
                     raise ValueError
                 value = kind(value)
+                # Adding 0.0 reads a -0 as 0, so a -0 energy cell prints as 0; it overflows on an int no float holds.
+                number = value if kind is str else value + 0.0
             except ValueError:
                 raise ValueError(f"{column} must be {_TYPE_NAMES[kind]}") from None
-            # Adding 0.0 reads a -0 as 0, so a -0 energy cell prints as 0.
-            values[field] = value + 0.0 if kind is float else value
+            except OverflowError:
+                raise ValueError(f"{column} is too large for a float") from None
+            values[field] = number if kind is float else value
         if not values.keys() >= _REQUIRED_FIELDS:
             missing = [c for c in _REQUIRED if COLUMNS[c][0] not in values]
             raise ValueError(f"missing required columns {missing}")

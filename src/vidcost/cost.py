@@ -187,9 +187,11 @@ def cost_from_breakdown(breakdown: FlopBreakdown, hw: HardwareSpec, mu: float) -
     """Convert a FLOP breakdown into latency/energy with prorated operator shares."""
     latency_s = latency(breakdown.total, hw, mu)
     energy_j, energy_wh = energy(latency_s, hw)
-    total = breakdown.total
+    total, parts = breakdown.total, _operator_flops(breakdown)
+    if (latency_s + energy_wh) * total > 1e308:  # latency_s * flops may overflow, though no share does
+        total, parts = 1, [flops / total for flops in parts]
     op_latency, op_energy = {}, {}
-    for op, flops in zip(OPERATORS, _operator_flops(breakdown)):
+    for op, flops in zip(OPERATORS, parts):
         op_latency[op] = latency_s * flops / total
         op_energy[op] = energy_wh * flops / total
     return CostEstimate(breakdown, latency_s, energy_j, energy_wh, op_latency, op_energy)
@@ -198,4 +200,8 @@ def cost_from_breakdown(breakdown: FlopBreakdown, hw: HardwareSpec, mu: float) -
 def estimate_cost(job: VideoJob, model: ModelSpec, hw: HardwareSpec, mu: float) -> CostEstimate:
     """One-call prediction for a job under a model spec."""
     breakdown = total_flops(job, model.dit, model.text_encoder, model.vae)
-    return cost_from_breakdown(breakdown, hw, mu)
+    try:
+        return cost_from_breakdown(breakdown, hw, mu)
+    except OverflowError:  # from latency(): the FLOP total is above the float range
+        raise ValueError(f"job {job.height_px}x{job.width_px}, {job.frames} frames, {job.steps} steps: "
+                         "its FLOP total is too large for a float latency") from None

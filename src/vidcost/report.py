@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cost import CostEstimate, FlopBreakdown, cost_from_breakdown, token_length, total_flops
+from .cost import CostEstimate, FlopBreakdown, estimate_cost, token_length
 from .specs import HardwareSpec, ModelDefaults, ModelSpec, VideoJob
 
 AXES = ("resolution", "frames", "steps")
@@ -107,12 +107,11 @@ def run_sweep(spec: SweepSpec, model: ModelSpec) -> SweepResult:
     points = []
     for value in spec.values:
         job = spec.job_for(value)
-        breakdown = total_flops(job, model.dit, model.text_encoder, model.vae)
-        cost = cost_from_breakdown(breakdown, spec.hardware, spec.mu)
+        cost = estimate_cost(job, model, spec.hardware, spec.mu)
         points.append(SweepPoint(
             axis_value=value,
             tokens=token_length(job, model.dit),
-            breakdown=breakdown,
+            breakdown=cost.breakdown,
             cost=cost,
         ))
     return SweepResult(spec=spec, points=tuple(points))

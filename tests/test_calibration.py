@@ -1,21 +1,25 @@
 """Efficiency fitting, error metrics, and measurement ingestion."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
+import pickle
 import random
 import statistics
 
 import numpy as np
 import pytest
 
+from vidcost import calibration
 from vidcost import (
     CalibrationRangeError,
     MeasurementRecord,
     VideoJob,
     fit_mu,
     load_bundled_measurements,
+    load_model_spec,
     load_measurements,
     mean_percentage_error,
     read_measurements_csv,
@@ -239,6 +243,95 @@ def test_validate_rejects_mu_outside_unit_interval(wan, h100, mu):
     records = synthetic_records(wan, h100, 0.456)
     with pytest.raises(ValueError, match=r"^mu must be in \(0, 1\], got"):
         validate(records, mu, wan.dit, wan.text_encoder, wan.vae, h100)
+
+
+def seeded_records(wan, h100, seed, count=40):
+    """Records of random geometry whose latencies follow the model at mu 0.4
+    with noise; every fifth record is energy-only."""
+    rng = random.Random(seed)
+    records = []
+    for i in range(count):
+        job = VideoJob(rng.choice((240, 480, 720)), rng.choice((416, 832, 1280)),
+                       rng.choice((17, 33, 81)), rng.randint(5, 60))
+        lat = total_flops(job, wan.dit, wan.text_encoder, wan.vae).total / (0.4 * h100.theta_peak)
+        lat *= 1.0 + rng.uniform(-0.1, 0.1)
+        measured = {"gpu_wh": h100.p_max * lat / 3600.0} if i % 5 == 4 else {"latency_s": lat}
+        records.append(MeasurementRecord("seeded", job.height_px, job.width_px, job.frames, job.steps, **measured))
+    return records
+
+
+def assert_same_report(got, want):
+    assert got == want
+    assert repr(got) == repr(want)  # bit for bit: repr round-trips every float, -0.0 included
+
+
+@pytest.mark.parametrize("source", ["bundled", "seed-1", "seed-2", "seed-3"])
+@pytest.mark.parametrize("cfg_passes", [2, 1])
+def test_validate_after_fit_equals_validate_on_fresh_records(wan, h100, source, cfg_passes):
+    # A record keeps the FLOP totals fit_mu computed; validating with them is
+    # validating without them, bit for bit.
+    def read():
+        if source == "bundled":
+            return load_bundled_measurements()
+        return seeded_records(wan, h100, int(source.split("-")[1]))
+
+    model = (wan.dit, wan.text_encoder, wan.vae, h100)
+    records = read()
+    mu = fit_mu(records, *model, cfg_passes=cfg_passes).mu
+    assert_same_report(validate(records, mu, *model, cfg_passes=cfg_passes),
+                       validate(read(), mu, *model, cfg_passes=cfg_passes))
+
+
+@pytest.mark.parametrize("other", ["dit", "text_encoder", "vae", "cfg_passes"])
+def test_a_fit_under_one_model_does_not_leak_into_another(wan, h100, other):
+    layers = wan.vae.layers
+    dit, tspec, vae, cfg_passes = {
+        "dit": (wan.dit.replace(layers=16), wan.text_encoder, wan.vae, 2),
+        "text_encoder": (wan.dit, wan.text_encoder.replace(layers=12), wan.vae, 2),
+        "vae": (wan.dit, wan.text_encoder, wan.vae.replace(layers=layers[:-1] + (layers[-1].replace(repeat=2),)), 2),
+        "cfg_passes": (wan.dit, wan.text_encoder, wan.vae, 1),
+    }[other]
+    records = seeded_records(wan, h100, 4)
+    fit_mu(records, wan.dit, wan.text_encoder, wan.vae, h100)
+    assert_same_report(validate(records, 0.4, dit, tspec, vae, h100, cfg_passes),
+                       validate(seeded_records(wan, h100, 4), 0.4, dit, tspec, vae, h100, cfg_passes))
+
+
+def test_a_float_cfg_passes_is_rejected_after_a_fit(wan, h100):
+    # 2.0 == 2, but VideoJob rejects it, and so does validate on fitted records.
+    records = seeded_records(wan, h100, 4)
+    fit_mu(records, wan.dit, wan.text_encoder, wan.vae, h100)
+    with pytest.raises(ValueError, match="^cfg_passes must be an int, got 2.0$"):
+        validate(records, 0.4, wan.dit, wan.text_encoder, wan.vae, h100, 2.0)
+
+
+def test_equal_model_specs_share_the_kept_totals(wan, h100, monkeypatch):
+    # Two loads of one spec are equal but distinct objects: validating under the
+    # second after fitting under the first recomputes nothing and reports the same.
+    first, second = load_model_spec(), load_model_spec()
+    assert first == second and first.dit is not second.dit
+    records = seeded_records(wan, h100, 5)
+    mu = fit_mu(records, first.dit, first.text_encoder, first.vae, h100).mu
+    seen = []
+    monkeypatch.setattr(calibration, "total_flops", lambda *args: seen.append(args) or total_flops(*args))
+    report = validate(records, mu, second.dit, second.text_encoder, second.vae, h100)
+    assert seen == []
+    assert_same_report(report, validate(records, mu, first.dit, first.text_encoder, first.vae, h100))
+    assert_same_report(report, validate(seeded_records(wan, h100, 5), mu, second.dit, second.text_encoder,
+                                        second.vae, h100))
+
+
+def test_records_after_a_fit_equal_fresh_ones(wan, h100):
+    records, fresh = seeded_records(wan, h100, 6), seeded_records(wan, h100, 6)
+    fit_mu(records, wan.dit, wan.text_encoder, wan.vae, h100)
+    assert records == fresh
+    assert [hash(r) for r in records] == [hash(r) for r in fresh]
+    assert [repr(r) for r in records] == [repr(r) for r in fresh]
+    assert [dataclasses.asdict(r) for r in records] == [dataclasses.asdict(r) for r in fresh]
+    # The kept total is no field: replace() drops it, and a pickled copy carries it.
+    assert "_flops" not in vars(dataclasses.replace(records[0]))
+    copies = pickle.loads(pickle.dumps(records))
+    assert copies == fresh and vars(copies[0]) == vars(records[0])
 
 
 def test_csv_round_trip(tmp_path, wan, h100):

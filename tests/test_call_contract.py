@@ -85,10 +85,24 @@ def test_classify_calls_thresholds_once(wan, h100):
 
 
 def test_fit_and_validate_call_total_flops_once_per_record(wan, h100):
-    records = read_measurements_csv(io.StringIO(measurements_csv(wan, h100)))
+    """A record keeps its FLOP total under the last model it was predicted
+    under: validating after a fit on the same model recomputes none, and another
+    cfg_passes, another spec or a fresh copy of the records recomputes each."""
+    text = measurements_csv(wan, h100)
+    records = read_measurements_csv(io.StringIO(text))
     assert len(records) == 5
-    assert calls(lambda: fit_mu(records, wan.dit, wan.text_encoder, wan.vae, h100))[total_flops.__code__] == 5
-    assert calls(lambda: validate(records, 0.5, wan.dit, wan.text_encoder, wan.vae, h100))[total_flops.__code__] == 5
+    rest = (wan.text_encoder, wan.vae, h100)
+
+    def flops_calls(fn):
+        return calls(fn)[total_flops.__code__]
+
+    assert flops_calls(lambda: fit_mu(records, wan.dit, *rest)) == 5
+    assert flops_calls(lambda: validate(records, 0.5, wan.dit, *rest)) == 0
+    assert flops_calls(lambda: validate(records, 0.5, wan.dit, *rest, cfg_passes=1)) == 5
+    validate(records, 0.5, wan.dit, *rest)  # back to the fitted model
+    assert flops_calls(lambda: validate(records, 0.5, wan.dit.replace(layers=16), *rest)) == 5
+    fresh = read_measurements_csv(io.StringIO(text))
+    assert flops_calls(lambda: validate(fresh, 0.5, wan.dit, *rest)) == 5
 
 
 def test_every_traced_function_is_reached(wan, h100):

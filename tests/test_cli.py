@@ -4,6 +4,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -268,7 +269,34 @@ def test_malformed_json_names_the_file(capsys, tmp_path, argv, name):
 def test_huge_steps_is_one_error_line(capsys):
     code, out, err = run_cli(capsys, "estimate", "--steps", "9" * 321)
     assert (code, out) == (1, "")
-    assert err == "error: int too large to convert to float\n"
+    assert err == (f"error: job 720x1280, 81 frames, {'9' * 321} steps: "
+                   "its FLOP total is too large for a float latency\n")
+
+
+def test_huge_job_prints_finite_operator_shares(capsys):
+    # latency_s * flops overflows here although each share is finite.
+    code, out, err = run_cli(capsys, "estimate", "--height", str(10**80), "--format", "json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in the JSON output"))
+    for key in ("operator_latency_s", "operator_energy_wh"):
+        shares = doc[key]
+        assert all(math.isfinite(v) and v > 0 for v in shares.values())
+        total = doc["latency_s"] if key == "operator_latency_s" else doc["energy_wh"]
+        assert math.fsum(shares.values()) == pytest.approx(total, rel=1e-12)
+    code, out, _ = run_cli(capsys, "estimate", "--height", str(10**80))
+    assert code == 0 and "inf" not in out
+
+
+@pytest.mark.parametrize("argv, steps", [
+    (["estimate"], 50),
+    (["sweep", "--axis", "steps", "--from", "1", "--to", "2"], 1),
+], ids=["estimate", "sweep"])
+def test_job_too_large_for_a_float_latency_names_its_geometry(capsys, argv, steps):
+    height = str(10**160)
+    code, out, err = run_cli(capsys, *argv, "--height", height, "--format", "json")
+    assert (code, out) == (1, "")
+    assert err == (f"error: job {height}x1280, 81 frames, {steps} steps: "
+                   "its FLOP total is too large for a float latency\n")
 
 
 def test_roofline_single_row(capsys):
@@ -538,16 +566,32 @@ def test_measurement_geometry_is_checked_on_read(capsys, tmp_path, suffix, field
     # A row whose job VideoJob rejects is one error line naming the file and the row, in calibrate and compare.
     row = {"model_id": "animatediff", "height": 512, "width": 512, "frames": 16, "steps": 4,
            "latency_s": 0.68, "gpu_wh": 0.115}
-    rows = [row, {**row, field: value}]
-    path = tmp_path / f"m{suffix}"
-    if suffix == ".json":
+    assert_rejected_on_read(capsys, tmp_path / f"m{suffix}", [row, {**row, field: value}], message)
+
+
+def assert_rejected_on_read(capsys, path, rows, message):
+    """Write ``rows`` to ``path`` as CSV or JSON, by its suffix; calibrate and
+    compare must each fail with one error line naming the file and the second row."""
+    if path.suffix == ".json":
         path.write_text(json.dumps(rows))
     else:
-        path.write_text("".join(",".join(map(str, r)) + "\n" for r in [row.keys(), *(r.values() for r in rows)]))
-    where = "row 3" if suffix == ".csv" else "record 1"
+        path.write_text("".join(",".join(map(str, r)) + "\n" for r in [rows[0].keys(), *(r.values() for r in rows)]))
+    where = "row 3" if path.suffix == ".csv" else "record 1"
     for command in ("calibrate", "compare"):
         code, out, err = run_cli(capsys, command, "--measurements", str(path))
         assert (code, out, err) == (1, "", f"error: {path}: {where}: {message}\n")
+
+
+@pytest.mark.parametrize("suffix, field, message", [
+    (".csv", "height", "height is too large for a float"),
+    (".json", "height", "height is too large for a float"),
+    (".csv", "latency_s", "latency_s must be finite, got inf"),
+    (".json", "latency_s", "latency_s is too large for a float"),
+])
+def test_measurement_too_large_for_a_float_names_its_column(capsys, tmp_path, suffix, field, message):
+    row = {"model_id": "animatediff", "height": 512, "width": 512, "frames": 16, "steps": 4,
+           "latency_s": 0.68, "gpu_wh": 0.115}
+    assert_rejected_on_read(capsys, tmp_path / f"m{suffix}", [row, {**row, field: 10**400}], message)
 
 
 # Each subcommand's options: it takes only the flags it reads.

@@ -4,6 +4,7 @@ Expected big integers were frozen from the brute-force oracles in oracles.py
 before the library was written.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -212,6 +213,22 @@ def test_cost_estimate_shares(wan, h100):
     assert cost.energy_j == pytest.approx(cost.latency_s * h100.p_max)
     assert cost.energy_wh == pytest.approx(cost.energy_j / 3600.0)
     assert cost.breakdown.total == TOTAL_DEFAULT
+
+
+@pytest.mark.parametrize("height", [720, 10**40, 10**60, 10**80])
+def test_cost_shares_are_prorated_by_flops(wan, h100, height):
+    # An ordinary job prorates as latency_s * flops / total; a job whose product
+    # would pass the float range, as latency_s * (flops / total), so every share
+    # of a finite latency is finite.
+    cost = estimate_cost(VideoJob(height, 1280, 81, 50), wan, h100, 0.456)
+    total = cost.breakdown.total
+    huge = (cost.latency_s + cost.energy_wh) * total > 1e308
+    assert huge == (height == 10**80)
+    for op, flops in cost.breakdown.per_operator().items():
+        for share, amount in ((cost.operator_latency_s[op], cost.latency_s),
+                              (cost.operator_energy_wh[op], cost.energy_wh)):
+            assert share == (amount * (flops / total) if huge else amount * flops / total)
+            assert math.isfinite(share)
 
 
 def test_auxiliary_components_small(wan, h100):
