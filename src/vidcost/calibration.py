@@ -10,12 +10,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 
-from .cost import SECONDS_PER_HOUR, energy, latency, total_flops
-from .specs import DiTSpec, HardwareSpec, TextEncoderSpec, VAEDecoderSchedule, VideoJob, data_path
+from .cost import SECONDS_PER_HOUR, energy, latency, too_large, total_flops
+from .specs import DiTSpec, HardwareSpec, Record, TextEncoderSpec, VAEDecoderSchedule, VideoJob, data_path
 
 MEASUREMENTS_FILE = "benchmark_measurements.csv"
 
@@ -38,8 +37,7 @@ _NUMBERS = tuple(field for field, kind in COLUMNS.values() if kind is not str)
 _number_values = attrgetter(*_NUMBERS)
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
+class MeasurementRecord(Record):
     """One benchmarked configuration with mean latency and per-component energy.
 
     ``latency_s`` may be None for energy-only records; it is then derived as
@@ -58,11 +56,14 @@ class MeasurementRecord:
     cpu_wh: float = 0.0
     ram_wh: float = 0.0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         numbers = _number_values(self)
         for name, value in zip(_NUMBERS, numbers):
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            try:
+                if value is not None and not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value}")
+            except OverflowError:  # an int beyond the float range
+                raise ValueError(f"{name} is too large for a float") from None
         self.job()  # rejects the geometry VideoJob rejects, with its message
         if self.latency_s is None and self.gpu_wh is None:
             raise ValueError("record needs latency_s or gpu_wh")
@@ -84,8 +85,7 @@ class MeasurementRecord:
         return VideoJob(self.height_px, self.width_px, self.frames, self.steps, cfg_passes)
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
+class CalibrationResult(Record):
     mu: float
     intercept_s: float
     r_squared: float
@@ -99,15 +99,17 @@ class CalibrationRangeError(ValueError):
         self.mu = mu
 
 
-@dataclass(frozen=True)
-class PointError:
+class RecordError(ValueError):
+    """A measurement record that ``fit_mu`` or ``validate`` cannot predict; the message names its index."""
+
+
+class PointError(Record):
     record_id: str
     latency_pct: float
     energy_pct: float
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     """Per-record and mean absolute percentage errors of predictions."""
 
     mpe_latency_pct: float
@@ -125,9 +127,15 @@ def _predicted_flops(
     # A record keeps its FLOP total under the last model it was predicted under in its
     # __dict__, not as a field. The key holds cfg_passes' type, as VideoJob rejects 2.0.
     key = (spec, tspec, vae, cfg_passes, type(cfg_passes))
-    for r in records:
+    for i, r in enumerate(records):
         if r.__dict__.get("_flops", (None,))[0] != key:
-            r.__dict__["_flops"] = key, total_flops(r.job(cfg_passes), spec, tspec, vae).total
+            job = r.job(cfg_passes)
+            flops = total_flops(job, spec, tspec, vae).total
+            try:
+                float(flops)  # as fit_mu and validate divide it by a float
+            except OverflowError:
+                raise RecordError(f"record {i}: {too_large(job)}") from None
+            r.__dict__["_flops"] = key, flops
     return [r.__dict__["_flops"][1] for r in records]
 
 

@@ -28,23 +28,17 @@ def _fmt(v: float) -> str:
 
 
 def _header(title: str) -> list[str]:
+    """The opening lines of a chart: canvas, title and the two axes."""
     return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" font-family="sans-serif" '
         f'font-size="16">{title}</text>',
-    ]
-
-
-def _axes(parts: list[str]) -> None:
-    parts.append(
         f'<line x1="{MARGIN}" y1="{HEIGHT - MARGIN}" x2="{WIDTH - MARGIN}" '
-        f'y2="{HEIGHT - MARGIN}" stroke="black"/>'
-    )
-    parts.append(
-        f'<line x1="{MARGIN}" y1="{MARGIN}" x2="{MARGIN}" y2="{HEIGHT - MARGIN}" stroke="black"/>'
-    )
+        f'y2="{HEIGHT - MARGIN}" stroke="black"/>',
+        f'<line x1="{MARGIN}" y1="{MARGIN}" x2="{MARGIN}" y2="{HEIGHT - MARGIN}" stroke="black"/>',
+    ]
 
 
 def stacked_area_svg(result) -> str:
@@ -52,7 +46,6 @@ def stacked_area_svg(result) -> str:
     points = result.points
     n = len(points)
     parts = _header(f"energy by operator vs {result.spec.axis}")
-    _axes(parts)
     if n == 0:
         parts.append("</svg>")
         return "\n".join(parts) + "\n"
@@ -102,7 +95,6 @@ def log_bar_svg(report) -> str:
     """Total energy per model on a log scale, one bar per comparison row."""
     rows = report.rows
     parts = _header("total energy per video (log scale)")
-    _axes(parts)
     if rows:
         values = [r.total_wh for r in rows]
         lo = math.floor(math.log10(min(values)))

@@ -199,7 +199,7 @@ def cmd_roofline(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    from .calibration import fit_mu
+    from .calibration import RecordError, fit_mu
 
     model, hw = load_model_spec(args.model), load_hardware(args.hardware)
     records = _measured(args.measurements)
@@ -209,7 +209,10 @@ def cmd_calibrate(args) -> int:
         print(f"warning: {len(others)} of {len(records)} records name a model other than "
               f"{model.model_id}: {', '.join(sorted(set(others)))}", file=sys.stderr)
     cfg = args.cfg_passes if args.cfg_passes is not None else model.cfg_passes
-    result = fit_mu(records, model.dit, model.text_encoder, model.vae, hw, cfg_passes=cfg)
+    try:
+        result = fit_mu(records, model.dit, model.text_encoder, model.vae, hw, cfg_passes=cfg)
+    except RecordError as exc:
+        raise ValueError(f"{args.measurements}: {exc}") from None
     _write(args, output.calibration(result, len(records), args.format))
     return 0
 

@@ -8,13 +8,13 @@ double-precision floats derived from the compute-bound model
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 
 from .specs import (
     DiTSpec,
     HardwareSpec,
     ModelSpec,
+    Record,
     TextEncoderSpec,
     VAEDecoderSchedule,
     VideoJob,
@@ -32,8 +32,7 @@ _operator_flops = attrgetter(*OPERATORS)
 SECONDS_PER_HOUR = 3600.0
 
 
-@dataclass(frozen=True)
-class FlopBreakdown:
+class FlopBreakdown(Record):
     """Per-operator FLOPs for one generated video.
 
     ``self_attn``, ``cross_attn``, ``mlp``, and ``timestep`` already include
@@ -50,23 +49,23 @@ class FlopBreakdown:
     timestep: int
     total: int
 
-    def __post_init__(self) -> None:
-        parts = (self.text + self.vae_conv + self.vae_mid_attn + self.self_attn
-                 + self.cross_attn + self.mlp + self.timestep)
-        if parts != self.total:
-            raise ValueError(f"total {self.total} != sum of operators {parts}")
+    def __init__(self, text: int, vae_conv: int, vae_mid_attn: int, self_attn: int, cross_attn: int, mlp: int,
+                 timestep: int, total: int) -> None:
+        # Hand-written rather than the generic one, as VideoJob's is: a breakdown is built per job.
+        self.__dict__.update(text=text, vae_conv=vae_conv, vae_mid_attn=vae_mid_attn, self_attn=self_attn,
+                             cross_attn=cross_attn, mlp=mlp, timestep=timestep, total=total)
+        parts = text + vae_conv + vae_mid_attn + self_attn + cross_attn + mlp + timestep
+        if parts != total:
+            raise ValueError(f"total {total} != sum of operators {parts}")
 
     def per_operator(self) -> dict[str, int]:
         return dict(zip(OPERATORS, _operator_flops(self)))
 
     def as_dict(self) -> dict[str, int]:
-        out = self.per_operator()
-        out["total"] = self.total
-        return out
+        return dict(zip(self._fields, self._values()))  # the operators in OPERATORS order, then total
 
 
-@dataclass(frozen=True)
-class CostEstimate:
+class CostEstimate(Record):
     """Latency/energy prediction with per-operator shares prorated by FLOPs."""
 
     breakdown: FlopBreakdown
@@ -75,6 +74,11 @@ class CostEstimate:
     energy_wh: float
     operator_latency_s: dict[str, float]
     operator_energy_wh: dict[str, float]
+
+    def __init__(self, breakdown: FlopBreakdown, latency_s: float, energy_j: float, energy_wh: float,
+                 operator_latency_s: dict[str, float], operator_energy_wh: dict[str, float]) -> None:
+        self.__dict__.update(breakdown=breakdown, latency_s=latency_s, energy_j=energy_j, energy_wh=energy_wh,
+                             operator_latency_s=operator_latency_s, operator_energy_wh=operator_energy_wh)
 
 
 def latent_grid(job: VideoJob, spec: DiTSpec) -> tuple[int, int, int]:
@@ -197,11 +201,16 @@ def cost_from_breakdown(breakdown: FlopBreakdown, hw: HardwareSpec, mu: float) -
     return CostEstimate(breakdown, latency_s, energy_j, energy_wh, op_latency, op_energy)
 
 
+def too_large(job: VideoJob) -> str:
+    """The error message of a job whose FLOP total is above the float range."""
+    return (f"job {job.height_px}x{job.width_px}, {job.frames} frames, {job.steps} steps: "
+            "its FLOP total is too large for a float latency")
+
+
 def estimate_cost(job: VideoJob, model: ModelSpec, hw: HardwareSpec, mu: float) -> CostEstimate:
     """One-call prediction for a job under a model spec."""
     breakdown = total_flops(job, model.dit, model.text_encoder, model.vae)
     try:
         return cost_from_breakdown(breakdown, hw, mu)
     except OverflowError:  # from latency(): the FLOP total is above the float range
-        raise ValueError(f"job {job.height_px}x{job.width_px}, {job.frames} frames, {job.steps} steps: "
-                         "its FLOP total is too large for a float latency") from None
+        raise ValueError(too_large(job)) from None

@@ -8,16 +8,13 @@ byte-deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cost import CostEstimate, FlopBreakdown, estimate_cost, token_length
-from .specs import HardwareSpec, ModelDefaults, ModelSpec, VideoJob
+from .specs import HardwareSpec, ModelDefaults, ModelSpec, Record, VideoJob
 
 AXES = ("resolution", "frames", "steps")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Record):
     """One swept axis with values, the fixed job dims, and the cost context."""
 
     axis: str
@@ -26,7 +23,7 @@ class SweepSpec:
     mu: float
     hardware: HardwareSpec
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.axis not in AXES:
             raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
         values = tuple(self.values)
@@ -44,7 +41,7 @@ class SweepSpec:
         keys = [h * w for h, w in values] if self.axis == "resolution" else values
         if any(b <= a for a, b in zip(keys, keys[1:])):
             raise ValueError("values must be strictly increasing along the swept axis")
-        object.__setattr__(self, "values", values)
+        self.__dict__["values"] = values
         if not 0.0 < self.mu <= 1.0:
             raise ValueError("mu must be in (0, 1]")
 
@@ -56,16 +53,14 @@ class SweepSpec:
         return self.fixed.replace(steps=value)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(Record):
     axis_value: object
     tokens: int
     breakdown: FlopBreakdown
     cost: CostEstimate
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Record):
     """Sweep output; iterates as the ordered list of points."""
 
     spec: SweepSpec
@@ -81,8 +76,7 @@ class SweepResult:
         return self.points[idx]
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(Record):
     model_id: str
     latency_s: float
     gpu_wh: float
@@ -94,8 +88,7 @@ class ComparisonRow:
     ram_share: float
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(Record):
     """Cross-model energy/latency table, sorted by total energy, descending."""
 
     rows: tuple[ComparisonRow, ...]
@@ -108,12 +101,7 @@ def run_sweep(spec: SweepSpec, model: ModelSpec) -> SweepResult:
     for value in spec.values:
         job = spec.job_for(value)
         cost = estimate_cost(job, model, spec.hardware, spec.mu)
-        points.append(SweepPoint(
-            axis_value=value,
-            tokens=token_length(job, model.dit),
-            breakdown=cost.breakdown,
-            cost=cost,
-        ))
+        points.append(SweepPoint(value, token_length(job, model.dit), cost.breakdown, cost))
     return SweepResult(spec=spec, points=tuple(points))
 
 
@@ -135,17 +123,8 @@ def compare_models(
         if record.latency_s is None or record.gpu_wh is None:
             raise ValueError(f"comparison needs latency_s and gpu_wh for {record.model_id!r}")
         total = record.gpu_wh + record.cpu_wh + record.ram_wh
-        rows.append(ComparisonRow(
-            model_id=record.model_id,
-            latency_s=record.latency_s,
-            gpu_wh=record.gpu_wh,
-            cpu_wh=record.cpu_wh,
-            ram_wh=record.ram_wh,
-            total_wh=total,
-            gpu_share=record.gpu_wh / total,
-            cpu_share=record.cpu_wh / total,
-            ram_share=record.ram_wh / total,
-        ))
+        parts = (record.gpu_wh, record.cpu_wh, record.ram_wh)
+        rows.append(ComparisonRow(record.model_id, record.latency_s, *parts, total, *(p / total for p in parts)))
     rows.sort(key=lambda r: (-r.total_wh, r.model_id))
     ratios = {}
     if len(rows) > 1:

@@ -10,9 +10,7 @@ Python rounds correctly: the same float as rounding the exact Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .specs import DiTSpec, HardwareSpec
+from .specs import DiTSpec, HardwareSpec, Record
 
 ATTENTION = "attention"
 MLP = "mlp"
@@ -20,8 +18,7 @@ COMPUTE_BOUND = "compute_bound"
 MEMORY_BOUND = "memory_bound"
 
 
-@dataclass(frozen=True)
-class BoundClassification:
+class BoundClassification(Record):
     """Roofline regime of one operator at a given token length."""
 
     operator: str
@@ -30,10 +27,11 @@ class BoundClassification:
     threshold: int
     regime: str
 
-    def __post_init__(self) -> None:
-        expected = COMPUTE_BOUND if self.tokens > self.threshold else MEMORY_BOUND
-        if self.regime != expected:
-            raise ValueError(f"regime {self.regime!r} inconsistent with tokens/threshold")
+    def __init__(self, operator: str, tokens: int, intensity: float, threshold: int, regime: str) -> None:
+        # Hand-written, as VideoJob's is: two are built per job.
+        self.__dict__.update(operator=operator, tokens=tokens, intensity=intensity, threshold=threshold, regime=regime)
+        if regime != (COMPUTE_BOUND if tokens > threshold else MEMORY_BOUND):
+            raise ValueError(f"regime {regime!r} inconsistent with tokens/threshold")
 
 
 def balance(hw: HardwareSpec) -> float:

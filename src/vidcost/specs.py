@@ -7,9 +7,10 @@ load from a single JSON config file; a spec for ``wan2.1-t2v-1.3b`` ships with
 the package, as does a small database of accelerator constants. ``data_path``
 finds every data file: one in ``VIDCOST_DATA_DIR`` shadows the bundled one.
 
-The field annotations of the spec classes are their schema: ``Spec`` takes its
-fields and defaults from them, ``_check_fields`` checks each field by them on
-construction, and ``from_dict`` and ``to_dict`` read and write JSON by them.
+The field annotations of the spec classes are their schema: ``Record``, the base
+of the spec and result types, takes its fields and defaults from them,
+``Spec._check_fields`` checks each field by them on construction, and
+``from_dict`` and ``to_dict`` read and write JSON by them.
 """
 
 from __future__ import annotations
@@ -35,15 +36,30 @@ def exact_div(numerator: int, denominator: int, what: str) -> int:
     return quotient
 
 
-class Spec:
+class _DataclassFields:
+    """A record class's ``__dataclass_fields__``, built on first use: ``dataclasses``' functions take
+    records (``replace`` through the class's constructor and its checks), and only their caller loads it."""
+
+    def __get__(self, record, cls):
+        if "_dataclass_fields" not in vars(cls):  # not inherited: a subclass may add fields
+            from dataclasses import make_dataclass
+
+            cls._dataclass_fields = make_dataclass(cls.__name__, list(cls._fields.items())).__dataclass_fields__
+        return cls._dataclass_fields
+
+
+class Record:
     """An immutable value whose fields are the annotations of its class body, in
     order, defaulting to the values given there. Equality, hash and repr see the
     fields only, not what a ``cached_property`` stored in ``__dict__``; no
     ``__slots__``, as cached properties, pickle and ``copy`` write ``__dict__``."""
 
+    __dataclass_fields__ = _DataclassFields()
+
     def __init_subclass__(cls) -> None:
-        cls._fields = {**getattr(cls, "_fields", {}), **cls.__annotations__}  # name -> annotation: the schema
+        cls._fields = {**getattr(cls, "_fields", {}), **cls.__annotations__}  # name -> annotation, in order
         cls._defaults = {name: getattr(cls, name) for name in cls._fields if hasattr(cls, name)}
+        cls.__match_args__ = tuple(cls._fields)
 
     def __init__(self, *args, **kwargs) -> None:
         cls, values = type(self), dict(zip(type(self)._fields, args), **kwargs) if args else kwargs
@@ -52,8 +68,11 @@ class Spec:
             raise TypeError(f"{cls.__name__}() takes the fields {list(cls._fields)}, each once; "
                             f"got {len(args)} positional and the keywords {list(kwargs)}")
         self.__dict__.update(cls._defaults, **values)
-        _check_fields(self)
+        self._check_fields()
         self._check()
+
+    def _check_fields(self) -> None:
+        """Checks of each field on its own: none here."""
 
     def _check(self) -> None:
         """Checks across fields, run once each field has passed its own."""
@@ -79,6 +98,20 @@ class Spec:
     def replace(self, **changes):
         """A copy with ``changes`` made to its fields, checked as the constructor checks it."""
         return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+
+class Spec(Record):
+    """A record whose field annotations are its schema, each field checked by its annotation."""
+
+    def _check_fields(self) -> None:
+        """Check every field by its annotation, storing the value its check returns."""
+        values = self.__dict__
+        for name, annotation in self._fields.items():
+            check = _FIELD_CHECKS.get(annotation) if type(annotation) is str else None
+            if check is None:  # e.g. a class object, from a module without ``from __future__ import annotations``
+                raise TypeError(f"{type(self).__qualname__}.{name} is annotated {annotation!r}, but a spec "
+                                f"field's annotation must be one of the schema's strings {list(_FIELD_CHECKS)}")
+            values[name] = check(name, values[name])
 
 
 class VideoJob(Spec):
@@ -366,17 +399,6 @@ _FIELD_CHECKS = {
 
 # What a rejected top-level object of a file is called.
 _TOP_LEVEL = {ModelSpec: "model spec", HardwareSpec: "hardware entry"}
-
-
-def _check_fields(spec) -> None:
-    """Check every field of a spec by its annotation, storing the value its check returns."""
-    values = spec.__dict__
-    for name, annotation in spec._fields.items():
-        check = _FIELD_CHECKS.get(annotation) if type(annotation) is str else None
-        if check is None:  # e.g. a class object, from a module without ``from __future__ import annotations``
-            raise TypeError(f"{type(spec).__qualname__}.{name} is annotated {annotation!r}, but a spec field's "
-                            f"annotation must be one of the schema's strings {list(_FIELD_CHECKS)}")
-        values[name] = check(name, values[name])
 
 
 def from_dict(cls, data, where: str = ""):

@@ -85,6 +85,27 @@ def test_record_validation():
                 MeasurementRecord(**{**valid, name: bad})
 
 
+@pytest.mark.parametrize("name", ["height_px", "steps", "latency_s", "cpu_wh"])
+def test_record_rejects_an_int_too_large_for_a_float(name):
+    valid = dict(model_id="m", height_px=16, width_px=16, frames=1, steps=1, latency_s=1.0)
+    with pytest.raises(ValueError, match=f"^{name} is too large for a float$"):
+        MeasurementRecord(**{**valid, name: 10**400})
+
+
+@pytest.mark.parametrize("call", ["fit", "validate"])
+def test_a_flop_total_too_large_for_a_float_names_the_record(wan, h100, call):
+    # Geometry that fits a float, but a FLOP total that does not.
+    records = [MeasurementRecord("m", 720, 1280, 81, 10, latency_s=40.0),
+               MeasurementRecord("m", 10**160, 1280, 81, 50, latency_s=200.0)]
+    message = (f"^record 1: job {10**160}x1280, 81 frames, 50 steps: "
+               "its FLOP total is too large for a float latency$")
+    with pytest.raises(ValueError, match=message):
+        if call == "fit":
+            fit_mu(records, wan.dit, wan.text_encoder, wan.vae, h100)
+        else:
+            validate(records, 0.5, wan.dit, wan.text_encoder, wan.vae, h100)
+
+
 def test_mpe_examples():
     assert mean_percentage_error([110.0], [100.0]) == pytest.approx(10.0)
     assert mean_percentage_error([5.0, 7.0], [5.0, 7.0]) == 0.0

@@ -299,6 +299,18 @@ def test_job_too_large_for_a_float_latency_names_its_geometry(capsys, argv, step
                    "its FLOP total is too large for a float latency\n")
 
 
+def test_calibrate_names_the_file_and_record_whose_flop_total_is_too_large(capsys, tmp_path):
+    # The row passes the reader, as its height fits a float; its FLOP total does not.
+    path = tmp_path / "m.csv"
+    rows = ["model_id,height,width,frames,steps,latency_s", "wan2.1-t2v-1.3b,720,1280,81,10,40",
+            f"wan2.1-t2v-1.3b,{10**160},1280,81,50,200"]
+    path.write_text("\n".join(rows) + "\n")
+    code, out, err = run_cli(capsys, "calibrate", "--measurements", str(path))
+    assert (code, out) == (1, "")
+    assert err == (f"error: {path}: record 1: job {10**160}x1280, 81 frames, 50 steps: "
+                   "its FLOP total is too large for a float latency\n")
+
+
 def test_roofline_single_row(capsys):
     code, out, _ = run_cli(capsys, "roofline", "--hardware", "h100")
     assert code == 0

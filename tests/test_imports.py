@@ -45,17 +45,23 @@ def test_spec_loads_skip_dataclasses_and_inspect():
     assert child(code) == []
 
 
-@pytest.mark.parametrize("argv", [["estimate"], ["sweep", "--axis", "frames", "--from", "1", "--to", "3"],
+SWEEP = ["sweep", "--axis", "frames", "--from", "1", "--to", "3"]
+
+
+@pytest.mark.parametrize("argv", [["estimate"], SWEEP, [*SWEEP, "--format", "json"], [*SWEEP, "--format", "svg"],
                                   ["roofline"], ["calibrate", "--measurements", "{measurements}"], ["compare"]],
-                         ids=lambda argv: argv[0])
+                         ids=["estimate", "sweep", "sweep-json", "sweep-svg", "roofline", "calibrate", "compare"])
 def test_commands_on_bundled_data_skip_fractions(argv, tmp_path):
+    # No subcommand loads fractions, nor dataclasses and what it imports: the result types are
+    # records, which load dataclasses only for a caller of its functions.
     # calibrate needs records of one model; the bundled file holds seven, so it gets a synthetic two-row file.
     path = tmp_path / "m.csv"
     path.write_text("model_id,height,width,frames,steps,latency_s\nm,720,1280,81,10,40\nm,720,1280,81,50,200\n")
     argv = [arg.format(measurements=path) for arg in argv]
+    modules = {"fractions", "decimal", "numbers", "dataclasses", "inspect", "ast", "dis", "tokenize", "copy"}
     code = ("import contextlib, io\nbefore = set(sys.modules)\nfrom vidcost.cli import main\n"
             f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0\n"
-            "print(json.dumps(sorted({'fractions', 'decimal', 'numbers'} & (set(sys.modules) - before))))")
+            f"print(json.dumps(sorted({modules!r} & (set(sys.modules) - before))))")
     assert child(code) == []
 
 

@@ -1,0 +1,129 @@
+"""The result types share the spec types' base, ``specs.Record``: immutable
+values compared, hashed and printed by their fields, that ``dataclasses``'
+functions still take."""
+
+import copy
+import dataclasses
+import pickle
+
+import pytest
+
+from vidcost import (
+    SweepSpec,
+    VideoJob,
+    classify,
+    compare_models,
+    estimate_cost,
+    fit_mu,
+    load_bundled_measurements,
+    load_hardware,
+    load_model_defaults,
+    load_model_spec,
+    run_sweep,
+    token_length,
+    validate,
+)
+from vidcost.calibration import CalibrationResult, MeasurementRecord
+from vidcost.specs import Record, Spec
+
+
+def one_of_each_result():
+    """A fresh instance of every result type."""
+    wan, h100 = load_model_spec(), load_hardware()
+    job = VideoJob(720, 1280, 81, 50)
+    cost = estimate_cost(job, wan, h100, 0.456)
+    records = [MeasurementRecord("m", 720, 1280, 81, steps, latency_s=steps * 4.0) for steps in (10, 50)]
+    fit = fit_mu(records, wan.dit, wan.text_encoder, wan.vae, h100)
+    report = validate(records, fit.mu, wan.dit, wan.text_encoder, wan.vae, h100)
+    sweep = run_sweep(SweepSpec(axis="frames", values=[1, 5], fixed=job, mu=0.456, hardware=h100), wan)
+    comparison = compare_models(load_model_defaults(), load_bundled_measurements())
+    return [cost.breakdown, cost, classify(token_length(job, wan.dit), h100, wan.dit)[0], records[0], fit,
+            report.per_point_errors[0], report, sweep.spec, sweep.points[0], sweep, comparison.rows[0], comparison]
+
+
+RESULT_IDS = ["breakdown", "cost", "bound", "measurement", "calibration", "point-error", "validation",
+              "sweep-spec", "sweep-point", "sweep", "comparison-row", "comparison"]
+
+
+def hash_or_error(value):
+    try:
+        return hash(value)
+    except TypeError as exc:  # a field holding a dict
+        return str(exc)
+
+
+def test_every_result_class_is_covered():
+    assert {type(result) for result in one_of_each_result()} == set(Record.__subclasses__()) - {Spec}
+
+
+@pytest.mark.parametrize("index", range(len(RESULT_IDS)), ids=RESULT_IDS)
+def test_result_fields_cannot_be_assigned_or_deleted(index):
+    result = one_of_each_result()[index]
+    before = repr(result)
+    for name in (*result._fields, "new_attribute"):
+        with pytest.raises(AttributeError):
+            setattr(result, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(result, name)
+    assert repr(result) == before
+
+
+@pytest.mark.parametrize("index", range(len(RESULT_IDS)), ids=RESULT_IDS)
+def test_result_equality_hash_and_repr_see_fields_only(index):
+    result, fresh = one_of_each_result()[index], one_of_each_result()[index]
+    vars(result)["_kept"] = object()  # as a cached value or calibration's FLOP memo is kept
+    fields = [getattr(result, name) for name in type(result).__annotations__]
+    assert result == fresh and not result != fresh and result.__eq__(tuple(fields)) is NotImplemented
+    assert hash_or_error(result) == hash_or_error(fresh) == hash_or_error(tuple(fields))
+    text = ", ".join(f"{name}={value!r}" for name, value in zip(type(result).__annotations__, fields))
+    assert repr(result) == repr(fresh) == f"{type(result).__name__}({text})"
+
+
+@pytest.mark.parametrize("index", range(len(RESULT_IDS)), ids=RESULT_IDS)
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda result: pickle.loads(pickle.dumps(result))],
+                         ids=["deepcopy", "pickle"])
+def test_result_copies_and_pickles_equal(index, clone):
+    result = one_of_each_result()[index]
+    again = clone(result)
+    assert type(again) is type(result) and again == result and repr(again) == repr(result)
+    with pytest.raises(AttributeError):
+        setattr(again, next(iter(result._fields)), 1)
+
+
+@pytest.mark.parametrize("index", range(len(RESULT_IDS)), ids=RESULT_IDS)
+def test_result_dataclass_functions_see_the_declared_fields(index):
+    result = one_of_each_result()[index]
+    declared = list(type(result).__annotations__)
+    assert dataclasses.is_dataclass(result) and dataclasses.is_dataclass(type(result))
+    assert [field.name for field in dataclasses.fields(result)] == declared
+    assert list(dataclasses.asdict(result)) == declared
+    for copied in (result.replace(), dataclasses.replace(result)):
+        assert copied == result and copied is not result
+    assert type(result).__match_args__ == tuple(declared)
+
+
+@pytest.mark.parametrize("replace", [lambda result, **changes: result.replace(**changes), dataclasses.replace],
+                         ids=["method", "dataclasses"])
+def test_result_replace_runs_the_constructor_checks(replace):
+    breakdown, cost, bound, measurement, _, _, _, sweep_spec = one_of_each_result()[:8]
+    with pytest.raises(ValueError, match="^total 1 != sum of operators"):
+        replace(breakdown, total=1)
+    with pytest.raises(ValueError, match="inconsistent with tokens/threshold"):
+        replace(bound, regime="memory_bound" if bound.regime == "compute_bound" else "compute_bound")
+    with pytest.raises(ValueError, match="^latency_s must be positive$"):
+        replace(measurement, latency_s=-1.0)
+    with pytest.raises(ValueError, match=r"^mu must be in \(0, 1\]$"):
+        replace(sweep_spec, mu=2.0)
+    changed = replace(cost, latency_s=1.0)
+    assert (changed.latency_s, changed.breakdown) == (1.0, cost.breakdown)
+    assert replace(sweep_spec, values=[3, 4]).values == (3, 4)
+
+
+def test_a_subclass_adding_a_field_has_its_own_dataclass_fields():
+    class Annotated(CalibrationResult):
+        note: str = ""
+
+    assert [field.name for field in dataclasses.fields(CalibrationResult)] == ["mu", "intercept_s", "r_squared"]
+    extended = Annotated(0.5, 0.0, 1.0, note="x")
+    assert [field.name for field in dataclasses.fields(extended)] == ["mu", "intercept_s", "r_squared", "note"]
+    assert dataclasses.replace(extended, note="y") == Annotated(0.5, 0.0, 1.0, "y")
