@@ -99,8 +99,17 @@ class CalibrationRangeError(ValueError):
         self.mu = mu
 
 
+def _record_name(index: int, in_csv: bool) -> str:
+    """How errors name the record at ``index`` of a file: its CSV row (the header is row 1) or its JSON index."""
+    return f"row {index + 2}" if in_csv else f"record {index}"
+
+
 class RecordError(ValueError):
-    """A measurement record that ``fit_mu`` or ``validate`` cannot predict; the message names its index."""
+    """A measurement record that ``fit_mu`` or ``validate`` cannot predict, at ``index`` in the list."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"{_record_name(index, False)}: {reason}")
+        self.index, self.reason = index, reason
 
 
 class PointError(Record):
@@ -134,7 +143,7 @@ def _predicted_flops(
             try:
                 float(flops)  # as fit_mu and validate divide it by a float
             except OverflowError:
-                raise RecordError(f"record {i}: {too_large(job)}") from None
+                raise RecordError(i, too_large(job)) from None
             r.__dict__["_flops"] = key, flops
     return [r.__dict__["_flops"][1] for r in records]
 
@@ -294,12 +303,12 @@ def read_measurements_csv(source) -> list[MeasurementRecord]:
         for row in rows:
             if not row:
                 continue
-            context = f"row {len(records) + 2}"
+            context = _record_name(len(records), True)
             if len(row) > width:
                 raise ValueError(f"{context}: {len(row)} cells, header has {width}")
             records.append(_record(zip(header, row), context, True))
     except csv.Error as exc:
-        raise ValueError(f"row {len(records) + 2}: {exc}") from None
+        raise ValueError(f"{_record_name(len(records), True)}: {exc}") from None
     return records
 
 
@@ -314,10 +323,11 @@ def read_measurements_json(source) -> list[MeasurementRecord]:
         raise ValueError(f"measurements must be a JSON list of objects, got {type(rows).__name__}")
     records = []
     for i, row in enumerate(rows):
+        context = _record_name(i, False)
         if not isinstance(row, dict):
-            raise ValueError(f"record {i} must be a JSON object, got {type(row).__name__}")
-        _check_columns(row, f"record {i}")
-        records.append(_record(row.items(), f"record {i}", False))
+            raise ValueError(f"{context} must be a JSON object, got {type(row).__name__}")
+        _check_columns(row, context)
+        records.append(_record(row.items(), context, False))
     return records
 
 

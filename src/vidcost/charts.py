@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 
 from .cost import OPERATORS
+from .output import _axis_value
 
 WIDTH = 900
 HEIGHT = 480
@@ -69,13 +70,10 @@ def stacked_area_svg(result) -> str:
         coords += [f"{_fmt(x_at(i))},{_fmt(y_at(base[i]))}" for i in reversed(range(n))]
         parts.append(f'<polygon points="{" ".join(coords)}" fill="{PALETTE[op]}" stroke="none"/>')
 
-    first, last = points[0], points[-1]
-    for anchor, point, x in (("start", first, x_at(0)), ("end", last, x_at(n - 1))):
-        label = point.axis_value if not isinstance(point.axis_value, tuple) \
-            else f"{point.axis_value[0]}x{point.axis_value[1]}"
+    for anchor, point, x in (("start", points[0], x_at(0)), ("end", points[-1], x_at(n - 1))):
         parts.append(
             f'<text x="{_fmt(x)}" y="{HEIGHT - MARGIN + 20}" text-anchor="{anchor}" '
-            f'font-family="sans-serif" font-size="12">{label}</text>'
+            f'font-family="sans-serif" font-size="12">{_axis_value(point.axis_value)}</text>'
         )
     parts.append(
         f'<text x="{MARGIN - 8}" y="{MARGIN}" text-anchor="end" font-family="sans-serif" '

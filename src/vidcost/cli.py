@@ -139,11 +139,13 @@ def _resolve_job(args, model) -> VideoJob:
 
 def _measured(path, use=None):
     """The records of a measurement file, or ``use`` of them; a ValueError either raises names the file."""
-    from .calibration import load_measurements
+    from .calibration import RecordError, _record_name, load_measurements
 
     try:
         records = load_measurements(path)
         return records if use is None else use(records)
+    except RecordError as exc:  # named as the reader names the record
+        raise ValueError(f"{path}: {_record_name(exc.index, Path(path).suffix == '.csv')}: {exc.reason}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -199,21 +201,20 @@ def cmd_roofline(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    from .calibration import RecordError, fit_mu
+    from .calibration import fit_mu
 
     model, hw = load_model_spec(args.model), load_hardware(args.hardware)
-    records = _measured(args.measurements)
-    # Every record is fitted against --model, whatever model it names.
-    others = [r.model_id for r in records if r.model_id != model.model_id]
-    if others:
-        print(f"warning: {len(others)} of {len(records)} records name a model other than "
-              f"{model.model_id}: {', '.join(sorted(set(others)))}", file=sys.stderr)
     cfg = args.cfg_passes if args.cfg_passes is not None else model.cfg_passes
-    try:
-        result = fit_mu(records, model.dit, model.text_encoder, model.vae, hw, cfg_passes=cfg)
-    except RecordError as exc:
-        raise ValueError(f"{args.measurements}: {exc}") from None
-    _write(args, output.calibration(result, len(records), args.format))
+
+    def fit(records):
+        # Every record is fitted against --model, whatever model it names.
+        others = [r.model_id for r in records if r.model_id != model.model_id]
+        if others:
+            print(f"warning: {len(others)} of {len(records)} records name a model other than "
+                  f"{model.model_id}: {', '.join(sorted(set(others)))}", file=sys.stderr)
+        return fit_mu(records, model.dit, model.text_encoder, model.vae, hw, cfg_passes=cfg), len(records)
+
+    _write(args, output.calibration(*_measured(args.measurements, fit), args.format))
     return 0
 
 

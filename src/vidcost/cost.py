@@ -8,36 +8,20 @@ double-precision floats derived from the compute-bound model
 
 from __future__ import annotations
 
-from operator import attrgetter
+from functools import cached_property
 
-from .specs import (
-    DiTSpec,
-    HardwareSpec,
-    ModelSpec,
-    Record,
-    TextEncoderSpec,
-    VAEDecoderSchedule,
-    VideoJob,
-    exact_div,
-)
+from .specs import DiTSpec, HardwareSpec, ModelSpec, Record, TextEncoderSpec, VAEDecoderSchedule, VideoJob, exact_div
 from .vae import decoder_flops
-
-# Operator keys, in report order. The first three are once per video; the
-# rest accumulate over all guided denoising steps.
-OPERATORS = ("text", "vae_conv", "vae_mid_attn", "self_attn", "cross_attn", "mlp", "timestep")
-
-# A breakdown's operator FLOPs as a tuple in OPERATORS order, in one C call.
-_operator_flops = attrgetter(*OPERATORS)
 
 SECONDS_PER_HOUR = 3600.0
 
 
 class FlopBreakdown(Record):
-    """Per-operator FLOPs for one generated video.
+    """Per-operator FLOPs for one generated video, one field per operator in report order.
 
     ``self_attn``, ``cross_attn``, ``mlp``, and ``timestep`` already include
     the cfg_passes * steps multiplier and ``text`` the cfg_passes one; the VAE
-    fields are once per video. ``total`` is the exact integer sum.
+    fields are once per video. ``total``, their exact integer sum, is derived.
     """
 
     text: int
@@ -47,38 +31,51 @@ class FlopBreakdown(Record):
     cross_attn: int
     mlp: int
     timestep: int
-    total: int
 
     def __init__(self, text: int, vae_conv: int, vae_mid_attn: int, self_attn: int, cross_attn: int, mlp: int,
-                 timestep: int, total: int) -> None:
-        # Hand-written rather than the generic one, as VideoJob's is: a breakdown is built per job.
+                 timestep: int) -> None:
+        # Hand-written rather than the generic one, as VideoJob's is: a breakdown is built per job,
+        # and every one has its total read, so it is summed here and not in a cached property.
         self.__dict__.update(text=text, vae_conv=vae_conv, vae_mid_attn=vae_mid_attn, self_attn=self_attn,
-                             cross_attn=cross_attn, mlp=mlp, timestep=timestep, total=total)
-        parts = text + vae_conv + vae_mid_attn + self_attn + cross_attn + mlp + timestep
-        if parts != total:
-            raise ValueError(f"total {total} != sum of operators {parts}")
+                             cross_attn=cross_attn, mlp=mlp, timestep=timestep,
+                             total=text + vae_conv + vae_mid_attn + self_attn + cross_attn + mlp + timestep)
 
     def per_operator(self) -> dict[str, int]:
-        return dict(zip(OPERATORS, _operator_flops(self)))
+        return dict(zip(OPERATORS, self._values()))
 
     def as_dict(self) -> dict[str, int]:
-        return dict(zip(self._fields, self._values()))  # the operators in OPERATORS order, then total
+        return {**self.per_operator(), "total": self.total}
+
+
+# Operator keys, in report order: FlopBreakdown's fields.
+OPERATORS = tuple(FlopBreakdown._fields)
 
 
 class CostEstimate(Record):
-    """Latency/energy prediction with per-operator shares prorated by FLOPs."""
+    """Latency/energy prediction; its per-operator shares are derived, prorated by FLOPs."""
 
     breakdown: FlopBreakdown
     latency_s: float
     energy_j: float
     energy_wh: float
-    operator_latency_s: dict[str, float]
-    operator_energy_wh: dict[str, float]
 
-    def __init__(self, breakdown: FlopBreakdown, latency_s: float, energy_j: float, energy_wh: float,
-                 operator_latency_s: dict[str, float], operator_energy_wh: dict[str, float]) -> None:
-        self.__dict__.update(breakdown=breakdown, latency_s=latency_s, energy_j=energy_j, energy_wh=energy_wh,
-                             operator_latency_s=operator_latency_s, operator_energy_wh=operator_energy_wh)
+    def __init__(self, breakdown: FlopBreakdown, latency_s: float, energy_j: float, energy_wh: float) -> None:
+        self.__dict__.update(breakdown=breakdown, latency_s=latency_s, energy_j=energy_j, energy_wh=energy_wh)
+
+    @cached_property
+    def operator_latency_s(self) -> dict[str, float]:
+        return self._prorated(self.latency_s)
+
+    @cached_property
+    def operator_energy_wh(self) -> dict[str, float]:
+        return self._prorated(self.energy_wh)
+
+    def _prorated(self, amount: float) -> dict[str, float]:
+        """``amount`` split over the operators by their share of the FLOP total."""
+        total, parts = self.breakdown.total, self.breakdown._values()
+        if (self.latency_s + self.energy_wh) * total > 1e308:  # amount * flops may overflow, though no share does
+            total, parts = 1, [flops / total for flops in parts]
+        return {op: amount * flops / total for op, flops in zip(OPERATORS, parts)}
 
 
 def latent_grid(job: VideoJob, spec: DiTSpec) -> tuple[int, int, int]:
@@ -168,8 +165,7 @@ def total_flops(
     timestep = passes * timestep_flops_per_pass(spec)
     text = text_encoder_flops(job, tspec)
     vae_conv, vae_mid_attn = decoder_flops(job, vae)
-    total = text + vae_conv + vae_mid_attn + self_attn + cross_attn + mlp + timestep
-    return FlopBreakdown(text, vae_conv, vae_mid_attn, self_attn, cross_attn, mlp, timestep, total)
+    return FlopBreakdown(text, vae_conv, vae_mid_attn, self_attn, cross_attn, mlp, timestep)
 
 
 def latency(flops: int, hw: HardwareSpec, mu: float) -> float:
@@ -188,17 +184,9 @@ def energy(latency_s: float, hw: HardwareSpec) -> tuple[float, float]:
 
 
 def cost_from_breakdown(breakdown: FlopBreakdown, hw: HardwareSpec, mu: float) -> CostEstimate:
-    """Convert a FLOP breakdown into latency/energy with prorated operator shares."""
+    """Convert a FLOP breakdown into latency/energy, whose operator shares the estimate prorates."""
     latency_s = latency(breakdown.total, hw, mu)
-    energy_j, energy_wh = energy(latency_s, hw)
-    total, parts = breakdown.total, _operator_flops(breakdown)
-    if (latency_s + energy_wh) * total > 1e308:  # latency_s * flops may overflow, though no share does
-        total, parts = 1, [flops / total for flops in parts]
-    op_latency, op_energy = {}, {}
-    for op, flops in zip(OPERATORS, parts):
-        op_latency[op] = latency_s * flops / total
-        op_energy[op] = energy_wh * flops / total
-    return CostEstimate(breakdown, latency_s, energy_j, energy_wh, op_latency, op_energy)
+    return CostEstimate(breakdown, latency_s, *energy(latency_s, hw))
 
 
 def too_large(job: VideoJob) -> str:

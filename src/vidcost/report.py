@@ -56,8 +56,11 @@ class SweepSpec(Record):
 class SweepPoint(Record):
     axis_value: object
     tokens: int
-    breakdown: FlopBreakdown
     cost: CostEstimate
+
+    @property
+    def breakdown(self) -> FlopBreakdown:
+        return self.cost.breakdown
 
 
 class SweepResult(Record):
@@ -101,7 +104,7 @@ def run_sweep(spec: SweepSpec, model: ModelSpec) -> SweepResult:
     for value in spec.values:
         job = spec.job_for(value)
         cost = estimate_cost(job, model, spec.hardware, spec.mu)
-        points.append(SweepPoint(value, token_length(job, model.dit), cost.breakdown, cost))
+        points.append(SweepPoint(value, token_length(job, model.dit), cost))
     return SweepResult(spec=spec, points=tuple(points))
 
 

@@ -19,19 +19,20 @@ MEMORY_BOUND = "memory_bound"
 
 
 class BoundClassification(Record):
-    """Roofline regime of one operator at a given token length."""
+    """Roofline regime of one operator at a given token length; the regime is derived, not a field."""
 
     operator: str
     tokens: int
     intensity: float
     threshold: int
-    regime: str
 
-    def __init__(self, operator: str, tokens: int, intensity: float, threshold: int, regime: str) -> None:
+    def __init__(self, operator: str, tokens: int, intensity: float, threshold: int) -> None:
         # Hand-written, as VideoJob's is: two are built per job.
-        self.__dict__.update(operator=operator, tokens=tokens, intensity=intensity, threshold=threshold, regime=regime)
-        if regime != (COMPUTE_BOUND if tokens > threshold else MEMORY_BOUND):
-            raise ValueError(f"regime {regime!r} inconsistent with tokens/threshold")
+        self.__dict__.update(operator=operator, tokens=tokens, intensity=intensity, threshold=threshold)
+
+    @property
+    def regime(self) -> str:
+        return COMPUTE_BOUND if self.tokens > self.threshold else MEMORY_BOUND
 
 
 def balance(hw: HardwareSpec) -> float:
@@ -73,12 +74,11 @@ def thresholds(hw: HardwareSpec) -> tuple[int, int]:
     uses the weight-dominated approximation l = s*beta, valid while activation
     traffic is small against weight traffic. Both derive from the balance
     rounded to an integer, mirroring how published threshold tables are built.
-    Every rounding is Python's ``round``, half to even: a balance of 452.5
-    gives 452 and one of 453.5 gives 454.
+    Every rounding is half to even, in integers so that no balance overflows:
+    a balance of 452.5 gives 452 and one of 453.5 gives 454.
     """
-    beta_int = round(balance(hw))
-    s = hw.scalar_bytes
-    return round(s * beta_int / 2), round(s * beta_int)
+    mlp = hw.scalar_bytes * round(balance(hw))
+    return mlp // 2 + (mlp % 4 == 3), mlp  # mlp / 2 half to even: an odd 2q + 1 rounds up when q is odd
 
 
 def mlp_threshold_exact(hw: HardwareSpec, spec: DiTSpec) -> float | None:
@@ -102,9 +102,5 @@ def classify(tokens: int, hw: HardwareSpec, spec: DiTSpec) -> list[BoundClassifi
     """Regime of the attention and feed-forward blocks at a token length."""
     attn_thr, mlp_thr = thresholds(hw)
     s = hw.scalar_bytes
-    return [
-        BoundClassification(ATTENTION, tokens, attn_intensity(tokens, s), attn_thr,
-                            COMPUTE_BOUND if tokens > attn_thr else MEMORY_BOUND),
-        BoundClassification(MLP, tokens, mlp_intensity(tokens, spec, s), mlp_thr,
-                            COMPUTE_BOUND if tokens > mlp_thr else MEMORY_BOUND),
-    ]
+    return [BoundClassification(ATTENTION, tokens, attn_intensity(tokens, s), attn_thr),
+            BoundClassification(MLP, tokens, mlp_intensity(tokens, spec, s), mlp_thr)]

@@ -307,6 +307,9 @@ class ModelDefaults(Spec):
     width: int
     frames: int
 
+    def _check(self) -> None:
+        VideoJob(self.height, self.width, self.frames, self.steps)  # rejects the geometry VideoJob rejects
+
 
 # --- the schema: field annotation -> check ---
 # Each check takes a field's name and value and returns the value to store

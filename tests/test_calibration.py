@@ -181,6 +181,15 @@ def test_fit_mu_out_of_range(wan, h100):
     assert "np.float64(" not in str(info.value)
 
 
+def test_fit_mu_negative_slope(wan, h100):
+    # Latency falling as FLOPs rise: the reciprocal slope is a negative efficiency.
+    records = synthetic_records(wan, h100, 0.5)
+    flipped = [r.replace(latency_s=s.latency_s) for r, s in zip(records, reversed(records))]
+    with pytest.raises(CalibrationRangeError, match="outside") as info:
+        fit_mu(flipped, wan.dit, wan.text_encoder, wan.vae, h100)
+    assert info.value.mu < 0
+
+
 def test_fit_mu_matches_stdlib_reference(wan, h100):
     rng = random.Random(2024)
     records, x, y = [], [], []
@@ -422,6 +431,19 @@ def test_csv_missing_required_rejected(tmp_path):
     path.write_text("model_id,height,width,frames,latency_s\ndemo,720,1280,81,410\n")
     with pytest.raises(ValueError, match="missing required"):
         load_measurements(path)
+
+
+def test_csv_empty_required_cell_is_missing(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("model_id,height,width,frames,steps,latency_s\ndemo,,1280,81,50,410\n")
+    with pytest.raises(ValueError, match=r"^row 2: missing required columns \['height'\]$"):
+        load_measurements(path)
+
+
+def test_csv_empty_file_has_no_records(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("")
+    assert load_measurements(path) == []
 
 
 def test_json_records(tmp_path):

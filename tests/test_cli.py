@@ -134,6 +134,11 @@ def test_sweep_empty_range_names_its_flags(capsys):
     assert (code, out, err) == (1, "", "error: --from 5 is above --to 1\n")
 
 
+def test_sweep_without_a_range_or_values_is_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--axis", "frames")
+    assert (code, out, err) == (1, "", "error: sweep needs --from/--to (or --values)\n")
+
+
 def test_sweep_range_above_the_point_limit_is_one_error_line(capsys):
     code, out, err = run_cli(capsys, "sweep", "--axis", "frames", "--from", "1", "--to", str(10**18))
     assert (code, out) == (1, "")
@@ -307,8 +312,31 @@ def test_calibrate_names_the_file_and_record_whose_flop_total_is_too_large(capsy
     path.write_text("\n".join(rows) + "\n")
     code, out, err = run_cli(capsys, "calibrate", "--measurements", str(path))
     assert (code, out) == (1, "")
+    # Row 3, as the reader counts: the header is row 1.
+    assert err == (f"error: {path}: row 3: job {10**160}x1280, 81 frames, 50 steps: "
+                   "its FLOP total is too large for a float latency\n")
+
+
+def test_calibrate_names_a_json_record_whose_flop_total_is_too_large_by_its_index(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    rows = [{"model_id": "wan2.1-t2v-1.3b", "height": h, "width": 1280, "frames": 81, "steps": 50,
+             "latency_s": 200} for h in (720, 10**160)]
+    path.write_text(json.dumps(rows))
+    code, out, err = run_cli(capsys, "calibrate", "--measurements", str(path))
+    assert (code, out) == (1, "")
     assert err == (f"error: {path}: record 1: job {10**160}x1280, 81 frames, 50 steps: "
                    "its FLOP total is too large for a float latency\n")
+
+
+@pytest.mark.parametrize("text", ["model_id,height,width,frames,steps,latency_s\nwan2.1-t2v-1.3b,720,1280,81,10,40\n",
+                                  "model_id,height,width,frames,steps,latency_s\n", ""],
+                         ids=["one-record", "header-only", "empty"])
+def test_calibrate_names_the_file_with_too_few_records(capsys, tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "calibrate", "--measurements", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: need at least two measurement records to fit\n"
 
 
 def test_roofline_single_row(capsys):
@@ -363,6 +391,16 @@ def test_roofline_rejects_an_overflowing_balance(capsys, tmp_path):
     code, out, err = run_cli(capsys, "roofline", "--hardware", str(path))
     assert (code, out) == (1, "")
     assert err == f"error: {path}: hardware[0].theta_peak / bandwidth must be finite, got 1e+308 / 1e-300\n"
+
+
+def test_roofline_thresholds_of_a_balance_near_the_float_limit(capsys, tmp_path):
+    # Computed in integers: s * balance / 2 as a float division would overflow.
+    path = tmp_path / "hw.json"
+    path.write_text('[{"name": "toy", "theta_peak": 1e308, "bandwidth": 1, "p_max": 700, "scalar_bytes": 4}]')
+    code, out, err = run_cli(capsys, "roofline", "--hardware", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    [row] = json.loads(out)
+    assert (row["attn_threshold"], row["mlp_threshold"]) == (2 * int(1e308), 4 * int(1e308))
 
 
 @pytest.mark.parametrize("argv, key, what", [
@@ -443,7 +481,7 @@ def test_calibrate_warns_about_other_models(capsys, tmp_path, wan, h100):
     # Records that all name --model draw no warning.
     path.write_text("\n".join(rows[:2]) + "\n" + rows[1] + "\n")
     code, _, err = run_cli(capsys, "calibrate", "--measurements", str(path))
-    assert (code, err) == (1, "error: degenerate fit: all records predict the same FLOP total\n")
+    assert (code, err) == (1, f"error: {path}: degenerate fit: all records predict the same FLOP total\n")
 
 
 def test_calibrate_missing_file(capsys, tmp_path):
@@ -707,6 +745,18 @@ def test_one_entry_file_may_be_a_bare_object_through_every_door(capsys, tmp_path
     assert (code, [row["name"] for row in json.loads(out)]) == (0, ["toy"])
     code, out, _ = run_cli(capsys, "estimate", "--hardware", "toy", "--format", "json")
     assert (code, json.loads(out)["hardware"]) == (0, "toy")
+
+
+@pytest.mark.parametrize("env", [False, True], ids=["path", "data-dir"])
+def test_defaults_entry_with_a_bad_job_shape_is_rejected_on_load(capsys, tmp_path, monkeypatch, env):
+    path = tmp_path / "model_defaults.json"
+    path.write_text(json.dumps([DEFAULTS_ENTRY, {**DEFAULTS_ENTRY, "model_id": "tiny", "height": 8}]))
+    if env:
+        monkeypatch.setenv("VIDCOST_DATA_DIR", str(tmp_path))
+    message = f"error: {path}: model defaults[1].height_px and width_px must be at least 16\n"
+    for argv in (["estimate"], ["compare"]) if env else (["compare", "--defaults", str(path)],):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", message)
 
 
 @pytest.mark.parametrize("env", [False, True], ids=["path", "data-dir"])

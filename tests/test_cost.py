@@ -237,9 +237,15 @@ def test_auxiliary_components_small(wan, h100):
     assert aux / bd.total < 0.02
 
 
-def test_breakdown_consistency_enforced(wan):
+def test_breakdown_total_is_derived():
     from vidcost import FlopBreakdown
+    from vidcost.cost import OPERATORS
 
-    with pytest.raises(ValueError):
-        FlopBreakdown(text=1, vae_conv=1, vae_mid_attn=1, self_attn=1,
-                      cross_attn=1, mlp=1, timestep=1, total=99)
+    assert OPERATORS == tuple(FlopBreakdown.__annotations__)
+    flops = (1, 2, 3, 4, 5, 6, 10**400)  # beyond any float: the total is the exact int sum
+    bd = FlopBreakdown(*flops)
+    assert type(bd.total) is int and bd.total == 10**400 + 21
+    assert bd.as_dict() == {**dict(zip(OPERATORS, flops)), "total": 10**400 + 21}
+    assert "total" not in repr(bd)
+    with pytest.raises(TypeError):
+        FlopBreakdown(*flops, total=99)

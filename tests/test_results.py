@@ -105,11 +105,7 @@ def test_result_dataclass_functions_see_the_declared_fields(index):
 @pytest.mark.parametrize("replace", [lambda result, **changes: result.replace(**changes), dataclasses.replace],
                          ids=["method", "dataclasses"])
 def test_result_replace_runs_the_constructor_checks(replace):
-    breakdown, cost, bound, measurement, _, _, _, sweep_spec = one_of_each_result()[:8]
-    with pytest.raises(ValueError, match="^total 1 != sum of operators"):
-        replace(breakdown, total=1)
-    with pytest.raises(ValueError, match="inconsistent with tokens/threshold"):
-        replace(bound, regime="memory_bound" if bound.regime == "compute_bound" else "compute_bound")
+    _, cost, _, measurement, _, _, _, sweep_spec = one_of_each_result()[:8]
     with pytest.raises(ValueError, match="^latency_s must be positive$"):
         replace(measurement, latency_s=-1.0)
     with pytest.raises(ValueError, match=r"^mu must be in \(0, 1\]$"):
@@ -117,6 +113,40 @@ def test_result_replace_runs_the_constructor_checks(replace):
     changed = replace(cost, latency_s=1.0)
     assert (changed.latency_s, changed.breakdown) == (1.0, cost.breakdown)
     assert replace(sweep_spec, values=[3, 4]).values == (3, 4)
+
+
+@pytest.mark.parametrize("replace", [lambda result, **changes: result.replace(**changes), dataclasses.replace],
+                         ids=["method", "dataclasses"])
+def test_result_replace_recomputes_every_derived_value(replace):
+    breakdown, cost, bound, *_ = one_of_each_result()
+    point, other = one_of_each_result()[8], one_of_each_result()[1].replace(latency_s=2.0)
+    assert sum(cost.operator_latency_s.values()) == pytest.approx(cost.latency_s, rel=1e-12)  # cached first
+    changed = replace(cost, latency_s=1.0, energy_wh=3.0)
+    for op, flops in breakdown.per_operator().items():
+        assert changed.operator_latency_s[op] == 1.0 * flops / breakdown.total
+        assert changed.operator_energy_wh[op] == 3.0 * flops / breakdown.total
+    assert sum(changed.operator_latency_s.values()) == pytest.approx(1.0, rel=1e-12)
+    assert sum(changed.operator_energy_wh.values()) == pytest.approx(3.0, rel=1e-12)
+    more = replace(breakdown, text=breakdown.text + 10**30)
+    assert more.total == breakdown.total + 10**30 == sum(more.per_operator().values())
+    assert replace(bound, tokens=bound.threshold).regime == "memory_bound"
+    assert replace(bound, tokens=bound.threshold + 1).regime == "compute_bound"
+    assert replace(bound, threshold=bound.tokens).regime == "memory_bound"
+    moved = replace(point, cost=other)
+    assert moved.breakdown is moved.cost.breakdown is other.breakdown
+
+
+# Index in one_of_each_result -> the values that type derives from its fields.
+DERIVED = {0: ("total",), 1: ("operator_latency_s", "operator_energy_wh"), 2: ("regime",), 8: ("breakdown",)}
+
+
+@pytest.mark.parametrize("index", list(DERIVED), ids=[RESULT_IDS[i] for i in DERIVED])
+def test_derived_values_are_not_fields(index):
+    result = one_of_each_result()[index]
+    for name in DERIVED[index]:
+        getattr(result, name)  # computed, and for the share dicts cached in __dict__
+        assert name not in result._fields and name not in dataclasses.asdict(result)  # so not in repr or ==
+    assert hash(result) == hash(one_of_each_result()[index])
 
 
 def test_a_subclass_adding_a_field_has_its_own_dataclass_fields():

@@ -128,12 +128,23 @@ def test_classify_examples(wan, h100):
     assert mid[0].intensity == pytest.approx(400.0)
 
 
-def test_classification_invariant_enforced():
+def test_classification_regime_is_derived():
     from vidcost import BoundClassification
 
-    with pytest.raises(ValueError):
-        BoundClassification(operator="mlp", tokens=10, intensity=1.0,
-                            threshold=100, regime="compute_bound")
+    below = BoundClassification(operator="mlp", tokens=10, intensity=1.0, threshold=100)
+    assert below.regime == "memory_bound" and "regime" not in repr(below)
+    assert below.replace(tokens=100).regime == "memory_bound"  # at the threshold
+    assert below.replace(tokens=101).regime == "compute_bound"
+    with pytest.raises(TypeError):
+        BoundClassification(operator="mlp", tokens=10, intensity=1.0, threshold=100, regime="compute_bound")
+
+
+@pytest.mark.parametrize("s", [1, 2, 4])
+def test_thresholds_in_integers_round_as_the_float_formula(s):
+    # round(s * beta / 2) with float division, where that does not overflow.
+    for beta in [*range(1, 2000), 2**52 - 1, 2**52 + 2, 2**60, int(1e300)]:
+        hw = toy_hw(theta=float(beta), bw=1.0, s=s)
+        assert thresholds(hw) == (round(s * beta / 2), s * beta)
 
 
 def test_exact_mlp_threshold(wan, h100):

@@ -237,6 +237,11 @@ def test_model_spec_from_file_and_env(tmp_path, wan, monkeypatch):
     assert load_model_spec("wan2.1-t2v-1.3b").cfg_passes == 1
 
 
+def test_model_spec_cfg_passes_must_be_1_or_2(wan):
+    with pytest.raises(ValueError, match="^cfg_passes must be 1 or 2, got 3$"):
+        wan.replace(cfg_passes=3)
+
+
 def test_model_spec_unknown_name():
     with pytest.raises(FileNotFoundError):
         load_model_spec("no-such-model")
