@@ -17,9 +17,8 @@ __version__ = "0.1.0"
 # Public name -> the module that defines it: the one list of the package's exports.
 _EXPORTS = {name: module for module, names in {
     "calibration": (
-        "CalibrationRangeError", "CalibrationResult", "MeasurementRecord", "PointError",
-        "ValidationReport", "fit_mu", "load_bundled_measurements", "load_measurements",
-        "mean_percentage_error", "read_measurements_csv", "read_measurements_json", "validate",
+        "CalibrationRangeError", "CalibrationResult", "MeasurementRecord", "PointError", "ValidationReport", "fit_mu",
+        "load_bundled_measurements", "load_measurements", "read_measurements_csv", "read_measurements_json", "validate",
     ),
     "cost": (
         "OPERATORS", "CostEstimate", "FlopBreakdown", "cost_from_breakdown", "cross_attention_flops",

@@ -1,4 +1,4 @@
-"""Efficiency calibration from measured runs, plus prediction-error metrics.
+"""Efficiency calibration from measured runs, and the errors of its predictions.
 
 The sustained-over-peak efficiency ``mu`` comes from an ordinary least squares
 fit of measured latency against FLOPs-at-peak (flops / theta_peak), with an
@@ -119,11 +119,17 @@ class PointError(Record):
 
 
 class ValidationReport(Record):
-    """Per-record and mean absolute percentage errors of predictions."""
+    """Per-record absolute percentage errors of predictions; their means are derived."""
 
-    mpe_latency_pct: float
-    mpe_energy_pct: float
     per_point_errors: tuple[PointError, ...]
+
+    @property
+    def mpe_latency_pct(self) -> float:
+        return math.fsum(p.latency_pct for p in self.per_point_errors) / len(self.per_point_errors)
+
+    @property
+    def mpe_energy_pct(self) -> float:
+        return math.fsum(p.energy_pct for p in self.per_point_errors) / len(self.per_point_errors)
 
 
 def _predicted_flops(
@@ -173,28 +179,17 @@ def fit_mu(
     dx = [v - x_mean for v in x]
     dy = [v - y_mean for v in y]
     sxx = math.fsum(d * d for d in dx)
+    if not 0.0 < sxx < math.inf:  # distinct totals whose spread at theta_peak under- or overflows
+        raise ValueError(f"degenerate fit: the squared spread of flops / theta_peak is {sxx}, not positive and finite")
     sxy = math.fsum(a * b for a, b in zip(dx, dy))
     slope = sxy / sxx
-    if slope <= 0:
-        raise CalibrationRangeError(math.inf if slope == 0 else 1.0 / slope)
-    mu = 1.0 / slope
-    if mu > 1.0:
+    mu = 1.0 / slope if slope else math.inf
+    if not 0.0 < mu <= 1.0:  # also a nan or infinite slope
         raise CalibrationRangeError(mu)
     # slope > 0 implies sxy > 0, hence syy > 0. Exactly collinear points can
     # round to 1 + 2**-52; the clamp keeps r^2 within [0, 1].
     r_squared = min(1.0, sxy * sxy / (sxx * math.fsum(d * d for d in dy)))
     return CalibrationResult(mu=mu, intercept_s=y_mean - slope * x_mean, r_squared=r_squared)
-
-
-def mean_percentage_error(predicted: list[float], measured: list[float]) -> float:
-    """Mean absolute percentage error, in percent, of predicted vs measured."""
-    if len(predicted) != len(measured):
-        raise ValueError("predicted and measured must have equal lengths")
-    if not measured:
-        raise ValueError("need at least one point")
-    if any(m <= 0 for m in measured):
-        raise ValueError("measured values must be positive")
-    return 100.0 / len(measured) * sum(abs(p - m) / m for p, m in zip(predicted, measured))
 
 
 def validate(
@@ -221,11 +216,7 @@ def validate(
             latency_pct=100.0 * abs(p_lat - m_lat) / m_lat,
             energy_pct=100.0 * abs(p_wh - m_wh) / m_wh,
         ))
-    return ValidationReport(
-        mpe_latency_pct=math.fsum(p.latency_pct for p in points) / len(points),
-        mpe_energy_pct=math.fsum(p.energy_pct for p in points) / len(points),
-        per_point_errors=tuple(points),
-    )
+    return ValidationReport(tuple(points))
 
 
 # --- ingestion ---
@@ -273,8 +264,8 @@ def _record(pairs, context: str, text: bool) -> MeasurementRecord:
             missing = [c for c in _REQUIRED if COLUMNS[c][0] not in values]
             raise ValueError(f"missing required columns {missing}")
         return MeasurementRecord(**values)
-    except (ValueError, OverflowError) as exc:
-        raise ValueError(f"{context}: {exc}") from exc
+    except (ValueError, OverflowError) as exc:  # named by the file's columns, not the record's height_px and width_px
+        raise ValueError(f"{context}: {str(exc).replace('_px', '')}") from exc
 
 
 def read_measurements_csv(source) -> list[MeasurementRecord]:

@@ -8,6 +8,7 @@ double-precision floats derived from the compute-bound model
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 from .specs import DiTSpec, HardwareSpec, ModelSpec, Record, TextEncoderSpec, VAEDecoderSchedule, VideoJob, exact_div
@@ -169,10 +170,14 @@ def total_flops(
 
 
 def latency(flops: int, hw: HardwareSpec, mu: float) -> float:
-    """Predicted seconds under the compute-bound model: flops / (mu * theta_peak)."""
+    """Predicted seconds under the compute-bound model: flops / (mu * theta_peak). A latency, or an
+    energy at ``hw.p_max``, beyond the float range is a ValueError naming ``hw`` and ``mu``."""
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"mu must be in (0, 1], got {mu}")
-    return flops / (mu * hw.theta_peak)
+    seconds = flops / (mu * hw.theta_peak or math.nan)  # a rate that underflowed to 0 gives nan, rejected below
+    if not seconds * hw.p_max < math.inf:  # as p_max is positive, this also holds the latency finite
+        raise ValueError(f"hardware {hw.name!r} at mu {mu}: {flops:.4g} FLOPs give a latency or energy no float holds")
+    return seconds
 
 
 def energy(latency_s: float, hw: HardwareSpec) -> tuple[float, float]:

@@ -80,22 +80,32 @@ class SweepResult(Record):
 
 
 class ComparisonRow(Record):
+    """One model's measured latency and energy; the total and each part's share of it are derived."""
+
     model_id: str
     latency_s: float
     gpu_wh: float
     cpu_wh: float
     ram_wh: float
-    total_wh: float
-    gpu_share: float
-    cpu_share: float
-    ram_share: float
+
+    total_wh = property(lambda self: self.gpu_wh + self.cpu_wh + self.ram_wh)
+    gpu_share = property(lambda self: self.gpu_wh / self.total_wh)
+    cpu_share = property(lambda self: self.cpu_wh / self.total_wh)
+    ram_share = property(lambda self: self.ram_wh / self.total_wh)
 
 
 class ComparisonReport(Record):
     """Cross-model energy/latency table, sorted by total energy, descending."""
 
     rows: tuple[ComparisonRow, ...]
-    ratios: dict[tuple[str, str], float]
+
+    @property
+    def ratios(self) -> dict[tuple[str, str], float]:
+        """The first row's total energy over the last row's, keyed by their model ids; empty for fewer than two rows."""
+        if len(self.rows) < 2:
+            return {}
+        top, bottom = self.rows[0], self.rows[-1]
+        return {(top.model_id, bottom.model_id): top.total_wh / bottom.total_wh}
 
 
 def run_sweep(spec: SweepSpec, model: ModelSpec) -> SweepResult:
@@ -112,12 +122,8 @@ def compare_models(
     defaults: list[ModelDefaults],
     measurements: list[MeasurementRecord],
 ) -> ComparisonReport:
-    """Build the cross-model comparison from measured energy records.
-
-    Every measurement must match a defaults entry by model_id. Total energy
-    sums the GPU, CPU, and RAM components; the ratios map holds the
-    largest-to-smallest total-energy pair.
-    """
+    """Build the cross-model comparison from measured energy records, each of
+    which must match a defaults entry by model_id."""
     by_id = {d.model_id: d for d in defaults}
     rows = []
     for record in measurements:
@@ -125,15 +131,8 @@ def compare_models(
             raise ValueError(f"measurement for unknown model_id {record.model_id!r}")
         if record.latency_s is None or record.gpu_wh is None:
             raise ValueError(f"comparison needs latency_s and gpu_wh for {record.model_id!r}")
-        total = record.gpu_wh + record.cpu_wh + record.ram_wh
-        parts = (record.gpu_wh, record.cpu_wh, record.ram_wh)
-        rows.append(ComparisonRow(record.model_id, record.latency_s, *parts, total, *(p / total for p in parts)))
-    rows.sort(key=lambda r: (-r.total_wh, r.model_id))
-    ratios = {}
-    if len(rows) > 1:
-        top, bottom = rows[0], rows[-1]
-        ratios[(top.model_id, bottom.model_id)] = top.total_wh / bottom.total_wh
-    return ComparisonReport(rows=tuple(rows), ratios=ratios)
+        rows.append(ComparisonRow(record.model_id, record.latency_s, record.gpu_wh, record.cpu_wh, record.ram_wh))
+    return ComparisonReport(tuple(sorted(rows, key=lambda r: (-r.total_wh, r.model_id))))
 
 
 def emit(report: SweepResult | ComparisonReport, format: str) -> bytes:

@@ -42,7 +42,8 @@ def balance(hw: HardwareSpec) -> float:
 
 def balance_consistent(hw: HardwareSpec) -> bool:
     """Whether the published ``reference_balance``, if any, is within 1 of ``balance(hw)``."""
-    return hw.reference_balance is None or abs(hw.reference_balance - balance(hw)) <= 1
+    beta = balance(hw)  # compared to the int, not subtracted from it: a comparison is exact and never overflows
+    return hw.reference_balance is None or beta - 1 <= hw.reference_balance <= beta + 1
 
 
 def attn_intensity(tokens: int, scalar_bytes: int) -> float:

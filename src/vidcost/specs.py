@@ -308,7 +308,10 @@ class ModelDefaults(Spec):
     frames: int
 
     def _check(self) -> None:
-        VideoJob(self.height, self.width, self.frames, self.steps)  # rejects the geometry VideoJob rejects
+        try:
+            VideoJob(self.height, self.width, self.frames, self.steps)  # rejects the geometry VideoJob rejects
+        except ValueError as exc:  # named by this entry's keys, not VideoJob's height_px and width_px
+            raise ValueError(str(exc).replace("_px", "")) from None
 
 
 # --- the schema: field annotation -> check ---

@@ -99,6 +99,13 @@ def total_oracle(job, dit, tspec, schedule):
     return once + job.cfg_passes * job.steps * per_step
 
 
+def mape_oracle(predicted, measured):
+    """Mean absolute percentage error, in percent, of predicted vs measured: a plain
+    left-to-right sum, where ``ValidationReport`` takes ``math.fsum`` of its point errors."""
+    assert len(predicted) == len(measured) > 0 and all(m > 0 for m in measured)
+    return 100.0 / len(measured) * sum(abs(p - m) / m for p, m in zip(predicted, measured))
+
+
 def random_dit(rng: random.Random) -> DiTSpec:
     return DiTSpec(
         layers=rng.randint(1, 8),

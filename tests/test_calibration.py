@@ -12,6 +12,7 @@ import statistics
 import numpy as np
 import pytest
 
+from oracles import mape_oracle
 from vidcost import calibration
 from vidcost import (
     CalibrationRangeError,
@@ -21,7 +22,6 @@ from vidcost import (
     load_bundled_measurements,
     load_model_spec,
     load_measurements,
-    mean_percentage_error,
     read_measurements_csv,
     total_flops,
     validate,
@@ -106,33 +106,6 @@ def test_a_flop_total_too_large_for_a_float_names_the_record(wan, h100, call):
             validate(records, 0.5, wan.dit, wan.text_encoder, wan.vae, h100)
 
 
-def test_mpe_examples():
-    assert mean_percentage_error([110.0], [100.0]) == pytest.approx(10.0)
-    assert mean_percentage_error([5.0, 7.0], [5.0, 7.0]) == 0.0
-    assert mean_percentage_error([90.0, 120.0], [100.0, 100.0]) == pytest.approx(15.0)
-
-
-def test_mpe_errors():
-    with pytest.raises(ValueError):
-        mean_percentage_error([1.0, 2.0], [1.0])
-    with pytest.raises(ValueError):
-        mean_percentage_error([], [])
-    with pytest.raises(ValueError):
-        mean_percentage_error([1.0], [0.0])
-
-
-def test_mpe_invariances():
-    rng = np.random.default_rng(7)
-    pred = list(rng.uniform(50, 150, size=12))
-    meas = list(rng.uniform(50, 150, size=12))
-    base = mean_percentage_error(pred, meas)
-    order = rng.permutation(12)
-    assert mean_percentage_error([pred[i] for i in order], [meas[i] for i in order]) \
-        == pytest.approx(base, rel=1e-12)
-    assert mean_percentage_error([3.5 * p for p in pred], [3.5 * m for m in meas]) \
-        == pytest.approx(base, rel=1e-12)
-
-
 @pytest.mark.parametrize("mu", [0.3, 0.456, 0.9])
 def test_fit_mu_noiseless(wan, h100, mu):
     records = synthetic_records(wan, h100, mu)
@@ -166,6 +139,10 @@ def test_fit_mu_preconditions(wan, h100):
     same = [records[0], records[0]]
     with pytest.raises(ValueError, match="degenerate"):
         fit_mu(same, wan.dit, wan.text_encoder, wan.vae, h100)
+    # Distinct totals whose squared spread at theta_peak underflows to 0, or is nan as every x is inf.
+    for hw in (h100.replace(theta_peak=1.7e308, bandwidth=1e300), h100.replace(theta_peak=5e-324)):
+        with pytest.raises(ValueError, match="^degenerate fit: "):
+            fit_mu(records, wan.dit, wan.text_encoder, wan.vae, hw)
 
 
 def test_fit_mu_out_of_range(wan, h100):
@@ -514,10 +491,10 @@ def test_validate_mpe_is_the_mean_of_the_point_errors(wan, h100):
         pred = [total_flops(r.job(), wan.dit, wan.text_encoder, wan.vae).total / (0.456 * h100.theta_peak)
                 for r in records]
         meas = [r.resolved_latency(h100) for r in records]
-        assert report.mpe_latency_pct == pytest.approx(mean_percentage_error(pred, meas), rel=1e-12, abs=0)
+        assert report.mpe_latency_pct == pytest.approx(mape_oracle(pred, meas), rel=1e-12, abs=0)
         pred_wh = [h100.p_max * p / 3600.0 for p in pred]
         meas_wh = [r.resolved_gpu_wh(h100) for r in records]
-        assert report.mpe_energy_pct == pytest.approx(mean_percentage_error(pred_wh, meas_wh), rel=1e-12, abs=0)
+        assert report.mpe_energy_pct == pytest.approx(mape_oracle(pred_wh, meas_wh), rel=1e-12, abs=0)
 
 
 def test_csv_and_json_read_the_same_records(tmp_path):

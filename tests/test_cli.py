@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -607,8 +608,8 @@ def test_compare_incomplete_record_error_names_the_file(capsys, tmp_path):
 
 @pytest.mark.parametrize("suffix", [".csv", ".json"])
 @pytest.mark.parametrize("field, value, message", [
-    ("height", 8, "height_px and width_px must be at least 16"),
-    ("width", 15, "height_px and width_px must be at least 16"),
+    ("height", 8, "height and width must be at least 16"),
+    ("width", 15, "height and width must be at least 16"),
     ("frames", 0, "frames must be at least 1"),
     ("steps", 0, "steps must be at least 1"),
 ])
@@ -753,7 +754,7 @@ def test_defaults_entry_with_a_bad_job_shape_is_rejected_on_load(capsys, tmp_pat
     path.write_text(json.dumps([DEFAULTS_ENTRY, {**DEFAULTS_ENTRY, "model_id": "tiny", "height": 8}]))
     if env:
         monkeypatch.setenv("VIDCOST_DATA_DIR", str(tmp_path))
-    message = f"error: {path}: model defaults[1].height_px and width_px must be at least 16\n"
+    message = f"error: {path}: model defaults[1].height and width must be at least 16\n"
     for argv in (["estimate"], ["compare"]) if env else (["compare", "--defaults", str(path)],):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (1, "", message)
@@ -788,3 +789,42 @@ def test_roofline_lists_every_entry_of_a_hardware_file(capsys, tmp_path):
                  ["calibrate", "--measurements", str(Path(__file__).with_name("golden") / "input-calibrate.csv")]):
         code, out, err = run_cli(capsys, *argv, "--hardware", str(path))
         assert (code, out, err) == (1, "", message)
+
+
+HUGE_ENERGY_CSV = "model_id,height,width,frames,steps,gpu_wh\nm,480,832,81,50,1e308\nm,720,1280,81,50,78.8\n"
+# Inputs at the edges of the float range, each with (values over HW_ENTRY, measurement CSV text or None for the
+# bundled one, argv, exit code, text the error or output holds); "{hw}" and "{m}" in argv are those files.
+EDGE_CASES = {
+    "estimate-mu-5e-324": ({}, None, "estimate --mu 5e-324 --format json", 1, "hardware 'h100' at mu 5e-324: "),
+    "sweep-mu-1e-310": ({}, None, "sweep --axis steps --from 1 --to 3 --mu 1e-310 --format csv", 1,
+                        "hardware 'h100' at mu 1e-310: "),
+    "estimate-theta-5e-324": ({"theta_peak": 5e-324}, None, "estimate --hardware {hw} --format json", 1,
+                              "hardware 'toy' at mu 0.456: "),
+    "sweep-theta-5e-324": ({"theta_peak": 5e-324}, None, "sweep --axis steps --from 1 --to 3 --hardware {hw}", 1,
+                           "hardware 'toy' at mu 0.456: "),
+    "estimate-theta-1e-308": ({"theta_peak": 1e-308}, None, "estimate --hardware {hw} --format json", 1,
+                              "hardware 'toy' at mu 0.456: "),
+    "calibrate-theta-1.7e308": ({"theta_peak": 1.7e308, "bandwidth": 1e300}, None,
+                                "calibrate --measurements {m} --hardware {hw} --format json", 1, ": degenerate fit: "),
+    "calibrate-theta-5e-324": ({"theta_peak": 5e-324}, None,
+                               "calibrate --measurements {m} --hardware {hw} --format json", 1, ": degenerate fit: "),
+    "calibrate-gpu-wh-1e308": ({}, HUGE_ENERGY_CSV, "calibrate --measurements {m} --hardware {hw} --format json", 1,
+                               ": fitted efficiency nan outside (0, 1]"),
+    "roofline-reference-balance-10**400": ({"reference_balance": 10**400}, None,
+                                           "roofline --hardware {hw} --format json", 0, '"consistent": false'),
+}
+
+
+@pytest.mark.parametrize("case", list(EDGE_CASES))
+def test_float_range_edges_give_an_error_line_or_finite_output(capsys, tmp_path, case):
+    hardware, measurements, argv, want_code, want_text = EDGE_CASES[case]
+    files = {"{hw}": tmp_path / "hw.json", "{m}": tmp_path / "m.csv"}
+    files["{hw}"].write_text(json.dumps([{**HW_ENTRY, **hardware}]))
+    files["{m}"].write_text(measurements or BUNDLED_SPEC.with_name("benchmark_measurements.csv").read_text())
+    code, out, err = run_cli(capsys, *(str(files.get(arg, arg)) for arg in argv.split()))
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code:
+        assert err.splitlines()[-1].startswith("error:")
+    else:
+        assert not re.search(r"\b(?:nan|inf|infinity)\b", out, re.IGNORECASE)
+    assert (code, want_text in (err if code else out)) == (want_code, True)

@@ -190,6 +190,18 @@ def test_latency_examples(h100):
         latency(total, h100, 1.5)
 
 
+@pytest.mark.parametrize("theta_peak, p_max, mu", [
+    (5e-324, 700.0, 0.456),  # mu * theta_peak underflows to 0
+    (1e-308, 700.0, 0.456),  # the latency overflows
+    (989e12, 700.0, 5e-324),
+    (989e12, 1e307, 0.456),  # the latency is finite, its energy is not
+])
+def test_latency_beyond_the_float_range_names_the_hardware_and_mu(h100, theta_peak, p_max, mu):
+    hw = h100.replace(theta_peak=theta_peak, p_max=p_max)
+    with pytest.raises(ValueError, match=f"^hardware 'h100' at mu {mu}: .* no float holds$"):
+        latency(TOTAL_DEFAULT, hw, mu)
+
+
 def test_energy_examples(h100):
     assert energy(0.0, h100) == (0.0, 0.0)
     joules, wh = energy(410.0, h100)

@@ -9,7 +9,10 @@ import pickle
 import pytest
 
 from vidcost import (
+    ComparisonReport,
+    ComparisonRow,
     SweepSpec,
+    ValidationReport,
     VideoJob,
     classify,
     compare_models,
@@ -134,10 +137,24 @@ def test_result_replace_recomputes_every_derived_value(replace):
     assert replace(bound, threshold=bound.tokens).regime == "memory_bound"
     moved = replace(point, cost=other)
     assert moved.breakdown is moved.cost.breakdown is other.breakdown
+    report, *_, row, comparison = one_of_each_result()[6:]
+    doubled = replace(row, gpu_wh=2 * row.gpu_wh)  # the total and shares follow the new GPU energy
+    assert doubled.total_wh == doubled.gpu_wh + doubled.cpu_wh + doubled.ram_wh > row.total_wh
+    assert [doubled.gpu_share, doubled.cpu_share, doubled.ram_share] == [
+        part / doubled.total_wh for part in (doubled.gpu_wh, doubled.cpu_wh, doubled.ram_wh)]
+    first, *_, last = comparison.rows
+    ratio = last.total_wh / first.total_wh  # of the first row to the last, whatever their order
+    assert replace(comparison, rows=(last, first)).ratios == {(last.model_id, first.model_id): ratio}
+    assert replace(comparison, rows=(first,)).ratios == {}
+    one = replace(report, per_point_errors=report.per_point_errors[1:])
+    assert (one.mpe_latency_pct, one.mpe_energy_pct) == (one.per_point_errors[0].latency_pct,
+                                                         one.per_point_errors[0].energy_pct)
 
 
 # Index in one_of_each_result -> the values that type derives from its fields.
-DERIVED = {0: ("total",), 1: ("operator_latency_s", "operator_energy_wh"), 2: ("regime",), 8: ("breakdown",)}
+DERIVED = {0: ("total",), 1: ("operator_latency_s", "operator_energy_wh"), 2: ("regime",),
+           6: ("mpe_latency_pct", "mpe_energy_pct"), 8: ("breakdown",),
+           10: ("total_wh", "gpu_share", "cpu_share", "ram_share"), 11: ("ratios",)}
 
 
 @pytest.mark.parametrize("index", list(DERIVED), ids=[RESULT_IDS[i] for i in DERIVED])
@@ -147,6 +164,12 @@ def test_derived_values_are_not_fields(index):
         getattr(result, name)  # computed, and for the share dicts cached in __dict__
         assert name not in result._fields and name not in dataclasses.asdict(result)  # so not in repr or ==
     assert hash(result) == hash(one_of_each_result()[index])
+
+
+def test_report_records_store_only_their_inputs():
+    assert tuple(ComparisonRow._fields) == ("model_id", "latency_s", "gpu_wh", "cpu_wh", "ram_wh")
+    assert tuple(ComparisonReport._fields) == ("rows",)
+    assert tuple(ValidationReport._fields) == ("per_point_errors",)
 
 
 def test_a_subclass_adding_a_field_has_its_own_dataclass_fields():

@@ -86,7 +86,7 @@ def test_thresholds_against_reference_values():
 
 def test_balance_consistent_within_one_of_the_reference():
     assert balance_consistent(toy_hw(theta=400e12))  # no reference_balance
-    for reference, consistent in ((399, True), (401, True), (398, False), (402, False)):
+    for reference, consistent in ((399, True), (401, True), (398, False), (402, False), (10**400, False)):
         hw = toy_hw(theta=400e12).replace(reference_balance=reference)
         assert balance_consistent(hw) is consistent, reference
 
