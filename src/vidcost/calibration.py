@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from operator import attrgetter
+from operator import attrgetter, mul
 from pathlib import Path
 
 from .cost import SECONDS_PER_HOUR, energy, latency, too_large, total_flops
@@ -30,11 +30,11 @@ COLUMNS = {
     "cpu_wh": ("cpu_wh", float), "ram_wh": ("ram_wh", float),
 }
 _REQUIRED = tuple(COLUMNS)[:5]
-_REQUIRED_FIELDS = frozenset(COLUMNS[c][0] for c in _REQUIRED)
 _TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
 # A record's number fields, and their values as a tuple in one C call.
 _NUMBERS = tuple(field for field, kind in COLUMNS.values() if kind is not str)
 _number_values = attrgetter(*_NUMBERS)
+_MAX = math.nextafter(math.inf, 0.0)  # the largest float
 
 
 class MeasurementRecord(Record):
@@ -56,6 +56,24 @@ class MeasurementRecord(Record):
     cpu_wh: float = 0.0
     ram_wh: float = 0.0
 
+    def __init__(self, model_id, height_px, width_px, frames, steps, latency_s=None, latency_std_s=0.0,
+                 gpu_wh=None, gpu_wh_std=0.0, cpu_wh=0.0, ram_wh=0.0) -> None:  # hand-written, as VideoJob's is
+        values = self.__dict__  # filled a field at a time, so that records share one key table: half the memory
+        values["model_id"], values["height_px"], values["width_px"] = model_id, height_px, width_px
+        values["frames"], values["steps"], values["latency_s"] = frames, steps, latency_s
+        values["latency_std_s"], values["gpu_wh"], values["gpu_wh_std"] = latency_std_s, gpu_wh, gpu_wh_std
+        values["cpu_wh"], values["ram_wh"] = cpu_wh, ram_wh
+        try:  # One pass accepts a plain record: every number in [0, max] (so not nan), a positive measure given.
+            plain = (0 <= height_px <= _MAX and 0 <= width_px <= _MAX and 0 <= frames <= _MAX and 0 <= steps <= _MAX
+                     and 0.0 <= latency_std_s <= _MAX and 0.0 <= gpu_wh_std <= _MAX and 0.0 <= cpu_wh <= _MAX
+                     and 0.0 <= ram_wh <= _MAX and (gpu_wh is None or 0.0 < gpu_wh <= _MAX)
+                     and (0.0 < latency_s <= _MAX if latency_s is not None else gpu_wh is not None))
+        except TypeError:  # a None or a string where a number belongs
+            plain = False
+        if not plain:
+            self._check()  # words the rejection; it passes a few records, such as one with a None cpu_wh
+        values["_job"] = VideoJob(height_px, width_px, frames, steps)  # kept, not a field, as the FLOP total is
+
     def _check(self) -> None:
         numbers = _number_values(self)
         for name, value in zip(_NUMBERS, numbers):
@@ -67,10 +85,9 @@ class MeasurementRecord(Record):
         self.job()  # rejects the geometry VideoJob rejects, with its message
         if self.latency_s is None and self.gpu_wh is None:
             raise ValueError("record needs latency_s or gpu_wh")
-        if self.latency_s is not None and self.latency_s <= 0:
-            raise ValueError("latency_s must be positive")
-        if self.gpu_wh is not None and self.gpu_wh <= 0:
-            raise ValueError("gpu_wh must be positive")
+        for name in ("latency_s", "gpu_wh"):
+            if vars(self)[name] is not None and vars(self)[name] <= 0:
+                raise ValueError(f"{name} must be positive")
         for name, value in zip(_NUMBERS, numbers):
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -100,7 +117,7 @@ class CalibrationRangeError(ValueError):
 
 
 def _record_name(index: int, in_csv: bool) -> str:
-    """How errors name the record at ``index`` of a file: its CSV row (the header is row 1) or its JSON index."""
+    """How errors name the record at ``index`` of a file: its CSV row (the header, -1, is row 1) or its JSON index."""
     return f"row {index + 2}" if in_csv else f"record {index}"
 
 
@@ -116,6 +133,9 @@ class PointError(Record):
     record_id: str
     latency_pct: float
     energy_pct: float
+
+    def __init__(self, record_id: str, latency_pct: float, energy_pct: float) -> None:  # one per record, as VideoJob's
+        self.__dict__.update(record_id=record_id, latency_pct=latency_pct, energy_pct=energy_pct)
 
 
 class ValidationReport(Record):
@@ -144,7 +164,7 @@ def _predicted_flops(
     key = (spec, tspec, vae, cfg_passes, type(cfg_passes))
     for i, r in enumerate(records):
         if r.__dict__.get("_flops", (None,))[0] != key:
-            job = r.job(cfg_passes)
+            job = r._job if cfg_passes == 2 and type(cfg_passes) is int else r.job(cfg_passes)  # the record's own
             flops = total_flops(job, spec, tspec, vae).total
             try:
                 float(flops)  # as fit_mu and validate divide it by a float
@@ -178,17 +198,17 @@ def fit_mu(
     y_mean = math.fsum(y) / len(y)
     dx = [v - x_mean for v in x]
     dy = [v - y_mean for v in y]
-    sxx = math.fsum(d * d for d in dx)
+    sxx = math.fsum(map(mul, dx, dx))
     if not 0.0 < sxx < math.inf:  # distinct totals whose spread at theta_peak under- or overflows
         raise ValueError(f"degenerate fit: the squared spread of flops / theta_peak is {sxx}, not positive and finite")
-    sxy = math.fsum(a * b for a, b in zip(dx, dy))
+    sxy = math.fsum(map(mul, dx, dy))
     slope = sxy / sxx
     mu = 1.0 / slope if slope else math.inf
     if not 0.0 < mu <= 1.0:  # also a nan or infinite slope
         raise CalibrationRangeError(mu)
     # slope > 0 implies sxy > 0, hence syy > 0. Exactly collinear points can
     # round to 1 + 2**-52; the clamp keeps r^2 within [0, 1].
-    r_squared = min(1.0, sxy * sxy / (sxx * math.fsum(d * d for d in dy)))
+    r_squared = min(1.0, sxy * sxy / (sxx * math.fsum(map(mul, dy, dy))))
     return CalibrationResult(mu=mu, intercept_s=y_mean - slope * x_mean, r_squared=r_squared)
 
 
@@ -211,11 +231,8 @@ def validate(
         p_wh = energy(p_lat, hw)[1]
         m_lat = record.resolved_latency(hw)
         m_wh = record.resolved_gpu_wh(hw)
-        points.append(PointError(
-            record_id=f"{record.model_id}#{i}",
-            latency_pct=100.0 * abs(p_lat - m_lat) / m_lat,
-            energy_pct=100.0 * abs(p_wh - m_wh) / m_wh,
-        ))
+        points.append(PointError(f"{record.model_id}#{i}", 100.0 * abs(p_lat - m_lat) / m_lat,
+                                 100.0 * abs(p_wh - m_wh) / m_wh))
     return ValidationReport(tuple(points))
 
 
@@ -229,28 +246,27 @@ def _is_of_type(value, kind: type) -> bool:
     return type(value) is int or type(value) is float and (kind is float or value.is_integer())
 
 
-def _check_columns(columns, context: str) -> None:
-    """Reject a column set with a column not in COLUMNS or without a required one."""
-    unknown = set(columns).difference(COLUMNS)
-    if unknown:
-        raise ValueError(f"{context}: unknown columns {sorted(unknown)}")
-    missing = [c for c in _REQUIRED if c not in columns]
-    if missing:
-        raise ValueError(f"{context}: missing required columns {missing}")
+def _resolve(columns, index: int, in_csv: bool) -> list[tuple[str, str, type]]:
+    """Each column as (column, record field, value type); an unknown, repeated or missing required one rejects all."""
+    columns = list(columns)  # a CSV header's cells, or a JSON object's keys
+    for problem, names in (("unknown", sorted(set(columns) - COLUMNS.keys())),
+                           ("missing required", [c for c in _REQUIRED if c not in columns]),
+                           ("repeated", sorted({c for c in columns if columns.count(c) > 1}))):
+        if names:
+            raise ValueError(f"{_record_name(index, in_csv)}: {problem} columns {names}")
+    return [(column, *COLUMNS[column]) for column in columns]
 
 
-def _record(pairs, context: str, text: bool) -> MeasurementRecord:
-    """The record of one row's (column, value) pairs, each column in COLUMNS. CSV
-    ``text`` is parsed by the column's type; a JSON value is checked, not coerced.
-    An empty cell or a null is a missing value."""
+def _record(columns, cells, index: int, in_csv: bool) -> MeasurementRecord:
+    """The record of one row's ``cells`` under its resolved ``columns``: CSV text is parsed by the column's type,
+    a JSON value checked, not coerced. An empty cell or a null is a missing value."""
     values = {}
     try:
-        for column, value in pairs:
-            if value is None or text and not value:
+        for (column, field, kind), value in zip(columns, cells):
+            if value is None or in_csv and not value:
                 continue
-            field, kind = COLUMNS[column]
             try:
-                if not (text or _is_of_type(value, kind)):
+                if not (in_csv or _is_of_type(value, kind)):
                     raise ValueError
                 value = kind(value)
                 # Adding 0.0 reads a -0 as 0, so a -0 energy cell prints as 0; it overflows on an int no float holds.
@@ -260,12 +276,12 @@ def _record(pairs, context: str, text: bool) -> MeasurementRecord:
             except OverflowError:
                 raise ValueError(f"{column} is too large for a float") from None
             values[field] = number if kind is float else value
-        if not values.keys() >= _REQUIRED_FIELDS:
-            missing = [c for c in _REQUIRED if COLUMNS[c][0] not in values]
-            raise ValueError(f"missing required columns {missing}")
         return MeasurementRecord(**values)
-    except (ValueError, OverflowError) as exc:  # named by the file's columns, not the record's height_px and width_px
-        raise ValueError(f"{context}: {str(exc).replace('_px', '')}") from exc
+    except TypeError:  # a required value left out: of checked values, the one a record rejects with a TypeError
+        missing = [c for c in _REQUIRED if COLUMNS[c][0] not in values]
+        raise ValueError(f"{_record_name(index, in_csv)}: missing required columns {missing}") from None
+    except ValueError as exc:  # named by the file's columns, not the record's height_px and width_px
+        raise ValueError(f"{_record_name(index, in_csv)}: {str(exc).replace('_px', '')}") from exc
 
 
 def read_measurements_csv(source) -> list[MeasurementRecord]:
@@ -275,10 +291,10 @@ def read_measurements_csv(source) -> list[MeasurementRecord]:
     lines are skipped and not counted as rows; a row with more cells than the
     header is rejected, and missing trailing cells read as empty. Text the
     ``csv`` module rejects, such as a cell over its field size limit, is a
-    ValueError naming the row.
+    ValueError naming the row. A path may start with a UTF-8 byte order mark.
     """
     if not hasattr(source, "read"):
-        with open(source, newline="", encoding="utf-8") as fh:
+        with open(source, newline="", encoding="utf-8-sig") as fh:
             return read_measurements_csv(fh)
     rows = csv.reader(source)
     try:
@@ -287,38 +303,34 @@ def read_measurements_csv(source) -> list[MeasurementRecord]:
         raise ValueError(f"row 1: {exc}") from None
     if header is None:
         return []
-    _check_columns(header, "row 1")
-    width = len(header)
+    columns, width = _resolve(header, -1, True), len(header)
     records = []
     try:
         for row in rows:
             if not row:
                 continue
-            context = _record_name(len(records), True)
             if len(row) > width:
-                raise ValueError(f"{context}: {len(row)} cells, header has {width}")
-            records.append(_record(zip(header, row), context, True))
+                raise ValueError(f"{_record_name(len(records), True)}: {len(row)} cells, header has {width}")
+            records.append(_record(columns, row, len(records), True))
     except csv.Error as exc:
         raise ValueError(f"{_record_name(len(records), True)}: {exc}") from None
     return records
 
 
 def read_measurements_json(source) -> list[MeasurementRecord]:
-    """Read measurement records from a JSON path or file-like object holding a
-    list of objects; a value of another shape is a ValueError."""
+    """Read measurement records from a JSON path or file-like object holding a list of
+    objects; a value of another shape is a ValueError. A path may start with a byte order mark."""
     if not hasattr(source, "read"):
-        with open(source, encoding="utf-8") as fh:
+        with open(source, encoding="utf-8-sig") as fh:
             return read_measurements_json(fh)
     rows = json.load(source)
     if not isinstance(rows, list):
         raise ValueError(f"measurements must be a JSON list of objects, got {type(rows).__name__}")
     records = []
     for i, row in enumerate(rows):
-        context = _record_name(i, False)
         if not isinstance(row, dict):
-            raise ValueError(f"{context} must be a JSON object, got {type(row).__name__}")
-        _check_columns(row, context)
-        records.append(_record(row.items(), context, False))
+            raise ValueError(f"{_record_name(i, False)} must be a JSON object, got {type(row).__name__}")
+        records.append(_record(_resolve(row, i, False), row.values(), i, False))
     return records
 
 

@@ -7,7 +7,10 @@ import json
 import math
 import pickle
 import random
+import re
 import statistics
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +20,8 @@ from vidcost import calibration
 from vidcost import (
     CalibrationRangeError,
     MeasurementRecord,
+    PointError,
+    ValidationReport,
     VideoJob,
     fit_mu,
     load_bundled_measurements,
@@ -27,7 +32,7 @@ from vidcost import (
     validate,
 )
 from vidcost.calibration import MEASUREMENTS_FILE
-from vidcost.specs import data_path
+from vidcost.specs import Record, data_path
 
 
 class Cell(str):
@@ -83,6 +88,131 @@ def test_record_validation():
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 MeasurementRecord(**{**valid, name: bad})
+
+
+MISSING = object()
+ODD_VALUES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-1": -1, "0": 0, "10**400": 10**400,
+              "True": True, "missing": MISSING, "None": None, "'1'": "1", "max+1": int(sys.float_info.max) + 1}
+AT_LEAST_16 = "height_px and width_px must be at least 16"
+# What MeasurementRecord did with -1, 0, True and None in each field before its constructor was
+# hand-written: the ValueError's message, or None where it built a record.
+RECORD_OUTCOMES = {
+    "model_id": (None, None, None, None),
+    "height_px": (AT_LEAST_16, AT_LEAST_16, "height_px must be an int, got True", "height_px must be an int, got None"),
+    "width_px": (AT_LEAST_16, AT_LEAST_16, "width_px must be an int, got True", "width_px must be an int, got None"),
+    "frames": ("frames must be at least 1", "frames must be at least 1", "frames must be an int, got True",
+               "frames must be an int, got None"),
+    "steps": ("steps must be at least 1", "steps must be at least 1", "steps must be an int, got True",
+              "steps must be an int, got None"),
+    "latency_s": ("latency_s must be positive", "latency_s must be positive", None, "record needs latency_s or gpu_wh"),
+    "latency_std_s": ("latency_std_s must be non-negative", None, None, None),
+    "gpu_wh": ("gpu_wh must be positive", "gpu_wh must be positive", None, None),
+    "gpu_wh_std": ("gpu_wh_std must be non-negative", None, None, None),
+    "cpu_wh": ("cpu_wh must be non-negative", None, None, None),
+    "ram_wh": ("ram_wh must be non-negative", None, None, None),
+}
+
+
+def record_outcome(field, name):
+    """The error MeasurementRecord gave for ``field`` set to ODD_VALUES[name], or None for a record."""
+    if name == "missing":  # an argument left out: a required one is a TypeError, an optional one its default
+        return TypeError if field in ("model_id", "height_px", "width_px", "frames", "steps") else \
+            record_outcome(field, "None" if MeasurementRecord._defaults[field] is None else "0")
+    if name in ("-1", "0", "True", "None"):
+        return RECORD_OUTCOMES[field][("-1", "0", "True", "None").index(name)]
+    if field == "model_id" or name == "max+1":  # model_id is not checked; an int that rounds to a float is finite
+        return None
+    if name == "'1'":
+        return TypeError("must be real number, not str")
+    return ValueError(f"{field} is too large for a float" if name == "10**400" else
+                      f"{field} must be finite, got {ODD_VALUES[name]}")
+
+
+@pytest.mark.parametrize("name", list(ODD_VALUES))
+@pytest.mark.parametrize("field", list(MeasurementRecord._fields))
+def test_record_constructor_outcomes(field, name):
+    # Each outcome, message included, is the one the generic Record constructor gave.
+    values = dict(model_id="m", height_px=720, width_px=1280, frames=81, steps=50, latency_s=410.0)
+    if ODD_VALUES[name] is MISSING:
+        values.pop(field, None)
+    else:
+        values[field] = ODD_VALUES[name]
+    want = record_outcome(field, name)
+    if want is None:
+        record = MeasurementRecord(**values)
+        job = VideoJob(record.height_px, record.width_px, record.frames, record.steps)
+        assert vars(record) == {**MeasurementRecord._defaults, **values, "_job": job}
+    elif want is TypeError:  # worded by Python, as for the other hand-written constructors
+        with pytest.raises(TypeError, match=f"missing 1 required positional argument: '{field}'$"):
+            MeasurementRecord(**values)
+    else:
+        with pytest.raises(type(want) if isinstance(want, Exception) else ValueError,
+                           match=f"^{re.escape(str(want))}$"):
+            MeasurementRecord(**values)
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    (("m", 720, 1280, 81, 50), {"latency_s": 1.0, "latency": 2.0}),  # unknown
+    (("m", 720, 1280, 81, 50, 1.0), {"latency_s": 2.0}),  # repeated
+    (("m", 720, 1280, 81), {"latency_s": 1.0}),  # missing
+    (("m", 720, 1280, 81, 50, 1.0, 0.0, None, 0.0, 0.0, 0.0, 0.0), {}),  # surplus
+], ids=["unknown", "repeated", "missing", "surplus"])
+def test_record_constructor_argument_errors(args, kwargs):
+    with pytest.raises(TypeError):
+        MeasurementRecord(*args, **kwargs)
+
+
+def test_a_record_keeps_its_job_outside_its_fields():
+    record = MeasurementRecord("m", 720, 1280, 81, 50, latency_s=410.0)
+    job = vars(record)["_job"]
+    assert job == record.job() == VideoJob(720, 1280, 81, 50)
+    # Equality, hash and repr see the fields only, whatever job a record keeps.
+    other = MeasurementRecord("m", 720, 1280, 81, 50, latency_s=410.0)
+    other.__dict__["_job"] = VideoJob(16, 16, 1, 1)
+    assert other == record and hash(other) == hash(record) and repr(other) == repr(record)
+    # A copy built by replace() gets a job of its own, for its own fields; a pickled copy an equal one.
+    for copy in (record.replace(), dataclasses.replace(record), other.replace(), dataclasses.replace(other)):
+        assert copy == record and vars(copy)["_job"] == job and vars(copy)["_job"] is not job
+    for copy in (record.replace(steps=25), dataclasses.replace(record, steps=25)):
+        assert vars(copy)["_job"] == VideoJob(720, 1280, 81, 25)
+    copy = pickle.loads(pickle.dumps(record))
+    assert copy == record and hash(copy) == hash(record) and vars(copy)["_job"] == job
+
+
+def entered(fn) -> Counter:
+    """How often ``fn()`` enters each Python function, keyed by code object as in
+    test_call_contract.calls; an entry to the generic ``Record.__init__`` is keyed
+    by the class it builds instead."""
+    counts, generic = Counter(), Record.__init__.__code__
+
+    def profile(frame, event, arg):
+        if event == "call":
+            counts[type(frame.f_locals["self"]) if frame.f_code is generic else frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+def test_read_fit_validate_build_one_job_and_one_flop_total_per_row(wan, h100):
+    model = (wan.dit, wan.text_encoder, wan.vae, h100)
+    rows = ["model_id,height,width,frames,steps,latency_s,gpu_wh"]
+    for i, steps in enumerate((10, 20, 40, 80, 160, 320)):
+        latency_s = total_flops(VideoJob(720, 1280, 81, steps), *model[:3]).total / (0.5 * h100.theta_peak) + 3.0
+        rows.append(f"m,720,1280,81,{steps}," + (f",{h100.p_max * latency_s / 3600}" if i % 3 else f"{latency_s},"))
+    text = "\n".join(rows) + "\n"
+
+    def run():
+        records = read_measurements_csv(io.StringIO(text))
+        validate(records, fit_mu(records, *model).mu, *model)
+
+    counts = entered(run)
+    assert counts[VideoJob.__init__.__code__] == counts[total_flops.__code__] == 6
+    assert counts[MeasurementRecord] == counts[PointError] == 0
+    assert counts[ValidationReport] == 1  # built by the generic constructor, as entered() sees
 
 
 @pytest.mark.parametrize("name", ["height_px", "steps", "latency_s", "cpu_wh"])
@@ -379,6 +509,31 @@ def test_csv_unknown_header_column_named(tmp_path, rows):
     path.write_text("model_id,height,width,frames,steps,latency_s,wattage\n" + rows)
     with pytest.raises(ValueError, match=r"^row 1: unknown columns \['wattage'\]$"):
         load_measurements(path)
+
+
+@pytest.mark.parametrize("rows", ["", "demo,720,1280,81,50,410,411\n"], ids=["header-only", "with-rows"])
+def test_csv_repeated_header_column_rejected(tmp_path, rows):
+    path = tmp_path / "m.csv"
+    path.write_text("model_id,height,width,frames,steps,latency_s,latency_s\n" + rows)
+    with pytest.raises(ValueError, match=r"^row 1: repeated columns \['latency_s'\]$"):
+        load_measurements(path)
+    # A header the check before it rejects keeps that rejection.
+    path.write_text("model_id,height,height,frames,steps,latency_s\n" + rows)
+    with pytest.raises(ValueError, match=r"^row 1: missing required columns \['width'\]$"):
+        load_measurements(path)
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_measurement_files_may_start_with_a_byte_order_mark(tmp_path, suffix):
+    # As a spreadsheet's "CSV UTF-8" export writes them.
+    path = tmp_path / f"m{suffix}"
+    if suffix == ".csv":
+        path.write_text("model_id,height,width,frames,steps,latency_s\ndemo,720,1280,81,50,410\n", encoding="utf-8-sig")
+    else:
+        path.write_text(json.dumps([{"model_id": "demo", "height": 720, "width": 1280, "frames": 81, "steps": 50,
+                                     "latency_s": 410}]), encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_measurements(path) == [MeasurementRecord("demo", 720, 1280, 81, 50, latency_s=410.0)]
 
 
 def test_csv_long_row_rejected(tmp_path):
