@@ -266,7 +266,9 @@ def _record(columns, cells, index: int, in_csv: bool) -> MeasurementRecord:
             if value is None or in_csv and not value:
                 continue
             try:
-                if not (in_csv or _is_of_type(value, kind)):
+                # int() and float() also read digit-group underscores, surrounding whitespace and non-ASCII digits.
+                if not ((kind is str or value.isascii() and "_" not in value and value.strip() == value) if in_csv
+                        else _is_of_type(value, kind)):
                     raise ValueError
                 value = kind(value)
                 # Adding 0.0 reads a -0 as 0, so a -0 energy cell prints as 0; it overflows on an int no float holds.
@@ -317,20 +319,26 @@ def read_measurements_csv(source) -> list[MeasurementRecord]:
     return records
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object as a dict; one that repeats a key also holds its keys in order under None, which no key is."""
+    obj = dict(pairs)
+    return obj if len(obj) == len(pairs) else {**obj, None: [key for key, _ in pairs]}
+
+
 def read_measurements_json(source) -> list[MeasurementRecord]:
     """Read measurement records from a JSON path or file-like object holding a list of
     objects; a value of another shape is a ValueError. A path may start with a byte order mark."""
     if not hasattr(source, "read"):
         with open(source, encoding="utf-8-sig") as fh:
             return read_measurements_json(fh)
-    rows = json.load(source)
+    rows = json.load(source, object_pairs_hook=_json_object)
     if not isinstance(rows, list):
         raise ValueError(f"measurements must be a JSON list of objects, got {type(rows).__name__}")
     records = []
     for i, row in enumerate(rows):
         if not isinstance(row, dict):
             raise ValueError(f"{_record_name(i, False)} must be a JSON object, got {type(row).__name__}")
-        records.append(_record(_resolve(row, i, False), row.values(), i, False))
+        records.append(_record(_resolve(row.pop(None, row), i, False), row.values(), i, False))
     return records
 
 

@@ -37,9 +37,11 @@ class FlopBreakdown(Record):
                  timestep: int) -> None:
         # Hand-written rather than the generic one, as VideoJob's is: a breakdown is built per job,
         # and every one has its total read, so it is summed here and not in a cached property.
-        self.__dict__.update(text=text, vae_conv=vae_conv, vae_mid_attn=vae_mid_attn, self_attn=self_attn,
-                             cross_attn=cross_attn, mlp=mlp, timestep=timestep,
-                             total=text + vae_conv + vae_mid_attn + self_attn + cross_attn + mlp + timestep)
+        values = self.__dict__
+        values["text"], values["vae_conv"], values["vae_mid_attn"] = text, vae_conv, vae_mid_attn
+        values["self_attn"], values["cross_attn"], values["mlp"] = self_attn, cross_attn, mlp
+        values["timestep"] = timestep
+        values["total"] = text + vae_conv + vae_mid_attn + self_attn + cross_attn + mlp + timestep
 
     def per_operator(self) -> dict[str, int]:
         return dict(zip(OPERATORS, self._values()))
@@ -61,7 +63,9 @@ class CostEstimate(Record):
     energy_wh: float
 
     def __init__(self, breakdown: FlopBreakdown, latency_s: float, energy_j: float, energy_wh: float) -> None:
-        self.__dict__.update(breakdown=breakdown, latency_s=latency_s, energy_j=energy_j, energy_wh=energy_wh)
+        values = self.__dict__  # filled a field at a time, as VideoJob's
+        values["breakdown"], values["latency_s"] = breakdown, latency_s
+        values["energy_j"], values["energy_wh"] = energy_j, energy_wh
 
     @cached_property
     def operator_latency_s(self) -> dict[str, float]:
@@ -86,11 +90,8 @@ def latent_grid(job: VideoJob, spec: DiTSpec) -> tuple[int, int, int]:
     ``vae_t_down`` frames to one more; spatial dims divide by the VAE stride
     times the patch size, rounding up when not exact.
     """
-    # Ceiling divisions, written as -(-n // d) to save calls.
-    latent_t = 1 + -(-(job.frames - 1) // spec.vae_t_down)
-    tokens_h = -(-job.height_px // (spec.vae_s_down * spec.patch_h))
-    tokens_w = -(-job.width_px // (spec.vae_s_down * spec.patch_w))
-    return latent_t, tokens_h, tokens_w
+    t, t_add, h, h_add, w, w_add = spec.latent_strides  # ceilings as (n + addend) // d, the addends per model
+    return 1 + (job.frames + t_add) // t, (job.height_px + h_add) // h, (job.width_px + w_add) // w
 
 
 def token_length(job: VideoJob, spec: DiTSpec) -> int:
@@ -107,8 +108,8 @@ def self_attention_flops(tokens: int, spec: DiTSpec) -> int:
     """
     if tokens < 1:
         raise ValueError("tokens must be at least 1")
-    d = spec.hidden
-    return spec.layers * (8 * tokens * d * d + 4 * tokens * tokens * d)
+    a, b = spec.self_attn_coefficients  # the formula is l * (a + l*b)
+    return tokens * (a + tokens * b)
 
 
 def cross_attention_flops(tokens: int, spec: DiTSpec) -> int:
@@ -118,9 +119,8 @@ def cross_attention_flops(tokens: int, spec: DiTSpec) -> int:
     """
     if tokens < 1:
         raise ValueError("tokens must be at least 1")
-    d = spec.hidden
-    m = spec.text_tokens
-    return spec.layers * (4 * tokens * d * d + 4 * m * d * d + 4 * tokens * m * d)
+    a, b = spec.cross_attn_coefficients  # the formula is l*a + b
+    return tokens * a + b
 
 
 def mlp_flops(tokens: int, spec: DiTSpec) -> int:
@@ -133,16 +133,15 @@ def mlp_flops(tokens: int, spec: DiTSpec) -> int:
 
 def timestep_flops_per_pass(spec: DiTSpec) -> int:
     """Timestep-embedding MLP FLOPs for one forward pass: 2*d_tau*d + 14*d^2."""
-    d = spec.hidden
-    return 2 * spec.timestep_hidden * d + 14 * d * d
+    return spec.timestep_flops
 
 
 def text_encoder_flops(job: VideoJob, tspec: TextEncoderSpec) -> int:
     """Text-encoder FLOPs per video: g * L * (8*m*d^2 + 4*m^2*d + 4*f*m*d^2),
     one pass per guidance pass g = ``job.cfg_passes``.
 
-    The per-pass term is a per-spec constant, computed once by
-    ``TextEncoderSpec.flops_per_pass``.
+    The per-pass term is a per-spec constant, ``TextEncoderSpec.flops_per_pass``,
+    computed when the spec is built.
     """
     return job.cfg_passes * tspec.flops_per_pass
 

@@ -27,8 +27,9 @@ class BoundClassification(Record):
     threshold: int
 
     def __init__(self, operator: str, tokens: int, intensity: float, threshold: int) -> None:
-        # Hand-written, as VideoJob's is: two are built per job.
-        self.__dict__.update(operator=operator, tokens=tokens, intensity=intensity, threshold=threshold)
+        values = self.__dict__  # hand-written and filled a field at a time, as VideoJob's: two are built per job
+        values["operator"], values["tokens"], values["intensity"], values["threshold"] = (operator, tokens,
+                                                                                          intensity, threshold)
 
     @property
     def regime(self) -> str:
@@ -78,8 +79,11 @@ def thresholds(hw: HardwareSpec) -> tuple[int, int]:
     Every rounding is half to even, in integers so that no balance overflows:
     a balance of 452.5 gives 452 and one of 453.5 gives 454.
     """
-    mlp = hw.scalar_bytes * round(balance(hw))
-    return mlp // 2 + (mlp % 4 == 3), mlp  # mlp / 2 half to even: an odd 2q + 1 rounds up when q is odd
+    pair = hw.__dict__.get("_thresholds")  # kept there, not a field, once computed
+    if pair is None:
+        mlp = hw.scalar_bytes * round(balance(hw))  # mlp / 2 below half to even: 2q + 1 rounds up when q is odd
+        pair = hw.__dict__["_thresholds"] = mlp // 2 + (mlp % 4 == 3), mlp
+    return pair
 
 
 def mlp_threshold_exact(hw: HardwareSpec, spec: DiTSpec) -> float | None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from functools import cached_property, partial
+from functools import partial
 from pathlib import Path
 
 DATA_DIR_ENV = "VIDCOST_DATA_DIR"
@@ -51,8 +51,8 @@ class _DataclassFields:
 class Record:
     """An immutable value whose fields are the annotations of its class body, in
     order, defaulting to the values given there. Equality, hash and repr see the
-    fields only, not what a ``cached_property`` stored in ``__dict__``; no
-    ``__slots__``, as cached properties, pickle and ``copy`` write ``__dict__``."""
+    fields only, not the constants a spec derives into ``__dict__`` on
+    construction; no ``__slots__``, as those constants, pickle and ``copy`` write ``__dict__``."""
 
     __dataclass_fields__ = _DataclassFields()
 
@@ -75,7 +75,7 @@ class Record:
         """Checks of each field on its own: none here."""
 
     def _check(self) -> None:
-        """Checks across fields, run once each field has passed its own."""
+        """Checks across fields, run once each field has passed its own; a spec also derives its constants here."""
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable; use replace() to change {name!r}")
@@ -124,8 +124,10 @@ class VideoJob(Spec):
     cfg_passes: int = 2
 
     def __init__(self, height_px: int, width_px: int, frames: int, steps: int, cfg_passes: int = 2) -> None:
-        # Hand-written rather than the generic one: a job is built per estimate, on the hot path.
-        self.__dict__.update(height_px=height_px, width_px=width_px, frames=frames, steps=steps, cfg_passes=cfg_passes)
+        # Hand-written rather than the generic one, as a job is built per estimate; filled a field at a time.
+        values = self.__dict__
+        values["height_px"], values["width_px"], values["frames"] = height_px, width_px, frames
+        values["steps"], values["cfg_passes"] = steps, cfg_passes
         # Exact int, so FLOP counts stay ints: bool, float and int-like types are rejected.
         if (type(height_px) is not int or type(width_px) is not int or type(frames) is not int
                 or type(steps) is not int or type(cfg_passes) is not int):
@@ -159,18 +161,19 @@ class DiTSpec(Spec):
     vae_t_down: int = 4
     vae_s_down: int = 8
 
-    @cached_property
-    def mlp_ratio(self) -> tuple[int, int]:
-        """``mlp_expansion`` as plain integers (p, q) with f = p/q, so per-job
-        arithmetic stays on ints and does no Fraction operations."""
-        return self.mlp_expansion.as_integer_ratio()
-
-    @cached_property
-    def mlp_coefficient(self) -> tuple[int, int]:
-        """Feed-forward FLOPs per token over all layers, N * 4*f*d^2, as an
-        integer (numerator, denominator) pair."""
-        p, q = self.mlp_ratio
-        return self.layers * 4 * p * self.hidden * self.hidden, q
+    def _check(self) -> None:
+        """Store the constants of the formulas in ``cost``, for l tokens: self-attention N * (8*l*d^2 + 4*l^2*d) is
+        l * (a + l*b) and cross-attention N * (4*l*d^2 + 4*l*m*d + 4*m*d^2) is l*a + b, each kept as (a, b); each
+        latent grid divisor is kept with the addend of its ceiling, as ceil((T-1)/t) = (T + t-2) // t."""
+        n, d, m = self.layers, self.hidden, self.text_tokens
+        p, q = self.mlp_expansion.as_integer_ratio()
+        t, s_h, s_w = self.vae_t_down, self.vae_s_down * self.patch_h, self.vae_s_down * self.patch_w
+        self.__dict__.update(mlp_ratio=(p, q),  # f = p/q as plain ints, so that no per-job arithmetic is on a Fraction
+                             mlp_coefficient=(4 * n * p * d * d, q),  # N * 4*f*d^2 per token, over q
+                             self_attn_coefficients=(8 * n * d * d, 4 * n * d),
+                             cross_attn_coefficients=(4 * n * d * (d + m), 4 * n * m * d * d),
+                             timestep_flops=2 * self.timestep_hidden * d + 14 * d * d,  # per pass: 2*d_tau*d + 14*d^2
+                             latent_strides=(t, t - 2, s_h, s_h - 1, s_w, s_w - 1))
 
 
 class TextEncoderSpec(Spec):
@@ -185,18 +188,13 @@ class TextEncoderSpec(Spec):
     mlp_expansion: Fraction = 2.5
     tokens: int = 512
 
-    @cached_property
-    def flops_per_pass(self) -> int:
-        """Text-encoder FLOPs of one pass: L * (8*m*d^2 + 4*m^2*d + 4*f*m*d^2).
-
-        The feed-forward term may involve a fractional expansion factor; the
-        per-layer term must still come out integral.
-        """
-        m = self.tokens
-        d = self.hidden
+    def _check(self) -> None:
+        """Store ``flops_per_pass``, the FLOPs of one pass: L * (8*m*d^2 + 4*m^2*d + 4*f*m*d^2). The
+        feed-forward term may involve a fractional expansion factor, but must come out integral."""
+        m, d = self.tokens, self.hidden
         p, q = self.mlp_expansion.as_integer_ratio()
-        ffn = exact_div(4 * p * m * d * d, q, "text encoder feed-forward term")
-        return self.layers * (8 * m * d * d + 4 * m * m * d + ffn)
+        ffn = exact_div(4 * p * m * d * d, q, "mlp_expansion: the feed-forward term")
+        self.__dict__["flops_per_pass"] = self.layers * (8 * m * d * d + 4 * m * m * d + ffn)
 
 
 # How a decoder row's output temporal length derives from the frame count,
@@ -228,21 +226,17 @@ class VAEDecoderLayer(Spec):
         if self.kind == "conv3d":
             if self.kernel is None:
                 raise ValueError("kernel must be given for a conv3d row")
+            k_t, k_h, k_w = self.kernel  # FLOPs per output grid position: repeat * 2 * k_t*k_h*k_w * C_in*C_out
+            factor = self.repeat * 2 * k_t * k_h * k_w * self.c_in * self.c_out
         elif self.kernel is not None:
             raise ValueError("kernel must be left out of an attn2d row")
         elif self.c_out != self.c_in:
             raise ValueError(f"c_out must equal c_in in an attn2d row, got {self.c_out} and {self.c_in}")
-
-    @cached_property
-    def t_div(self) -> int:
-        """Temporal grid divisor of ``t_rule``."""
-        return TIME_RULES[self.t_rule]
-
-    @cached_property
-    def flops_per_position(self) -> int:
-        """Conv rows only: FLOPs per output grid position, repeat * 2 * k_t*k_h*k_w * C_in*C_out."""
-        k_t, k_h, k_w = self.kernel
-        return self.repeat * 2 * k_t * k_h * k_w * self.c_in * self.c_out
+        else:  # FLOPs of a time slice of L positions: repeat * (8*c^2*L + 4*L^2*c) = factor * L * (2*c + L)
+            factor = self.repeat * 4 * self.c_in
+        t, h, w = TIME_RULES[self.t_rule], self.h_div, self.w_div
+        # The per-position factor, then each grid divisor d with its d - 1: ceil(n / d) = (n + d-1) // d.
+        self.__dict__["flop_terms"] = factor, t, t - 1, h, h - 1, w, w - 1
 
 
 class VAEDecoderSchedule(Spec):
@@ -250,13 +244,9 @@ class VAEDecoderSchedule(Spec):
 
     layers: tuple[VAEDecoderLayer, ...]
 
-    @cached_property
-    def conv_layers(self) -> tuple[VAEDecoderLayer, ...]:
-        return tuple(l for l in self.layers if l.kind == "conv3d")
-
-    @cached_property
-    def attn_layers(self) -> tuple[VAEDecoderLayer, ...]:
-        return tuple(l for l in self.layers if l.kind == "attn2d")
+    def _check(self) -> None:
+        self.__dict__.update(conv_layers=tuple(l for l in self.layers if l.kind == "conv3d"),
+                             attn_layers=tuple(l for l in self.layers if l.kind == "attn2d"))
 
 
 class HardwareSpec(Spec):

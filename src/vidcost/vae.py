@@ -14,9 +14,8 @@ def conv3d_flops(layer: VAEDecoderLayer, job: VideoJob) -> int:
     """FLOPs of one conv row: repeat * 2 * k_t*k_h*k_w * C_in*C_out * T'*H'*W'."""
     if layer.kind != "conv3d":
         raise ValueError(f"conv3d_flops needs a conv3d layer, got {layer.kind}")
-    # ceil(T/t) * ceil(H/h) * ceil(W/w), written as -(-n // d) to save calls.
-    return (layer.flops_per_position * -(-job.frames // layer.t_div)
-            * -(-job.height_px // layer.h_div) * -(-job.width_px // layer.w_div))
+    per_position, t, t_add, h, h_add, w, w_add = layer.flop_terms  # ceilings as (n + d-1) // d
+    return (job.frames + t_add) // t * ((job.height_px + h_add) // h) * ((job.width_px + w_add) // w) * per_position
 
 
 def mid_attention_flops(job: VideoJob, schedule: VAEDecoderSchedule) -> int:
@@ -24,10 +23,9 @@ def mid_attention_flops(job: VideoJob, schedule: VAEDecoderSchedule) -> int:
     over L = H'*W' tokens of width c = C_in: repeat * T' * (8*c^2*L + 4*L^2*c)."""
     flops = 0
     for layer in schedule.attn_layers:
-        # Ceiling divisions, written as -(-n // d) as in conv3d_flops.
-        tokens = -(-job.height_px // layer.h_div) * -(-job.width_px // layer.w_div)
-        c = layer.c_in
-        flops += layer.repeat * -(-job.frames // layer.t_div) * (8 * c * c * tokens + 4 * tokens * tokens * c)
+        factor, t, t_add, h, h_add, w, w_add = layer.flop_terms  # factor is repeat * 4*c, as in conv3d_flops
+        tokens = (job.height_px + h_add) // h * ((job.width_px + w_add) // w)
+        flops += (job.frames + t_add) // t * tokens * (2 * layer.c_in + tokens) * factor
     return flops
 
 

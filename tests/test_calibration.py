@@ -600,6 +600,12 @@ def test_json_records(tmp_path):
     pytest.param(Cell("720.5"), id="csv-720.5"),
     pytest.param(Cell("720.0"), id="csv-720.0"),
     pytest.param(Cell("abc"), id="csv-abc"),
+    # Text int() reads but a cell may not hold: a digit-group underscore, surrounding whitespace, non-ASCII digits.
+    pytest.param(Cell("7_20"), id="csv-underscore"),
+    pytest.param(Cell(" 720"), id="csv-leading-space"),
+    pytest.param(Cell("720\t"), id="csv-trailing-tab"),
+    pytest.param(Cell("\u0667\u0662\u0660"), id="csv-arabic-indic-digits"),
+    pytest.param(Cell("\uff17\uff12\uff10"), id="csv-fullwidth-digits"),
 ])
 def test_json_records_reject_non_integers(tmp_path, field, bad):
     row = {"model_id": "demo", "height": 720, "width": 1280, "frames": 81, "steps": 50, "latency_s": 410.0}
@@ -618,6 +624,9 @@ def test_json_records_reject_non_integers(tmp_path, field, bad):
     pytest.param("latency_s", Cell("abc"), "a number", id="csv-latency_s-abc"),
     pytest.param("gpu_wh", Cell("0x10"), "a number", id="csv-gpu_wh-0x10"),
     pytest.param("cpu_wh", Cell("false"), "a number", id="csv-cpu_wh-false"),
+    pytest.param("latency_s", Cell("1_0.5"), "a number", id="csv-latency_s-underscore"),
+    pytest.param("latency_s", Cell("410.5 "), "a number", id="csv-latency_s-trailing-space"),
+    pytest.param("gpu_wh", Cell("\u0664\u0661.\u0665"), "a number", id="csv-gpu_wh-arabic-indic-digits"),
 ])
 def test_json_records_reject_wrong_types(tmp_path, field, bad, what):
     # JSON values are not coerced: a bool or string is no number, a number no model_id.
@@ -632,6 +641,25 @@ def test_json_records_reject_wrong_types(tmp_path, field, bad, what):
     csv_path = tmp_path / "m.csv"
     csv_path.write_text("model_id,height,width,frames,steps,latency_s\n5,720,1280,81,50,200\n")
     assert (load_measurements(csv_path)[0].model_id, load_measurements(csv_path)[0].latency_s) == ("5", 200.0)
+
+
+def test_csv_number_cells_in_other_forms_still_parse():
+    text = "model_id,height,width,frames,steps,latency_s,gpu_wh\nm_1 x,+720,01280,81,50,4.1e2,.5\n"
+    expected = MeasurementRecord("m_1 x", 720, 1280, 81, 50, 410.0, gpu_wh=0.5)  # a model_id cell is any text
+    assert read_measurements_csv(io.StringIO(text)) == [expected]
+
+
+@pytest.mark.parametrize("keys, message", [
+    (', "latency_s": 40, "latency_s": 4000', "repeated columns ['latency_s']"),
+    (', "steps": 60, "latency_s": 40', "repeated columns ['steps']"),
+    (', "latency_s": 40, "watts": 1, "watts": 2', "unknown columns ['watts']"),  # as a CSV header is checked
+], ids=["latency_s-twice", "steps-twice", "unknown-key-twice"])
+def test_json_record_repeating_a_key_is_rejected(tmp_path, keys, message):
+    path = tmp_path / "m.json"
+    common = '"model_id": "demo", "height": 720, "width": 1280, "frames": 81, "steps": 50'
+    path.write_text(f'[{{{common}, "latency_s": 410}}, {{{common}{keys}}}]')
+    with pytest.raises(ValueError, match=f"^record 1: {re.escape(message)}$"):
+        load_measurements(path)
 
 
 def test_validate_mpe_is_the_mean_of_the_point_errors(wan, h100):

@@ -206,6 +206,21 @@ def test_bad_model_spec_is_one_error_line(capsys, tmp_path, wan, edit, message):
     assert err == f"error: {path}: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["estimate", "calibrate"])
+def test_text_encoder_whose_feed_forward_term_is_not_integral_is_rejected_on_load(capsys, tmp_path, wan, command):
+    doc = to_dict(wan)
+    doc["text_encoder"] = {"layers": 4, "hidden": 1, "mlp_expansion": "1/8", "tokens": 1}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    measurements = tmp_path / "measurements.csv"
+    measurements.write_text("model_id,height,width,frames,steps,latency_s\nm,720,1280,81,10,1\nm,720,1280,81,20,2\n")
+    argv = ["--measurements", str(measurements)] if command == "calibrate" else []
+    code, out, err = run_cli(capsys, command, "--model", str(path), *argv)
+    assert (code, out) == (1, "")
+    assert err == (f"error: {path}: text_encoder.mlp_expansion: the feed-forward term is not an integer FLOP count "
+                   "(1/2)\n")
+
+
 def _int_fields():
     """(dotted path, keys to it) of every int field of the bundled spec file."""
     doc = json.loads(BUNDLED_SPEC.read_text())

@@ -108,9 +108,9 @@ def test_text_encoder_examples(wan):
 
 
 def test_text_encoder_rejects_non_integral_ffn():
-    spec = TextEncoderSpec(layers=4, hidden=1, mlp_expansion=Fraction(1, 8), tokens=1)
-    with pytest.raises(ValueError):
-        text_encoder_flops(WAN_JOB, spec)
+    # Rejected when the spec is built, not when it is first costed.
+    with pytest.raises(ValueError, match=r"^mlp_expansion: the feed-forward term is not an integer FLOP count \(1/2\)"):
+        TextEncoderSpec(layers=4, hidden=1, mlp_expansion=Fraction(1, 8), tokens=1)
 
 
 def test_total_flops_minimal_composition():

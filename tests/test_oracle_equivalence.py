@@ -1,6 +1,44 @@
 """Randomized equivalence between the library and the brute-force oracles."""
 
-from oracles import check_equivalence
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    check_equivalence,
+    cross_attn_oracle,
+    grid_oracle,
+    mlp_oracle,
+    self_attn_oracle,
+    text_oracle,
+    timestep_oracle,
+    vae_row_oracle,
+)
+from vidcost import (
+    DiTSpec,
+    TextEncoderSpec,
+    VAEDecoderLayer,
+    VAEDecoderSchedule,
+    VideoJob,
+    conv3d_flops,
+    cross_attention_flops,
+    decoder_flops,
+    latent_grid,
+    mid_attention_flops,
+    mlp_flops,
+    self_attention_flops,
+    text_encoder_flops,
+    timestep_flops_per_pass,
+    token_length,
+)
+from vidcost.specs import TIME_RULES
+
+DIVISORS = st.integers(1, 12)
+# Expansion factors p/q, many of them fractional: some give FLOP counts that are not integers.
+EXPANSIONS = st.builds(Fraction, st.integers(1, 12), st.sampled_from((1, 2, 3, 4, 8)))
 
 
 def test_flop_operations_match_oracles():
@@ -9,3 +47,86 @@ def test_flop_operations_match_oracles():
 
 def test_flop_operations_match_oracles_alt_seed():
     assert check_equivalence(seed=7, iterations=200) == 200
+
+
+def at_step(draw, divisor: int, least: int, shift: int = 0) -> int:
+    """A size n >= least with n - shift at k*divisor or k*divisor + 1: on either side of a ceiling's step."""
+    offset = draw(st.sampled_from((0, 1)))
+    k = draw(st.integers(max(0, -(-(least - shift - offset) // divisor)), 40))
+    return shift + k * divisor + offset
+
+
+def jobs(draw, frames: int, height: int, width: int) -> list:
+    """A job of the given geometry, and the same with one frame."""
+    steps, cfg_passes = draw(st.integers(1, 8)), draw(st.sampled_from((1, 2)))
+    return [VideoJob(height, width, frames, steps, cfg_passes), VideoJob(height, width, 1, steps, cfg_passes)]
+
+
+def exact(value, expected) -> None:
+    assert type(value) is int and value == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_transformer_operators_equal_their_oracles(data):
+    draw = data.draw
+    dit = DiTSpec(layers=draw(st.integers(1, 8)), hidden=draw(st.integers(1, 64)), mlp_expansion=draw(EXPANSIONS),
+                  text_tokens=draw(st.integers(1, 64)), timestep_hidden=draw(st.integers(1, 64)),
+                  patch_h=draw(DIVISORS), patch_w=draw(DIVISORS), vae_t_down=draw(DIVISORS),
+                  vae_s_down=draw(DIVISORS))
+    frames = at_step(draw, dit.vae_t_down, 1, shift=1)  # the first frame is its own latent slice
+    height = at_step(draw, dit.vae_s_down * dit.patch_h, 16)
+    width = at_step(draw, dit.vae_s_down * dit.patch_w, 16)
+    for job in jobs(draw, frames, height, width):
+        grid = grid_oracle(job.height_px, job.width_px, job.frames, dit.vae_t_down, dit.vae_s_down, dit.patch_h,
+                           dit.patch_w)
+        assert latent_grid(job, dit) == grid
+        exact(token_length(job, dit), math.prod(grid))
+        for tokens in (math.prod(grid), draw(st.integers(1, 5000))):
+            exact(self_attention_flops(tokens, dit), self_attn_oracle(tokens, dit.hidden, dit.layers))
+            exact(cross_attention_flops(tokens, dit), cross_attn_oracle(tokens, dit.text_tokens, dit.hidden,
+                                                                        dit.layers))
+            try:
+                expected = mlp_oracle(tokens, dit.hidden, dit.mlp_expansion, dit.layers)
+            except AssertionError:  # not an integer
+                with pytest.raises(ValueError, match="^mlp FLOP count is not an integer FLOP count"):
+                    mlp_flops(tokens, dit)
+            else:
+                exact(mlp_flops(tokens, dit), expected)
+    exact(timestep_flops_per_pass(dit), timestep_oracle(dit.timestep_hidden, dit.hidden))
+
+
+@settings(max_examples=100, deadline=None)
+@given(layers=st.integers(1, 8), hidden=st.integers(1, 64), expansion=EXPANSIONS, tokens=st.integers(1, 64),
+       cfg_passes=st.sampled_from((1, 2)))
+def test_text_encoder_equals_its_oracle_or_is_rejected_on_construction(layers, hidden, expansion, tokens,
+                                                                        cfg_passes):
+    if (4 * expansion * tokens * hidden**2).denominator != 1:  # one layer's feed-forward term must be an integer
+        with pytest.raises(ValueError, match="^mlp_expansion: the feed-forward term is not an integer FLOP count"):
+            TextEncoderSpec(layers=layers, hidden=hidden, mlp_expansion=expansion, tokens=tokens)
+        return
+    tspec = TextEncoderSpec(layers=layers, hidden=hidden, mlp_expansion=expansion, tokens=tokens)
+    exact(text_encoder_flops(VideoJob(16, 16, 1, 1, cfg_passes), tspec),
+          text_oracle(cfg_passes, layers, tokens, hidden, expansion))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_vae_rows_equal_their_oracles(data):
+    draw = data.draw
+    kind, t_rule = draw(st.sampled_from(("conv3d", "attn2d"))), draw(st.sampled_from(list(TIME_RULES)))
+    c_in = draw(st.integers(1, 48))
+    row = VAEDecoderLayer(kind=kind, c_in=c_in, c_out=draw(st.integers(1, 48)) if kind == "conv3d" else c_in,
+                          t_rule=t_rule, h_div=draw(DIVISORS), w_div=draw(DIVISORS),
+                          kernel=draw(st.tuples(*[st.integers(1, 4)] * 3)) if kind == "conv3d" else None,
+                          repeat=draw(st.integers(1, 3)))
+    schedule = VAEDecoderSchedule(layers=(row,))
+    frames = at_step(draw, TIME_RULES[t_rule], 1)
+    for job in jobs(draw, frames, at_step(draw, row.h_div, 16), at_step(draw, row.w_div, 16)):
+        expected = vae_row_oracle(row, job)
+        if kind == "conv3d":
+            exact(conv3d_flops(row, job), expected)
+            assert decoder_flops(job, schedule) == (expected, 0)
+        else:
+            exact(mid_attention_flops(job, schedule), expected)
+            assert decoder_flops(job, schedule) == (0, expected)

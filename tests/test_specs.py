@@ -5,7 +5,6 @@ import json
 import pickle
 import random
 from fractions import Fraction
-from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +27,7 @@ from vidcost import (
     load_model_spec,
     total_flops,
 )
+from vidcost.roofline import thresholds
 from vidcost.specs import Spec, from_dict, to_dict
 
 
@@ -203,21 +203,38 @@ def test_model_spec_round_trip(wan):
     assert again == wan
 
 
+# Each spec class that derives per-model constants -> their names, kept in ``__dict__`` outside its fields.
+DERIVED = {
+    DiTSpec: {"mlp_ratio", "mlp_coefficient", "self_attn_coefficients", "cross_attn_coefficients",
+              "timestep_flops", "latent_strides"},
+    TextEncoderSpec: {"flops_per_pass"},
+    VAEDecoderLayer: {"flop_terms"},
+    VAEDecoderSchedule: {"conv_layers", "attn_layers"},
+}
+
+
 def test_cached_coefficients_leave_spec_unchanged():
+    """Each derived constant is there right after construction, outside the fields: ==, hash, repr and
+    to_dict do not see it, costing adds none, and replace() derives it again."""
     spec = load_model_spec()
-    before = (to_dict(spec), repr(spec), hash(spec))
-    field_names = [list(part._fields) for part in (spec.dit, spec.text_encoder, spec.vae)]
+    parts = (spec.dit, spec.text_encoder, *spec.vae.layers, spec.vae)
+    for part in parts:
+        assert vars(part).keys() - part._fields.keys() == DERIVED[type(part)]
+    before = [vars(part).copy() for part in parts]
     total_flops(VideoJob(720, 1280, 81, 50, 2), spec.dit, spec.text_encoder, spec.vae)
-    assert "mlp_coefficient" in vars(spec.dit)
-    assert "flops_per_pass" in vars(spec.text_encoder)
-    assert "conv_layers" in vars(spec.vae)
-    assert "attn_layers" in vars(spec.vae)
-    assert "flops_per_position" in vars(spec.vae.layers[0])
     classify(1, load_hardware(), spec.dit)
-    assert "mlp_ratio" in vars(spec.dit)
-    assert "t_div" in vars(spec.vae.layers[0])
-    assert (to_dict(spec), repr(spec), hash(spec)) == before
-    assert [list(part._fields) for part in (spec.dit, spec.text_encoder, spec.vae)] == field_names
+    assert [vars(part) for part in parts] == before
+    for part in parts:
+        other = copy.copy(part)
+        vars(other).update(dict.fromkeys(DERIVED[type(part)], "other"))
+        assert other == part and hash(other) == hash(part) and repr(other) == repr(part)
+        assert to_dict(other) == to_dict(part) and list(other._fields) == list(type(part).__annotations__)
+        assert vars(other.replace()) == vars(part)  # derived again, not copied
+    wider = spec.dit.replace(hidden=1024)
+    assert vars(wider) == vars(DiTSpec(hidden=1024))
+    for name in ("mlp_coefficient", "self_attn_coefficients", "cross_attn_coefficients", "timestep_flops"):
+        assert getattr(wider, name) != getattr(spec.dit, name)
+    assert spec.text_encoder.replace(hidden=1024).flops_per_pass == TextEncoderSpec(hidden=1024).flops_per_pass
     assert spec == load_model_spec()
 
 
@@ -274,7 +291,7 @@ def test_load_hardware_from_file(tmp_path):
 # --- the Spec base: immutability, value semantics, copying and argument binding ---
 
 def one_of_each_spec():
-    """A freshly loaded instance of every spec class, no cached property filled."""
+    """A freshly loaded instance of every spec class, no hardware thresholds kept."""
     wan = load_model_spec()
     return [VideoJob(720, 1280, 81, 50), wan.dit, wan.text_encoder, wan.vae.layers[2], wan.vae.layers[0],
             wan.vae, load_hardware(), wan, load_model_defaults()[0]]
@@ -287,12 +304,13 @@ def test_every_spec_class_is_covered():
     assert {type(spec) for spec in one_of_each_spec()} == set(Spec.__subclasses__())
 
 
-def fill_caches(spec) -> list:
-    """Read every cached property of ``spec`` (an attn2d row has no kernel to cost); return their names."""
-    names = [name for name, value in vars(type(spec)).items() if isinstance(value, cached_property)]
-    for name in names:
-        if name != "flops_per_position" or spec.kernel is not None:
-            getattr(spec, name)
+def scramble(spec) -> list:
+    """Overwrite what ``spec`` keeps in ``__dict__`` outside its fields, a hardware entry's thresholds
+    filled first; return the names. A check that saw past the fields would then fail."""
+    if isinstance(spec, HardwareSpec):
+        thresholds(spec)
+    names = sorted(vars(spec).keys() - spec._fields.keys())
+    vars(spec).update(dict.fromkeys(names, "scrambled"))
     return names
 
 
@@ -313,8 +331,8 @@ def test_spec_equality_and_hash_ignore_cached_values(index):
     spec, fresh = one_of_each_spec()[index], one_of_each_spec()[index]
     assert spec is not fresh
     before = (hash(spec), repr(spec))
-    if fill_caches(spec):
-        assert vars(spec).keys() > vars(fresh).keys()
+    if scramble(spec):
+        assert vars(spec) != vars(fresh)
     assert spec == fresh and fresh == spec and not spec != fresh
     assert (hash(spec), repr(spec)) == (hash(fresh), repr(fresh)) == before
     assert spec.replace() == spec and spec.replace() is not spec
@@ -324,7 +342,7 @@ def test_spec_equality_and_hash_ignore_cached_values(index):
 @pytest.mark.parametrize("index", range(len(SPEC_IDS)), ids=SPEC_IDS)
 def test_spec_repr_lists_fields_in_declaration_order(index):
     spec = one_of_each_spec()[index]
-    fill_caches(spec)
+    scramble(spec)
     declared = list(type(spec).__annotations__)
     assert list(spec._fields) == declared
     fields = ", ".join(f"{name}={getattr(spec, name)!r}" for name in declared)
@@ -350,11 +368,11 @@ def test_video_job_repr():
                          ids=["copy", "deepcopy", "pickle"])
 def test_spec_copies_and_pickles_equal(index, clone):
     spec = one_of_each_spec()[index]
-    for cached in (False, True):
-        if cached:
-            fill_caches(spec)
+    for scrambled in (False, True):
+        if scrambled:
+            scramble(spec)
         again = clone(spec)
-        assert type(again) is type(spec)
+        assert type(again) is type(spec) and vars(again) == vars(spec)  # derived constants are carried over
         assert again == spec and hash(again) == hash(spec) and repr(again) == repr(spec)
         with pytest.raises(AttributeError):
             setattr(again, next(iter(spec._fields)), 1)
