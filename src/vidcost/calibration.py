@@ -14,7 +14,7 @@ from operator import attrgetter, mul
 from pathlib import Path
 
 from .cost import SECONDS_PER_HOUR, energy, latency, too_large, total_flops
-from .specs import DiTSpec, HardwareSpec, Record, TextEncoderSpec, VAEDecoderSchedule, VideoJob, data_path
+from .specs import DiTSpec, HardwareSpec, Record, TextEncoderSpec, VAEDecoderSchedule, VideoJob, _json_object, data_path
 
 MEASUREMENTS_FILE = "benchmark_measurements.csv"
 
@@ -89,6 +89,8 @@ class MeasurementRecord(Record):
             if vars(self)[name] is not None and vars(self)[name] <= 0:
                 raise ValueError(f"{name} must be positive")
         for name, value in zip(_NUMBERS, numbers):
+            if value is None and name not in ("latency_s", "gpu_wh"):  # only a measure may be left out as None
+                raise ValueError(f"{name} must be a number, got None")
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be non-negative")
 
@@ -282,8 +284,8 @@ def _record(columns, cells, index: int, in_csv: bool) -> MeasurementRecord:
     except TypeError:  # a required value left out: of checked values, the one a record rejects with a TypeError
         missing = [c for c in _REQUIRED if COLUMNS[c][0] not in values]
         raise ValueError(f"{_record_name(index, in_csv)}: missing required columns {missing}") from None
-    except ValueError as exc:  # named by the file's columns, not the record's height_px and width_px
-        raise ValueError(f"{_record_name(index, in_csv)}: {str(exc).replace('_px', '')}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{_record_name(index, in_csv)}: {exc}") from exc
 
 
 def read_measurements_csv(source) -> list[MeasurementRecord]:
@@ -317,12 +319,6 @@ def read_measurements_csv(source) -> list[MeasurementRecord]:
     except csv.Error as exc:
         raise ValueError(f"{_record_name(len(records), True)}: {exc}") from None
     return records
-
-
-def _json_object(pairs: list) -> dict:
-    """A JSON object as a dict; one that repeats a key also holds its keys in order under None, which no key is."""
-    obj = dict(pairs)
-    return obj if len(obj) == len(pairs) else {**obj, None: [key for key, _ in pairs]}
 
 
 def read_measurements_json(source) -> list[MeasurementRecord]:

@@ -173,7 +173,7 @@ def latency(flops: int, hw: HardwareSpec, mu: float) -> float:
     energy at ``hw.p_max``, beyond the float range is a ValueError naming ``hw`` and ``mu``."""
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"mu must be in (0, 1], got {mu}")
-    seconds = flops / (mu * hw.theta_peak or math.nan)  # a rate that underflowed to 0 gives nan, rejected below
+    seconds = flops / (mu * hw.theta_peak)  # the rate is at least mu, as theta_peak is at least 1
     if not seconds * hw.p_max < math.inf:  # as p_max is positive, this also holds the latency finite
         raise ValueError(f"hardware {hw.name!r} at mu {mu}: {flops:.4g} FLOPs give a latency or energy no float holds")
     return seconds

@@ -134,7 +134,7 @@ class VideoJob(Spec):
             name = next(name for name in self._fields if type(vars(self)[name]) is not int)
             raise ValueError(f"{name} must be an int, got {vars(self)[name]!r}")
         if height_px < 16 or width_px < 16:
-            raise ValueError("height_px and width_px must be at least 16")
+            raise ValueError("height and width must be at least 16")
         if frames < 1:
             raise ValueError("frames must be at least 1")
         if steps < 1:
@@ -189,12 +189,12 @@ class TextEncoderSpec(Spec):
     tokens: int = 512
 
     def _check(self) -> None:
-        """Store ``flops_per_pass``, the FLOPs of one pass: L * (8*m*d^2 + 4*m^2*d + 4*f*m*d^2). The
-        feed-forward term may involve a fractional expansion factor, but must come out integral."""
-        m, d = self.tokens, self.hidden
+        """Store ``flops_per_pass``, the FLOPs of one pass: L * (8*m*d^2 + 4*m^2*d + 4*f*m*d^2). With a
+        fractional expansion factor, the feed-forward term of all L layers must come out integral, as the DiT's."""
+        n, m, d = self.layers, self.tokens, self.hidden
         p, q = self.mlp_expansion.as_integer_ratio()
-        ffn = exact_div(4 * p * m * d * d, q, "mlp_expansion: the feed-forward term")
-        self.__dict__["flops_per_pass"] = self.layers * (8 * m * d * d + 4 * m * m * d + ffn)
+        ffn = exact_div(n * 4 * p * m * d * d, q, "mlp_expansion: the feed-forward term")
+        self.__dict__["flops_per_pass"] = n * (8 * m * d * d + 4 * m * m * d) + ffn
 
 
 # How a decoder row's output temporal length derives from the frame count,
@@ -262,16 +262,10 @@ class HardwareSpec(Spec):
     theta_peak: float
     bandwidth: float
     p_max: float
-    scalar_bytes: int = 2
+    scalar_bytes: Literal[1, 2, 4] = 2
     reference_balance: int | None = None
     reference_attn_threshold: int | None = None
     reference_mlp_threshold: int | None = None
-
-    def _check(self) -> None:
-        if self.scalar_bytes not in (1, 2, 4):
-            raise ValueError(f"scalar_bytes must be 1, 2, or 4, got {self.scalar_bytes}")
-        if not math.isfinite(self.theta_peak / self.bandwidth):  # the balance, which thresholds round
-            raise ValueError(f"theta_peak / bandwidth must be finite, got {self.theta_peak!r} / {self.bandwidth!r}")
 
 
 class ModelSpec(Spec):
@@ -281,11 +275,7 @@ class ModelSpec(Spec):
     dit: DiTSpec
     text_encoder: TextEncoderSpec
     vae: VAEDecoderSchedule
-    cfg_passes: int = 2
-
-    def _check(self) -> None:
-        if self.cfg_passes not in (1, 2):
-            raise ValueError(f"cfg_passes must be 1 or 2, got {self.cfg_passes}")
+    cfg_passes: Literal[1, 2] = 2
 
 
 class ModelDefaults(Spec):
@@ -298,10 +288,7 @@ class ModelDefaults(Spec):
     frames: int
 
     def _check(self) -> None:
-        try:
-            VideoJob(self.height, self.width, self.frames, self.steps)  # rejects the geometry VideoJob rejects
-        except ValueError as exc:  # named by this entry's keys, not VideoJob's height_px and width_px
-            raise ValueError(str(exc).replace("_px", "")) from None
+        VideoJob(self.height, self.width, self.frames, self.steps)  # rejects the geometry VideoJob rejects
 
 
 # --- the schema: field annotation -> check ---
@@ -315,15 +302,10 @@ def _require(ok: bool, name: str, value, what: str):
 
 
 def _number(name: str, value):
-    """A finite positive float; an int is stored as the float nearest to it."""
+    """A hardware constant: a number in [1, 1e24], stored as a float. In that range the balance
+    theta_peak / bandwidth is a normal float and mu * theta_peak is positive for every mu in (0, 1]."""
     _require(type(value) in (int, float), name, value, "a number")
-    try:
-        number = float(value)
-    except OverflowError:  # an int beyond the float range
-        number = math.inf
-    _require(math.isfinite(number), name, value, "finite")
-    _require(number > 0, name, value, "positive")
-    return number
+    return float(_require(1 <= value <= 10**24, name, value, "between 1 and 1e24"))  # exact, also for a huge int
 
 
 def _fraction(name: str, value):
@@ -358,10 +340,11 @@ def _parsed_rational(value):
     return Fraction(p, q)
 
 
-def _choice(values: list[str]) -> tuple[str, object]:
+def _choice(values: list) -> tuple[str, object]:
     """The schema entry of a field holding one of ``values``: its ``Literal[...]`` annotation and check."""
     annotation = f"Literal[{', '.join(map(repr, values))}]"  # as ``from __future__ import annotations`` spells it
-    return annotation, lambda name, value: _require(value in values, name, value, f"one of {values}")
+    typed = [(type(v), v) for v in values]  # True == 1 and 2.0 == 2, but neither is one of [1, 2]
+    return annotation, lambda name, value: _require((type(value), value) in typed, name, value, f"one of {values}")
 
 
 def _instance(cls: type):
@@ -383,7 +366,7 @@ _FIELD_CHECKS = {
     "float": _number,
     "Fraction": _fraction,
     "str": lambda name, v: _require(type(v) is str, name, v, "a string"),
-    **dict([_choice(["conv3d", "attn2d"]), _choice(list(TIME_RULES))]),
+    **dict([_choice(["conv3d", "attn2d"]), _choice(list(TIME_RULES)), _choice([1, 2, 4]), _choice([1, 2])]),
     "tuple[int, int, int] | None": lambda name, v: v if v is None else tuple(_require(
         type(v) in (list, tuple) and len(v) == 3 and all(type(k) is int and k > 0 for k in v),
         name, v, "three positive ints")),
@@ -407,6 +390,8 @@ def from_dict(cls, data, where: str = ""):
     what = where or _TOP_LEVEL.get(cls, cls.__name__)
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    if None in data:  # a file's object that repeats a key, as ``_json_object`` reads it
+        raise ValueError(f"{what}: repeated keys {sorted({key for key in data[None] if data[None].count(key) > 1})}")
     unknown = data.keys() - cls._fields
     if unknown:
         raise ValueError(f"{what}: unknown keys {sorted(unknown)}")
@@ -461,12 +446,18 @@ def is_path(name_or_path: str | Path) -> bool:
     return Path(name_or_path).suffix == ".json" or os.path.isfile(name_or_path)
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object as a dict; one that repeats a key also holds its keys in order under None, which no key is."""
+    obj = dict(pairs)
+    return obj if len(obj) == len(pairs) else {**obj, None: [key for key, _ in pairs]}
+
+
 def _read_file(path, read):
     """``read`` of the JSON value in the file at ``path``. Text that does not
     decode or parse, or a value ``read`` rejects, is a ValueError naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return read(json.load(fh))
+            return read(json.load(fh, object_pairs_hook=_json_object))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

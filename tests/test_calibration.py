@@ -19,8 +19,10 @@ from oracles import mape_oracle
 from vidcost import calibration
 from vidcost import (
     CalibrationRangeError,
+    DiTSpec,
     MeasurementRecord,
     PointError,
+    TextEncoderSpec,
     ValidationReport,
     VideoJob,
     fit_mu,
@@ -93,9 +95,10 @@ def test_record_validation():
 MISSING = object()
 ODD_VALUES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-1": -1, "0": 0, "10**400": 10**400,
               "True": True, "missing": MISSING, "None": None, "'1'": "1", "max+1": int(sys.float_info.max) + 1}
-AT_LEAST_16 = "height_px and width_px must be at least 16"
+AT_LEAST_16 = "height and width must be at least 16"
 # What MeasurementRecord did with -1, 0, True and None in each field before its constructor was
-# hand-written: the ValueError's message, or None where it built a record.
+# hand-written: the ValueError's message, or None where it built a record. Since then, VideoJob words its
+# geometry rule by the file's keys, and a None energy or std is rejected, as no arithmetic takes it.
 RECORD_OUTCOMES = {
     "model_id": (None, None, None, None),
     "height_px": (AT_LEAST_16, AT_LEAST_16, "height_px must be an int, got True", "height_px must be an int, got None"),
@@ -105,11 +108,11 @@ RECORD_OUTCOMES = {
     "steps": ("steps must be at least 1", "steps must be at least 1", "steps must be an int, got True",
               "steps must be an int, got None"),
     "latency_s": ("latency_s must be positive", "latency_s must be positive", None, "record needs latency_s or gpu_wh"),
-    "latency_std_s": ("latency_std_s must be non-negative", None, None, None),
+    "latency_std_s": ("latency_std_s must be non-negative", None, None, "latency_std_s must be a number, got None"),
     "gpu_wh": ("gpu_wh must be positive", "gpu_wh must be positive", None, None),
-    "gpu_wh_std": ("gpu_wh_std must be non-negative", None, None, None),
-    "cpu_wh": ("cpu_wh must be non-negative", None, None, None),
-    "ram_wh": ("ram_wh must be non-negative", None, None, None),
+    "gpu_wh_std": ("gpu_wh_std must be non-negative", None, None, "gpu_wh_std must be a number, got None"),
+    "cpu_wh": ("cpu_wh must be non-negative", None, None, "cpu_wh must be a number, got None"),
+    "ram_wh": ("ram_wh must be non-negative", None, None, "ram_wh must be a number, got None"),
 }
 
 
@@ -269,10 +272,17 @@ def test_fit_mu_preconditions(wan, h100):
     same = [records[0], records[0]]
     with pytest.raises(ValueError, match="degenerate"):
         fit_mu(same, wan.dit, wan.text_encoder, wan.vae, h100)
-    # Distinct totals whose squared spread at theta_peak underflows to 0, or is nan as every x is inf.
-    for hw in (h100.replace(theta_peak=1.7e308, bandwidth=1e300), h100.replace(theta_peak=5e-324)):
-        with pytest.raises(ValueError, match="^degenerate fit: "):
-            fit_mu(records, wan.dit, wan.text_encoder, wan.vae, hw)
+    # Distinct totals of about 2**84.6, differing by 44 FLOPs a pass, round to one float: the squared spread is 0.
+    dit = DiTSpec(layers=1, hidden=1, mlp_expansion=1, text_tokens=1, timestep_hidden=1)
+    text = TextEncoderSpec(layers=1, hidden=2**40, mlp_expansion=1, tokens=1)
+    close = [MeasurementRecord("m", 16, 16, 1, steps, latency_s=float(steps)) for steps in (1, 2, 3)]
+    assert len(set(calibration._predicted_flops(close, dit, text, wan.vae, 2))) == 3
+    with pytest.raises(ValueError, match="^degenerate fit: the squared spread of flops / theta_peak is 0.0, "):
+        fit_mu(close, dit, text, wan.vae, h100)
+    # Totals of about 1e155 apart at a theta_peak of 1: the squared spread overflows.
+    far = [MeasurementRecord("m", 16, 16, 1, steps, latency_s=float(steps)) for steps in (1, 2)]
+    with pytest.raises(ValueError, match="^degenerate fit: the squared spread of flops / theta_peak is inf, "):
+        fit_mu(far, dit.replace(hidden=10**77), text, wan.vae, h100.replace(theta_peak=1.0))
 
 
 def test_fit_mu_out_of_range(wan, h100):

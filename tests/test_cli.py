@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through main()."""
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -12,12 +13,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vidcost
 
 from vidcost import VideoJob, total_flops
 from vidcost.cli import build_parser, main
-from vidcost.specs import to_dict
+from vidcost.specs import HardwareSpec, to_dict
 
 BUNDLED_SPEC = Path(vidcost.__file__).with_name("data") / "wan2.1-t2v-1.3b.json"
 
@@ -209,7 +212,7 @@ def test_bad_model_spec_is_one_error_line(capsys, tmp_path, wan, edit, message):
 @pytest.mark.parametrize("command", ["estimate", "calibrate"])
 def test_text_encoder_whose_feed_forward_term_is_not_integral_is_rejected_on_load(capsys, tmp_path, wan, command):
     doc = to_dict(wan)
-    doc["text_encoder"] = {"layers": 4, "hidden": 1, "mlp_expansion": "1/8", "tokens": 1}
+    doc["text_encoder"] = {"layers": 1, "hidden": 1, "mlp_expansion": "1/8", "tokens": 1}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     measurements = tmp_path / "measurements.csv"
@@ -236,6 +239,7 @@ def _int_fields():
 def test_spec_int_field_rejects_non_int(capsys, tmp_path, path, keys):
     # A float or bool in an int field would make every FLOP count it feeds a float.
     spec = tmp_path / "spec.json"
+    want = "one of [1, 2]" if path == "cfg_passes" else "a positive int"
     for bad, shown in ((2.0, "2.0"), (True, "True"), (16.5, "16.5")):
         doc = json.loads(BUNDLED_SPEC.read_text())
         target = doc
@@ -245,7 +249,7 @@ def test_spec_int_field_rejects_non_int(capsys, tmp_path, path, keys):
         spec.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "estimate", "--model", str(spec), "--format", "json")
         assert (code, out) == (1, "")
-        assert err == f"error: {spec}: {path} must be a positive int, got {shown}\n"
+        assert err == f"error: {spec}: {path} must be {want}, got {shown}\n"
 
 
 @pytest.mark.parametrize("key", ["scalar_bytes", "reference_balance", "reference_attn_threshold",
@@ -253,11 +257,12 @@ def test_spec_int_field_rejects_non_int(capsys, tmp_path, path, keys):
 def test_hardware_int_field_rejects_non_int(capsys, tmp_path, key):
     entry = {"name": "toy", "theta_peak": 1e12, "bandwidth": 1e12, "p_max": 700, "scalar_bytes": 2}
     path = tmp_path / "hw.json"
+    want = "one of [1, 2, 4]" if key == "scalar_bytes" else "a positive int"
     for bad, shown in ((2.0, "2.0"), (True, "True"), (16.5, "16.5")):
         path.write_text(json.dumps([{**entry, key: bad}]))
         code, out, err = run_cli(capsys, "roofline", "--hardware", str(path))
         assert (code, out) == (1, "")
-        assert err == f"error: {path}: hardware[0].{key} must be a positive int, got {shown}\n"
+        assert err == f"error: {path}: hardware[0].{key} must be {want}, got {shown}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -392,31 +397,32 @@ def test_roofline_rejects_non_finite_hardware(capsys, tmp_path, monkeypatch):
     code, out, err = run_cli(capsys, "roofline", "--hardware", str(path))
     assert code == 1
     assert out == ""
-    assert err == f"error: {path}: hardware[0].theta_peak must be finite, got nan\n"
+    assert err == f"error: {path}: hardware[0].theta_peak must be between 1 and 1e24, got nan\n"
 
     monkeypatch.setenv("VIDCOST_DATA_DIR", str(tmp_path))
     path.rename(tmp_path / "hardware.json")
     code, out, err = run_cli(capsys, "roofline")
     assert (code, out) == (1, "")
-    assert err == f"error: {tmp_path / 'hardware.json'}: hardware[0].theta_peak must be finite, got nan\n"
+    assert err == f"error: {tmp_path / 'hardware.json'}: hardware[0].theta_peak must be between 1 and 1e24, got nan\n"
 
 
 def test_roofline_rejects_an_overflowing_balance(capsys, tmp_path):
+    # A balance that overflows needs a theta_peak or bandwidth outside [1, 1e24], which loading rejects.
     path = tmp_path / "hw.json"
     path.write_text('[{"name": "toy", "theta_peak": 1e308, "bandwidth": 1e-300, "p_max": 700}]')
     code, out, err = run_cli(capsys, "roofline", "--hardware", str(path))
     assert (code, out) == (1, "")
-    assert err == f"error: {path}: hardware[0].theta_peak / bandwidth must be finite, got 1e+308 / 1e-300\n"
+    assert err == f"error: {path}: hardware[0].theta_peak must be between 1 and 1e24, got 1e+308\n"
 
 
 def test_roofline_thresholds_of_a_balance_near_the_float_limit(capsys, tmp_path):
-    # Computed in integers: s * balance / 2 as a float division would overflow.
+    # The largest balance, 1e24, is beyond the floats that hold every integer (2**53): the thresholds are exact.
     path = tmp_path / "hw.json"
-    path.write_text('[{"name": "toy", "theta_peak": 1e308, "bandwidth": 1, "p_max": 700, "scalar_bytes": 4}]')
+    path.write_text('[{"name": "toy", "theta_peak": 1e24, "bandwidth": 1, "p_max": 700, "scalar_bytes": 4}]')
     code, out, err = run_cli(capsys, "roofline", "--hardware", str(path), "--format", "json")
     assert (code, err) == (0, "")
     [row] = json.loads(out)
-    assert (row["attn_threshold"], row["mlp_threshold"]) == (2 * int(1e308), 4 * int(1e308))
+    assert (row["attn_threshold"], row["mlp_threshold"]) == (2 * int(1e24), 4 * int(1e24))
 
 
 @pytest.mark.parametrize("argv, key, what", [
@@ -439,13 +445,13 @@ def test_hardware_error_names_the_entry(capsys, tmp_path, monkeypatch):
     path.write_text(json.dumps([entry, {**entry, "name": "bad", "p_max": -1}]))
     code, out, err = run_cli(capsys, "roofline", "--hardware", str(path))
     assert (code, out) == (1, "")
-    assert err == f"error: {path}: hardware[1].p_max must be positive, got -1\n"
+    assert err == f"error: {path}: hardware[1].p_max must be between 1 and 1e24, got -1\n"
 
     monkeypatch.setenv("VIDCOST_DATA_DIR", str(tmp_path))
     path.rename(tmp_path / "hardware.json")
     code, out, err = run_cli(capsys, "roofline")
     assert (code, out) == (1, "")
-    assert err == f"error: {tmp_path / 'hardware.json'}: hardware[1].p_max must be positive, got -1\n"
+    assert err == f"error: {tmp_path / 'hardware.json'}: hardware[1].p_max must be between 1 and 1e24, got -1\n"
 
 
 def test_bad_hardware_file_is_one_error_line(capsys, tmp_path, monkeypatch):
@@ -813,16 +819,28 @@ EDGE_CASES = {
     "estimate-mu-5e-324": ({}, None, "estimate --mu 5e-324 --format json", 1, "hardware 'h100' at mu 5e-324: "),
     "sweep-mu-1e-310": ({}, None, "sweep --axis steps --from 1 --to 3 --mu 1e-310 --format csv", 1,
                         "hardware 'h100' at mu 1e-310: "),
+    # A theta_peak outside [1, 1e24] is rejected on load, before any arithmetic could under- or overflow.
     "estimate-theta-5e-324": ({"theta_peak": 5e-324}, None, "estimate --hardware {hw} --format json", 1,
-                              "hardware 'toy' at mu 0.456: "),
+                              "hw.json: hardware[0].theta_peak must be between 1 and 1e24, got 5e-324"),
     "sweep-theta-5e-324": ({"theta_peak": 5e-324}, None, "sweep --axis steps --from 1 --to 3 --hardware {hw}", 1,
-                           "hardware 'toy' at mu 0.456: "),
+                           "hw.json: hardware[0].theta_peak must be between 1 and 1e24, got 5e-324"),
     "estimate-theta-1e-308": ({"theta_peak": 1e-308}, None, "estimate --hardware {hw} --format json", 1,
-                              "hardware 'toy' at mu 0.456: "),
+                              "hw.json: hardware[0].theta_peak must be between 1 and 1e24, got 1e-308"),
     "calibrate-theta-1.7e308": ({"theta_peak": 1.7e308, "bandwidth": 1e300}, None,
-                                "calibrate --measurements {m} --hardware {hw} --format json", 1, ": degenerate fit: "),
+                                "calibrate --measurements {m} --hardware {hw} --format json", 1,
+                                "hw.json: hardware[0].theta_peak must be between 1 and 1e24, got 1.7e+308"),
     "calibrate-theta-5e-324": ({"theta_peak": 5e-324}, None,
-                               "calibrate --measurements {m} --hardware {hw} --format json", 1, ": degenerate fit: "),
+                               "calibrate --measurements {m} --hardware {hw} --format json", 1,
+                               "hw.json: hardware[0].theta_peak must be between 1 and 1e24, got 5e-324"),
+    # The domain's ends: latencies of about 3.9e17 s and 3.9e-7 s, and thresholds of 25 digits.
+    "estimate-theta-1": ({"theta_peak": 1}, None, "estimate --hardware {hw} --format json", 0, '"latency_s": 3.93'),
+    "estimate-theta-1e24": ({"theta_peak": 1e24, "bandwidth": 1, "p_max": 1e24}, None,
+                            "estimate --hardware {hw} --format json", 0, '"latency_s": 3.93'),
+    "roofline-theta-1e24": ({"theta_peak": 1e24, "bandwidth": 1, "scalar_bytes": 4}, None,
+                            "roofline --hardware {hw} --format json", 0, '"mlp_threshold": 3999999999999999932891136'),
+    # In the domain, a latency or its energy still overflows on a huge FLOP total: 2.9e307 at a height of 10**148.
+    "estimate-height-10**148": ({"theta_peak": 1}, None, f"estimate --height {10**148} --hardware {{hw}}", 1,
+                                "hardware 'toy' at mu 0.456: "),
     "calibrate-gpu-wh-1e308": ({}, HUGE_ENERGY_CSV, "calibrate --measurements {m} --hardware {hw} --format json", 1,
                                ": fitted efficiency nan outside (0, 1]"),
     "roofline-reference-balance-10**400": ({"reference_balance": 10**400}, None,
@@ -843,3 +861,81 @@ def test_float_range_edges_give_an_error_line_or_finite_output(capsys, tmp_path,
     else:
         assert not re.search(r"\b(?:nan|inf|infinity)\b", out, re.IGNORECASE)
     assert (code, want_text in (err if code else out)) == (want_code, True)
+
+
+@pytest.mark.parametrize("kind", ["model", "hardware", "defaults"])
+def test_spec_files_reject_a_repeated_key(capsys, tmp_path, kind):
+    # json alone keeps the last of a repeated key: this spec would be costed at a hidden width of 1024.
+    path = tmp_path / f"{kind}.json"
+    if kind == "model":
+        text = BUNDLED_SPEC.read_text().replace('"hidden": 2048,', '"hidden": 2048, "hidden": 1024,', 1)
+        assert json.loads(text)["dit"]["hidden"] == 1024
+        argv, message = ["estimate", "--model", str(path)], "dit: repeated keys ['hidden']"
+    elif kind == "hardware":
+        text = json.dumps([HW_ENTRY])[:-2] + ', "p_max": 200}]'
+        argv, message = ["roofline", "--hardware", str(path)], "hardware[0]: repeated keys ['p_max']"
+    else:
+        text = json.dumps([DEFAULTS_ENTRY])[:-2] + ', "steps": 8, "model_id": "x"}]'
+        argv, message = ["compare", "--defaults", str(path)], "model defaults[0]: repeated keys ['model_id', 'steps']"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {path}: {message}\n")
+
+
+def test_estimate_geometry_error_names_the_flags(capsys):
+    code, out, err = run_cli(capsys, "estimate", "--height", "8")
+    assert (code, out, err) == (1, "", "error: height and width must be at least 16\n")
+
+
+# The hardware domain's edges, inside and out, as a one-entry file holds them; None stands for a NaN.
+HARDWARE_NUMBERS = [5e-324, 1e-308, 0.5, 1, 989e12, 1e24, math.nextafter(1e24, math.inf), 1.7e308, 10**400, 0, -1,
+                    None, True, "1"]
+SCALAR_BYTES = [0, 1, 2, 3, 4, True, 2.0]
+CALIBRATION_CSV = Path(__file__).with_name("golden") / "input-calibrate.csv"
+GATE_COMMANDS = {"roofline": ["roofline"], "estimate": ["estimate"],
+                 "calibrate": ["calibrate", "--measurements", str(CALIBRATION_CSV)]}
+
+
+def in_domain(field, value) -> bool:
+    if field == "scalar_bytes":
+        return type(value) is int and value in (1, 2, 4)
+    return type(value) in (int, float) and 1 <= value <= 10**24
+
+
+def json_numbers(value):
+    """Every number in a JSON document, bools aside."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [n for v in value for n in json_numbers(v)]
+    return [value] if type(value) in (int, float) else []
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(list(GATE_COMMANDS)), entry=st.fixed_dictionaries({
+    "theta_peak": st.sampled_from(HARDWARE_NUMBERS), "bandwidth": st.sampled_from(HARDWARE_NUMBERS),
+    "p_max": st.sampled_from(HARDWARE_NUMBERS), "scalar_bytes": st.sampled_from(SCALAR_BYTES)}))
+@example(command="roofline", entry={"theta_peak": 1e24, "bandwidth": 1, "p_max": 1e24, "scalar_bytes": 4})
+@example(command="estimate", entry={"theta_peak": 1, "bandwidth": 1e24, "p_max": 1e24, "scalar_bytes": 1})
+@example(command="calibrate", entry={"theta_peak": 989e12, "bandwidth": 1, "p_max": 1, "scalar_bytes": 2})
+@example(command="roofline", entry={"theta_peak": 5e-324, "bandwidth": 989e12, "p_max": 1, "scalar_bytes": 2})
+@example(command="roofline", entry={"theta_peak": 1.7e308, "bandwidth": 1e300, "p_max": 1, "scalar_bytes": 2})
+def test_hardware_file_gives_an_error_line_naming_its_field_or_finite_output(tmp_path_factory, command, entry):
+    path = tmp_path_factory.mktemp("hw") / "hw.json"
+    path.write_text(json.dumps([{"name": "toy", **{k: math.nan if v is None else v for k, v in entry.items()}}]))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*GATE_COMMANDS[command], "--hardware", str(path), "--format", "json"])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    bad = [field for field in HardwareSpec._fields if field in entry and not in_domain(field, entry[field])]
+    if bad:  # rejected on load, naming the file and the first field out of the domain
+        assert (code, out) == (1, "") and err.count("\n") == 1
+        assert err.startswith(f"error: {path}: hardware[0].{bad[0]} must be ")
+    elif code:  # only a fit can fail on hardware inside the domain: its efficiency leaves (0, 1]
+        assert (command, out) == ("calibrate", "")
+        assert err.splitlines()[-1].startswith(f"error: {CALIBRATION_CSV}: fitted efficiency ")
+    else:
+        doc = json.loads(out, parse_constant=lambda constant: pytest.fail(f"{constant} in the output"))
+        if command == "roofline":  # no threshold of 300 digits: the balance is at most 1e24
+            assert max(len(repr(abs(n)).split("e")[0].replace(".", "")) for n in json_numbers(doc)) <= 25

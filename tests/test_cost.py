@@ -110,7 +110,14 @@ def test_text_encoder_examples(wan):
 def test_text_encoder_rejects_non_integral_ffn():
     # Rejected when the spec is built, not when it is first costed.
     with pytest.raises(ValueError, match=r"^mlp_expansion: the feed-forward term is not an integer FLOP count \(1/2\)"):
-        TextEncoderSpec(layers=4, hidden=1, mlp_expansion=Fraction(1, 8), tokens=1)
+        TextEncoderSpec(layers=1, hidden=1, mlp_expansion=Fraction(1, 8), tokens=1)
+
+
+def test_text_encoder_feed_forward_term_is_integral_over_all_layers():
+    # As the DiT's: one layer's 4*f*m*d^2 may be fractional when the L layers' sum is an integer.
+    spec = TextEncoderSpec(layers=3, hidden=1, mlp_expansion="1/3", tokens=1)
+    assert spec.flops_per_pass == 3 * (8 + 4) + 4 == 40
+    assert TextEncoderSpec(layers=4, hidden=1, mlp_expansion="1/8", tokens=1).flops_per_pass == 50
 
 
 def test_total_flops_minimal_composition():
@@ -191,15 +198,31 @@ def test_latency_examples(h100):
 
 
 @pytest.mark.parametrize("theta_peak, p_max, mu", [
-    (5e-324, 700.0, 0.456),  # mu * theta_peak underflows to 0
-    (1e-308, 700.0, 0.456),  # the latency overflows
-    (989e12, 700.0, 5e-324),
-    (989e12, 1e307, 0.456),  # the latency is finite, its energy is not
+    (5e-324, 700.0, 0.456),  # outside the hardware domain [1, 1e24], where mu * theta_peak would underflow to 0
+    (1e-308, 700.0, 0.456),  # outside the domain, where the latency would overflow
+    (989e12, 700.0, 5e-324),  # the latency overflows
+    (989e12, 1e307, 0.456),  # outside the domain, where the latency would be finite and its energy not
 ])
 def test_latency_beyond_the_float_range_names_the_hardware_and_mu(h100, theta_peak, p_max, mu):
+    if not (1 <= theta_peak <= 1e24 and 1 <= p_max <= 1e24):  # such hardware is rejected when built
+        with pytest.raises(ValueError, match=r"^(theta_peak|p_max) must be between 1 and 1e24, got "):
+            h100.replace(theta_peak=theta_peak, p_max=p_max)
+        return
     hw = h100.replace(theta_peak=theta_peak, p_max=p_max)
     with pytest.raises(ValueError, match=f"^hardware 'h100' at mu {mu}: .* no float holds$"):
         latency(TOTAL_DEFAULT, hw, mu)
+
+
+@pytest.mark.parametrize("flops, theta_peak, p_max, mu", [
+    (10**308, 1.0, 700.0, 0.456),  # the latency overflows
+    (10**300, 1.0, 1e24, 1.0),  # the latency is finite, its energy is not
+    (TOTAL_DEFAULT, 1.0, 700.0, 5e-324),  # the least rate the domain allows, 5e-324 FLOP/s
+], ids=["latency", "energy", "least-rate"])
+def test_latency_of_in_domain_hardware_beyond_the_float_range_names_the_hardware_and_mu(h100, flops, theta_peak,
+                                                                                      p_max, mu):
+    hw = h100.replace(theta_peak=theta_peak, p_max=p_max)
+    with pytest.raises(ValueError, match=f"^hardware 'h100' at mu {mu}: .* no float holds$"):
+        latency(flops, hw, mu)
 
 
 def test_energy_examples(h100):

@@ -101,7 +101,7 @@ def test_transformer_operators_equal_their_oracles(data):
        cfg_passes=st.sampled_from((1, 2)))
 def test_text_encoder_equals_its_oracle_or_is_rejected_on_construction(layers, hidden, expansion, tokens,
                                                                         cfg_passes):
-    if (4 * expansion * tokens * hidden**2).denominator != 1:  # one layer's feed-forward term must be an integer
+    if (layers * 4 * expansion * tokens * hidden**2).denominator != 1:  # as text_oracle, the sum over layers
         with pytest.raises(ValueError, match="^mlp_expansion: the feed-forward term is not an integer FLOP count"):
             TextEncoderSpec(layers=layers, hidden=hidden, mlp_expansion=expansion, tokens=tokens)
         return

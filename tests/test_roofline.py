@@ -142,7 +142,7 @@ def test_classification_regime_is_derived():
 @pytest.mark.parametrize("s", [1, 2, 4])
 def test_thresholds_in_integers_round_as_the_float_formula(s):
     # round(s * beta / 2) with float division, where that does not overflow.
-    for beta in [*range(1, 2000), 2**52 - 1, 2**52 + 2, 2**60, int(1e300)]:
+    for beta in [*range(1, 2000), 2**52 - 1, 2**52 + 2, 2**60, int(1e24)]:  # 1e24: the largest balance
         hw = toy_hw(theta=float(beta), bw=1.0, s=s)
         assert thresholds(hw) == (round(s * beta / 2), s * beta)
 

@@ -2,8 +2,10 @@
 
 import copy
 import json
+import math
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -125,11 +127,11 @@ def test_class_object_annotation_is_a_type_error_naming_the_field(annotation, sh
     (lambda: VAEDecoderSchedule(layers=[{"kind": "attn2d"}]),
      "layers must be a list of VAEDecoderLayer, got [{'kind': 'attn2d'}]"),
     (lambda: HardwareSpec(name="x", theta_peak=1e12, bandwidth=1e12, p_max=700, scalar_bytes=True),
-     "scalar_bytes must be a positive int, got True"),
+     "scalar_bytes must be one of [1, 2, 4], got True"),
     (lambda: HardwareSpec(name="x", theta_peak="1e12", bandwidth=1e12, p_max=700),
      "theta_peak must be a number, got '1e12'"),
     (lambda: HardwareSpec(name="x", theta_peak=10**400, bandwidth=1e12, p_max=700),
-     f"theta_peak must be finite, got {10**400}"),
+     f"theta_peak must be between 1 and 1e24, got {10**400}"),
     (lambda: ModelSpec("m", DiTSpec(), {}, VAEDecoderSchedule(())), "text_encoder must be a TextEncoderSpec, got {}"),
 ], ids=["float-count", "bool-count", "negative-count", "bad-fraction", "bool-fraction", "nan-fraction",
         "float-kernel", "unknown-kind", "unknown-t-rule", "raw-row", "bool-scalar-bytes", "string-float",
@@ -182,9 +184,15 @@ def test_hardware_validation():
     valid = dict(name="x", theta_peak=1e12, bandwidth=1e12, p_max=700)
     assert HardwareSpec(**valid).p_max == 700.0 and type(HardwareSpec(**valid).p_max) is float
     for name in ("theta_peak", "bandwidth", "p_max"):
-        for bad in (float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(ValueError, match=f"{name} must be finite"):
+        for good in (1, 1.0, 10**24, 1e24):  # the domain's ends; an int is stored as the float nearest to it
+            assert getattr(HardwareSpec(**{**valid, name: good}), name) == float(good)
+        for bad in (float("nan"), float("inf"), float("-inf"), 0, -1, 0.5, 5e-324, math.nextafter(1e24, math.inf),
+                    10**24 + 1, 1.7e308, 10**400):
+            with pytest.raises(ValueError, match=f"^{name} must be between 1 and 1e24, got {re.escape(repr(bad))}$"):
                 HardwareSpec(**{**valid, name: bad})
+    for bad in (0, 3, 8, True, 2.0, "2"):  # one of the choices, by type as well as value: True == 1, 2.0 == 2
+        with pytest.raises(ValueError, match=rf"^scalar_bytes must be one of \[1, 2, 4\], got {re.escape(repr(bad))}$"):
+            HardwareSpec(**valid, scalar_bytes=bad)
 
 
 def test_bundled_model_spec(wan):
@@ -255,8 +263,11 @@ def test_model_spec_from_file_and_env(tmp_path, wan, monkeypatch):
 
 
 def test_model_spec_cfg_passes_must_be_1_or_2(wan):
-    with pytest.raises(ValueError, match="^cfg_passes must be 1 or 2, got 3$"):
+    with pytest.raises(ValueError, match=r"^cfg_passes must be one of \[1, 2\], got 3$"):
         wan.replace(cfg_passes=3)
+    for bad in (True, 2.0, 0):
+        with pytest.raises(ValueError, match=rf"^cfg_passes must be one of \[1, 2\], got {bad!r}$"):
+            wan.replace(cfg_passes=bad)
 
 
 def test_model_spec_unknown_name():
