@@ -13,7 +13,7 @@ import math
 from operator import attrgetter, mul
 from pathlib import Path
 
-from .cost import SECONDS_PER_HOUR, energy, latency, too_large, total_flops
+from .cost import _MAX, SECONDS_PER_HOUR, energy, float_flops, latency
 from .specs import DiTSpec, HardwareSpec, Record, TextEncoderSpec, VAEDecoderSchedule, VideoJob, _json_object, data_path
 
 MEASUREMENTS_FILE = "benchmark_measurements.csv"
@@ -34,7 +34,6 @@ _TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
 # A record's number fields, and their values as a tuple in one C call.
 _NUMBERS = tuple(field for field, kind in COLUMNS.values() if kind is not str)
 _number_values = attrgetter(*_NUMBERS)
-_MAX = math.nextafter(math.inf, 0.0)  # the largest float
 
 
 class MeasurementRecord(Record):
@@ -167,12 +166,10 @@ def _predicted_flops(
     for i, r in enumerate(records):
         if r.__dict__.get("_flops", (None,))[0] != key:
             job = r._job if cfg_passes == 2 and type(cfg_passes) is int else r.job(cfg_passes)  # the record's own
-            flops = total_flops(job, spec, tspec, vae).total
             try:
-                float(flops)  # as fit_mu and validate divide it by a float
-            except OverflowError:
-                raise RecordError(i, too_large(job)) from None
-            r.__dict__["_flops"] = key, flops
+                r.__dict__["_flops"] = key, float_flops(job, spec, tspec, vae).total
+            except ValueError as exc:
+                raise RecordError(i, exc.args[0]) from None
     return [r.__dict__["_flops"][1] for r in records]
 
 
@@ -196,21 +193,21 @@ def fit_mu(
         raise ValueError("degenerate fit: all records predict the same FLOP total")
     x = [f / hw.theta_peak for f in flops]
     y = [r.resolved_latency(hw) for r in records]
-    x_mean = math.fsum(x) / len(x)
-    y_mean = math.fsum(y) / len(y)
-    dx = [v - x_mean for v in x]
-    dy = [v - y_mean for v in y]
-    sxx = math.fsum(map(mul, dx, dx))
+    try:  # fsum raises where finite terms sum beyond the float range
+        x_mean, y_mean = math.fsum(x) / len(x), math.fsum(y) / len(y)
+        dx, dy = [v - x_mean for v in x], [v - y_mean for v in y]
+        sxx, sxy, syy = math.fsum(map(mul, dx, dx)), math.fsum(map(mul, dx, dy)), math.fsum(map(mul, dy, dy))
+    except OverflowError:
+        raise ValueError("degenerate fit: a sum over the records is too large for a float") from None
     if not 0.0 < sxx < math.inf:  # distinct totals whose spread at theta_peak under- or overflows
         raise ValueError(f"degenerate fit: the squared spread of flops / theta_peak is {sxx}, not positive and finite")
-    sxy = math.fsum(map(mul, dx, dy))
     slope = sxy / sxx
     mu = 1.0 / slope if slope else math.inf
     if not 0.0 < mu <= 1.0:  # also a nan or infinite slope
         raise CalibrationRangeError(mu)
     # slope > 0 implies sxy > 0, hence syy > 0. Exactly collinear points can
     # round to 1 + 2**-52; the clamp keeps r^2 within [0, 1].
-    r_squared = min(1.0, sxy * sxy / (sxx * math.fsum(map(mul, dy, dy))))
+    r_squared = min(1.0, sxy * sxy / (sxx * syy))
     return CalibrationResult(mu=mu, intercept_s=y_mean - slope * x_mean, r_squared=r_squared)
 
 

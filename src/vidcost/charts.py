@@ -24,6 +24,10 @@ PALETTE = {
 }
 
 
+# The XML escapes of & < > ", applied to every text a chart takes from data.
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
+
+
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
@@ -35,7 +39,7 @@ def _header(title: str) -> list[str]:
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="16">{title}</text>',
+        f'font-size="16">{title.translate(_ESCAPES)}</text>',
         f'<line x1="{MARGIN}" y1="{HEIGHT - MARGIN}" x2="{WIDTH - MARGIN}" '
         f'y2="{HEIGHT - MARGIN}" stroke="black"/>',
         f'<line x1="{MARGIN}" y1="{MARGIN}" x2="{MARGIN}" y2="{HEIGHT - MARGIN}" stroke="black"/>',
@@ -115,7 +119,7 @@ def log_bar_svg(report) -> str:
             )
             parts.append(
                 f'<text x="{_fmt(x)}" y="{HEIGHT - MARGIN + 16}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="10">{row.model_id}</text>'
+                f'font-family="sans-serif" font-size="10">{row.model_id.translate(_ESCAPES)}</text>'
             )
         parts.append(
             f'<text x="{MARGIN - 8}" y="{MARGIN}" text-anchor="end" font-family="sans-serif" '

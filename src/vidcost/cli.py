@@ -17,6 +17,7 @@ from . import output
 from .specs import (
     DEFAULT_HARDWARE,
     DEFAULT_MODEL_ID,
+    SWEEP_AXES,
     VideoJob,
     data_path,
     is_path,
@@ -87,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.set_defaults(func=cmd_estimate)
 
     swp = sub.add_parser("sweep", parents=[job], help="sweep one axis and report per-point costs")
-    swp.add_argument("--axis", required=True, choices=("resolution", "frames", "steps"))
+    swp.add_argument("--axis", required=True, choices=SWEEP_AXES)
     swp.add_argument("--from", dest="start", type=_positive_int, default=None)
     swp.add_argument("--to", dest="stop", type=_positive_int, default=None)
     swp.add_argument("--step", type=_positive_int, default=1)
@@ -137,13 +138,12 @@ def _resolve_job(args, model) -> VideoJob:
     return VideoJob(*(g if g is not None else f for g, f in zip(given, (*fallback, model.cfg_passes))))
 
 
-def _measured(path, use=None):
-    """The records of a measurement file, or ``use`` of them; a ValueError either raises names the file."""
+def _measured(path, use):
+    """``use`` of the records of a measurement file; a ValueError either raises names the file."""
     from .calibration import RecordError, _record_name, load_measurements
 
     try:
-        records = load_measurements(path)
-        return records if use is None else use(records)
+        return use(load_measurements(path))
     except RecordError as exc:  # named as the reader names the record
         raise ValueError(f"{path}: {_record_name(exc.index, Path(path).suffix == '.csv')}: {exc.reason}") from None
     except ValueError as exc:

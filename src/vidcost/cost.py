@@ -15,6 +15,7 @@ from .specs import DiTSpec, HardwareSpec, ModelSpec, Record, TextEncoderSpec, VA
 from .vae import decoder_flops
 
 SECONDS_PER_HOUR = 3600.0
+_MAX = math.nextafter(math.inf, 0.0)  # the largest float
 
 
 class FlopBreakdown(Record):
@@ -193,16 +194,15 @@ def cost_from_breakdown(breakdown: FlopBreakdown, hw: HardwareSpec, mu: float) -
     return CostEstimate(breakdown, latency_s, *energy(latency_s, hw))
 
 
-def too_large(job: VideoJob) -> str:
-    """The error message of a job whose FLOP total is above the float range."""
-    return (f"job {job.height_px}x{job.width_px}, {job.frames} frames, {job.steps} steps: "
-            "its FLOP total is too large for a float latency")
+def float_flops(job: VideoJob, spec: DiTSpec, tspec: TextEncoderSpec, vae: VAEDecoderSchedule) -> FlopBreakdown:
+    """``total_flops``, whose total must be at most the largest float, as a latency divides it by one."""
+    breakdown = total_flops(job, spec, tspec, vae)
+    if breakdown.total > _MAX:  # exact: Python compares an int with a float without rounding either
+        raise ValueError(f"job {job.height_px}x{job.width_px}, {job.frames} frames, {job.steps} steps: "
+                         "its FLOP total is too large for a float latency")
+    return breakdown
 
 
 def estimate_cost(job: VideoJob, model: ModelSpec, hw: HardwareSpec, mu: float) -> CostEstimate:
     """One-call prediction for a job under a model spec."""
-    breakdown = total_flops(job, model.dit, model.text_encoder, model.vae)
-    try:
-        return cost_from_breakdown(breakdown, hw, mu)
-    except OverflowError:  # from latency(): the FLOP total is above the float range
-        raise ValueError(too_large(job)) from None
+    return cost_from_breakdown(float_flops(job, model.dit, model.text_encoder, model.vae), hw, mu)

@@ -39,6 +39,11 @@ def _fields(pairs) -> str:
     return "".join(f"{name.ljust(width)}{value}\n" for name, value in pairs)
 
 
+def _amount(value: float, decimals: int) -> str:
+    """A table's latency or energy: fixed point, or ``.4e`` from 1e9 on, where fixed point grows without bound."""
+    return f"{value:.{decimals}f}" if value < 1e9 else f"{value:.4e}"
+
+
 def _csv(columns, rows) -> str:
     import csv  # only CSV output pays for the module
 
@@ -88,7 +93,7 @@ def estimate(model, hw, job, mu: float, cost, fmt: str) -> str:
         ])
         return head + "\n" + _table(
             ("operator", "flops", "share", "latency_s", "energy_wh"),
-            [(op, f"{flops:.4e}", f"{flops / bd.total * 100:6.2f}%", f"{lat:.2f}", f"{wh:.3f}")
+            [(op, f"{flops:.4e}", f"{flops / bd.total * 100:6.2f}%", _amount(lat, 2), _amount(wh, 3))
              for op, flops, lat, wh in rows])
     doc = {"model_id": model.model_id, "hardware": hw.name, "mu": mu, "job": to_dict(job), "tokens": tokens,
            **_cost_doc(cost)}
@@ -131,7 +136,7 @@ def sweep(result, fmt: str) -> str:
     if fmt == "table":
         return _table((result.spec.axis, "tokens", "flops_total", "latency_s", "energy_wh"),
                       [(_axis_value(p.axis_value), p.tokens, f"{p.breakdown.total:.4e}",
-                        f"{p.cost.latency_s:.2f}", f"{p.cost.energy_wh:.3f}") for p in points])
+                        _amount(p.cost.latency_s, 2), _amount(p.cost.energy_wh, 3)) for p in points])
     if fmt == "json":
         return _json({
             "axis": result.spec.axis,

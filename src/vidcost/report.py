@@ -9,13 +9,11 @@ byte-deterministic.
 from __future__ import annotations
 
 from .cost import CostEstimate, FlopBreakdown, estimate_cost, token_length
-from .specs import HardwareSpec, ModelDefaults, ModelSpec, Record, VideoJob
-
-AXES = ("resolution", "frames", "steps")
+from .specs import SWEEP_AXES, HardwareSpec, ModelDefaults, ModelSpec, Record, VideoJob
 
 
 class SweepSpec(Record):
-    """One swept axis with values, the fixed job dims, and the cost context."""
+    """One swept axis with values, the fixed job dims, and the cost context; ``run_sweep`` checks ``mu``."""
 
     axis: str
     values: tuple
@@ -24,8 +22,8 @@ class SweepSpec(Record):
     hardware: HardwareSpec
 
     def _check(self) -> None:
-        if self.axis not in AXES:
-            raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
+        if self.axis not in SWEEP_AXES:
+            raise ValueError(f"axis must be one of {tuple(SWEEP_AXES)}, got {self.axis!r}")
         values = tuple(self.values)
         if not values:
             raise ValueError("values must be nonempty")
@@ -42,15 +40,9 @@ class SweepSpec(Record):
         if any(b <= a for a, b in zip(keys, keys[1:])):
             raise ValueError("values must be strictly increasing along the swept axis")
         self.__dict__["values"] = values
-        if not 0.0 < self.mu <= 1.0:
-            raise ValueError("mu must be in (0, 1]")
 
     def job_for(self, value) -> VideoJob:
-        if self.axis == "resolution":
-            return self.fixed.replace(height_px=value[0], width_px=value[1])
-        if self.axis == "frames":
-            return self.fixed.replace(frames=value)
-        return self.fixed.replace(steps=value)
+        return self.fixed.replace(**dict(zip(SWEEP_AXES[self.axis], value if type(value) is tuple else (value,))))
 
 
 class SweepPoint(Record):

@@ -143,6 +143,10 @@ class VideoJob(Spec):
             raise ValueError("cfg_passes must be 1 (no guidance) or 2 (guided)")
 
 
+# Each axis a sweep may take, with the VideoJob fields a value along it sets: a resolution is a (height, width) pair.
+SWEEP_AXES = {"resolution": ("height_px", "width_px"), "frames": ("frames",), "steps": ("steps",)}
+
+
 class DiTSpec(Spec):
     """Diffusion-transformer hyperparameters.
 
@@ -253,9 +257,8 @@ class HardwareSpec(Spec):
     """Accelerator constants: peak throughput (FLOP/s), HBM bandwidth (byte/s),
     sustained power (W), and bytes per scalar for the working precision.
 
-    ``reference_*`` fields carry published values bundled with the hardware
-    database for cross-checking; ``roofline.balance_consistent`` tells whether
-    the published balance agrees with theta_peak / bandwidth.
+    ``reference_balance``, the published balance, is held against theta_peak /
+    bandwidth by ``roofline.balance_consistent``.
     """
 
     name: str
@@ -264,8 +267,6 @@ class HardwareSpec(Spec):
     p_max: float
     scalar_bytes: Literal[1, 2, 4] = 2
     reference_balance: int | None = None
-    reference_attn_threshold: int | None = None
-    reference_mlp_threshold: int | None = None
 
 
 class ModelSpec(Spec):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from oracles import mape_oracle
-from vidcost import calibration
+from vidcost import calibration, cost
 from vidcost import (
     CalibrationRangeError,
     DiTSpec,
@@ -460,7 +460,7 @@ def test_equal_model_specs_share_the_kept_totals(wan, h100, monkeypatch):
     records = seeded_records(wan, h100, 5)
     mu = fit_mu(records, first.dit, first.text_encoder, first.vae, h100).mu
     seen = []
-    monkeypatch.setattr(calibration, "total_flops", lambda *args: seen.append(args) or total_flops(*args))
+    monkeypatch.setattr(cost, "total_flops", lambda *args: seen.append(args) or total_flops(*args))
     report = validate(records, mu, second.dit, second.text_encoder, second.vae, h100)
     assert seen == []
     assert_same_report(report, validate(records, mu, first.dit, first.text_encoder, first.vae, h100))

@@ -255,14 +255,19 @@ def test_spec_int_field_rejects_non_int(capsys, tmp_path, path, keys):
 @pytest.mark.parametrize("key", ["scalar_bytes", "reference_balance", "reference_attn_threshold",
                                  "reference_mlp_threshold"])
 def test_hardware_int_field_rejects_non_int(capsys, tmp_path, key):
+    # The published thresholds are test data, not hardware fields: their keys are unknown, an int included.
     entry = {"name": "toy", "theta_peak": 1e12, "bandwidth": 1e12, "p_max": 700, "scalar_bytes": 2}
     path = tmp_path / "hw.json"
     want = "one of [1, 2, 4]" if key == "scalar_bytes" else "a positive int"
-    for bad, shown in ((2.0, "2.0"), (True, "True"), (16.5, "16.5")):
+    removed = key.endswith("_threshold")
+    for bad, shown in ((2.0, "2.0"), (True, "True"), (16.5, "16.5"), *([(295, "295")] if removed else [])):
         path.write_text(json.dumps([{**entry, key: bad}]))
         code, out, err = run_cli(capsys, "roofline", "--hardware", str(path))
         assert (code, out) == (1, "")
-        assert err == f"error: {path}: hardware[0].{key} must be {want}, got {shown}\n"
+        if removed:
+            assert err == f"error: {path}: hardware[0]: unknown keys ['{key}']\n"
+        else:
+            assert err == f"error: {path}: hardware[0].{key} must be {want}, got {shown}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -297,6 +302,20 @@ def test_huge_steps_is_one_error_line(capsys):
     assert (code, out) == (1, "")
     assert err == (f"error: job 720x1280, 81 frames, {'9' * 321} steps: "
                    "its FLOP total is too large for a float latency\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--height", str(10**100)],
+    ["sweep", "--axis", "frames", "--from", "1", "--to", "3", "--steps", str(10**150)],
+], ids=["estimate", "sweep"])
+def test_table_rows_of_a_huge_job_stay_narrow(capsys, argv):
+    # Latencies near 1e196 and 1e165 s: fixed point would print them with about that many digits.
+    code, out, err = run_cli(capsys, *argv, "--format", "table")
+    assert (code, err) == (0, "")
+    rows = out.split("-  -")[-1].splitlines()[1:]  # the lines under the dashed rule
+    assert len(rows) == (8 if argv[0] == "estimate" else 3)
+    assert max(map(len, rows)) <= 80
+    assert all(re.fullmatch(r"\d\.\d{4}e\+\d{3}", cell) for cell in rows[-1].split()[-2:])
 
 
 def test_huge_job_prints_finite_operator_shares(capsys):
@@ -506,6 +525,24 @@ def test_calibrate_warns_about_other_models(capsys, tmp_path, wan, h100):
     assert (code, err) == (1, f"error: {path}: degenerate fit: all records predict the same FLOP total\n")
 
 
+@pytest.mark.parametrize("hardware, rows", [
+    # Finite FLOP spreads at a theta_peak of 1 whose squares sum past the float range.
+    ([{"name": "unit", "theta_peak": 1, "bandwidth": 1, "p_max": 1}], [(3 * 10**71, 50, 200), (720, 50, 100)]),
+    # Latencies that sum past the float range.
+    ("h100", [(720, 10, 1.7e308), (720, 50, 1.7e308)]),
+], ids=["flops", "latency"])
+def test_calibrate_names_a_fit_whose_sums_overflow(capsys, tmp_path, hardware, rows):
+    path = tmp_path / "m.csv"
+    path.write_text("model_id,height,width,frames,steps,latency_s\n"
+                    + "".join(f"wan2.1-t2v-1.3b,{h},1280,81,{steps},{lat!r}\n" for h, steps, lat in rows))
+    if not isinstance(hardware, str):
+        (tmp_path / "hw.json").write_text(json.dumps(hardware))
+        hardware = str(tmp_path / "hw.json")
+    code, out, err = run_cli(capsys, "calibrate", "--hardware", hardware, "--measurements", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: degenerate fit: a sum over the records is too large for a float\n"
+
+
 def test_calibrate_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "calibrate", "--measurements", str(tmp_path / "nope.csv"))
     assert code == 1
@@ -608,6 +645,22 @@ def test_compare_explicit_measurements(capsys, tmp_path):
     assert code == 0
     assert "ltx-video" in out
     assert "×" in out
+
+
+def test_compare_svg_escapes_model_ids(capsys, tmp_path):
+    from xml.dom import minidom
+
+    ids = ["a<b&c", 'x>"y"']
+    defaults, measurements = tmp_path / "d.json", tmp_path / "m.json"
+    defaults.write_text(json.dumps([{"model_id": i, "steps": 4, "height": 512, "width": 512, "frames": 16}
+                                    for i in ids]))
+    measurements.write_text(json.dumps([{"model_id": i, "height": 512, "width": 512, "frames": 16, "steps": 4,
+                                         "latency_s": 1.0, "gpu_wh": wh} for i, wh in zip(ids, (0.5, 5.0))]))
+    code, out, err = run_cli(capsys, "compare", "--defaults", str(defaults), "--measurements", str(measurements),
+                             "--format", "svg")
+    assert (code, err) == (0, "")
+    texts = [node.firstChild.data for node in minidom.parseString(out).getElementsByTagName("text")]
+    assert [t for t in texts if t in ids] == ids[::-1]  # largest total energy first
 
 
 def test_compare_errors_name_the_measurement_file(capsys, tmp_path):

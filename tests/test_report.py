@@ -19,6 +19,7 @@ from vidcost import (
     load_model_defaults,
     run_sweep,
 )
+from vidcost.specs import SWEEP_AXES
 
 FIXED = VideoJob(720, 1280, 81, 50, 2)
 
@@ -37,8 +38,25 @@ def test_sweep_spec_validation(h100):
     with pytest.raises(ValueError):
         SweepSpec(axis="resolution", values=((512, 512), (256, 256)),
                   fixed=FIXED, mu=0.5, hardware=h100)
-    with pytest.raises(ValueError):
-        SweepSpec(axis="steps", values=(1, 2), fixed=FIXED, mu=0.0, hardware=h100)
+
+
+def test_each_sweep_axis_sets_the_job_fields_of_its_table_entry(h100):
+    values = {"resolution": ((480, 832), (720, 1280)), "frames": (5, 9), "steps": (3, 4)}
+    assert values.keys() == SWEEP_AXES.keys()
+    for axis, fields in SWEEP_AXES.items():
+        spec = SweepSpec(axis=axis, values=values[axis], fixed=FIXED, mu=0.5, hardware=h100)
+        for value in spec.values:
+            job = spec.job_for(value)
+            assert tuple(getattr(job, f) for f in fields) == (value if axis == "resolution" else (value,))
+            assert all(getattr(job, f) == getattr(FIXED, f) for f in VideoJob._fields if f not in fields)
+
+
+@pytest.mark.parametrize("mu", [0.0, -0.5, 1.5, float("nan")])
+def test_sweep_with_a_bad_mu_fails_in_run_sweep(wan, h100, mu):
+    # mu is checked once, where the latency uses it.
+    spec = SweepSpec(axis="steps", values=(1, 2), fixed=FIXED, mu=mu, hardware=h100)
+    with pytest.raises(ValueError, match=rf"^mu must be in \(0, 1\], got {mu}$"):
+        run_sweep(spec, wan)
 
 
 @pytest.mark.parametrize("axis, values, bad", [

@@ -111,8 +111,9 @@ def test_result_replace_runs_the_constructor_checks(replace):
     _, cost, _, measurement, _, _, _, sweep_spec = one_of_each_result()[:8]
     with pytest.raises(ValueError, match="^latency_s must be positive$"):
         replace(measurement, latency_s=-1.0)
-    with pytest.raises(ValueError, match=r"^mu must be in \(0, 1\]$"):
-        replace(sweep_spec, mu=2.0)
+    # A SweepSpec leaves mu to the cost layer: the replaced spec builds, and its run rejects the mu.
+    with pytest.raises(ValueError, match=r"^mu must be in \(0, 1\], got 2.0$"):
+        run_sweep(replace(sweep_spec, mu=2.0), load_model_spec())
     changed = replace(cost, latency_s=1.0)
     assert (changed.latency_s, changed.breakdown) == (1.0, cost.breakdown)
     assert replace(sweep_spec, values=[3, 4]).values == (3, 4)

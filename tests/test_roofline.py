@@ -30,6 +30,19 @@ EXPECTED = {
 }
 
 
+# name -> (attn threshold, mlp threshold) as published with each entry's
+# reference balance; l4's contradict its stored peak/bandwidth figures.
+PUBLISHED = {
+    "h100": (295, 590),
+    "a100": (156, 312),
+    "rtx4090": (330, 660),
+    "l4": (605, 1210),
+    "tpu-v6": (574, 1148),
+    "mi325x": (417, 834),
+    "gaudi3": (453, 906),
+}
+
+
 def toy_hw(theta=1e12, bw=1e12, s=2):
     return HardwareSpec(name="toy", theta_peak=theta, bandwidth=bw, p_max=100, scalar_bytes=s)
 
@@ -73,15 +86,18 @@ def test_thresholds_all_entries():
 
 def test_thresholds_against_reference_values():
     db = load_hardware_db()
+    assert db.keys() == PUBLISHED.keys()
     for name, hw in db.items():
         attn_thr, mlp_thr = thresholds(hw)
+        published_attn, published_mlp = PUBLISHED[name]
         if not balance_consistent(hw):
             # Stored figures contradict the published balance; computed wins.
             assert round(balance(hw)) != hw.reference_balance
+            assert (attn_thr, mlp_thr) != (published_attn, published_mlp), name
             continue
         assert abs(round(balance(hw)) - hw.reference_balance) <= 1, name
-        assert abs(attn_thr - hw.reference_attn_threshold) <= 1, name
-        assert abs(mlp_thr - hw.reference_mlp_threshold) <= 2, name
+        assert abs(attn_thr - published_attn) <= 1, name
+        assert abs(mlp_thr - published_mlp) <= 2, name
 
 
 def test_balance_consistent_within_one_of_the_reference():
