@@ -14,7 +14,8 @@ from operator import attrgetter, mul
 from pathlib import Path
 
 from .cost import _MAX, SECONDS_PER_HOUR, energy, float_flops, latency
-from .specs import DiTSpec, HardwareSpec, Record, TextEncoderSpec, VAEDecoderSchedule, VideoJob, _json_object, data_path
+from .specs import (DiTSpec, HardwareSpec, Record, TextEncoderSpec, VAEDecoderSchedule, VideoJob, _json_object,
+                    _printable, data_path)
 
 MEASUREMENTS_FILE = "benchmark_measurements.csv"
 
@@ -276,6 +277,8 @@ def _record(columns, cells, index: int, in_csv: bool) -> MeasurementRecord:
                 raise ValueError(f"{column} must be {_TYPE_NAMES[kind]}") from None
             except OverflowError:
                 raise ValueError(f"{column} is too large for a float") from None
+            if kind is str:  # the spec schema's rule for text
+                _printable(column, value)
             values[field] = number if kind is float else value
         return MeasurementRecord(**values)
     except TypeError:  # a required value left out: of checked values, the one a record rejects with a TypeError

@@ -12,6 +12,8 @@ from .output import _axis_value
 WIDTH = 900
 HEIGHT = 480
 MARGIN = 60
+SPAN_X = WIDTH - 2 * MARGIN  # the plot area inside the margins
+SPAN_Y = HEIGHT - 2 * MARGIN
 
 PALETTE = {
     "text": "#8dd3c7",
@@ -24,7 +26,7 @@ PALETTE = {
 }
 
 
-# The XML escapes of & < > ", applied to every text a chart takes from data.
+# The XML escapes of & < > ", applied by ``_text`` to every text a chart writes.
 _ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
 
 
@@ -32,102 +34,78 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _header(title: str) -> list[str]:
-    """The opening lines of a chart: canvas, title and the two axes."""
-    return [
+def _text(x, y, body: str, size: int, anchor: str | None = None) -> str:
+    """A ``<text>`` element holding ``body``, escaped; without ``text-anchor`` when ``anchor`` is None."""
+    attributes = f'x="{x}" y="{y}"' + ("" if anchor is None else f' text-anchor="{anchor}"')
+    return f'<text {attributes} font-family="sans-serif" font-size="{size}">{body.translate(_ESCAPES)}</text>'
+
+
+def _svg(title: str, body: list[str]) -> str:
+    """The chart document: canvas, title and the two axes, then the ``body`` elements."""
+    return "\n".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="16">{title.translate(_ESCAPES)}</text>',
+        _text(WIDTH // 2, 24, title, 16, "middle"),
         f'<line x1="{MARGIN}" y1="{HEIGHT - MARGIN}" x2="{WIDTH - MARGIN}" '
         f'y2="{HEIGHT - MARGIN}" stroke="black"/>',
         f'<line x1="{MARGIN}" y1="{MARGIN}" x2="{MARGIN}" y2="{HEIGHT - MARGIN}" stroke="black"/>',
-    ]
+        *body,
+        "</svg>",
+    ]) + "\n"
 
 
 def stacked_area_svg(result) -> str:
     """Stacked per-operator energy (Wh) across the swept values."""
     points = result.points
     n = len(points)
-    parts = _header(f"energy by operator vs {result.spec.axis}")
+    title = f"energy by operator vs {result.spec.axis}"
     if n == 0:
-        parts.append("</svg>")
-        return "\n".join(parts) + "\n"
+        return _svg(title, [])
 
-    top = max(p.cost.energy_wh for p in points)
-    top = top if top > 0 else 1.0
-    span_x = WIDTH - 2 * MARGIN
-    span_y = HEIGHT - 2 * MARGIN
+    top = max(p.cost.energy_wh for p in points) or 1.0  # 1.0 for an all-zero sweep, as no energy is negative
 
-    def x_at(i: int) -> float:
-        return MARGIN + (span_x * i / (n - 1) if n > 1 else span_x / 2)
+    def y_at(value: float) -> str:
+        return _fmt(HEIGHT - MARGIN - SPAN_Y * value / top)
 
-    def y_at(value: float) -> float:
-        return HEIGHT - MARGIN - span_y * value / top
-
+    xs = [_fmt(MARGIN + (SPAN_X * i / (n - 1) if n > 1 else SPAN_X / 2)) for i in range(n)]
+    body = []
     cumulative = [0.0] * n
     for op in OPERATORS:
-        base = list(cumulative)
+        base = cumulative
         cumulative = [c + p.cost.operator_energy_wh[op] for c, p in zip(cumulative, points)]
-        coords = [f"{_fmt(x_at(i))},{_fmt(y_at(cumulative[i]))}" for i in range(n)]
-        coords += [f"{_fmt(x_at(i))},{_fmt(y_at(base[i]))}" for i in reversed(range(n))]
-        parts.append(f'<polygon points="{" ".join(coords)}" fill="{PALETTE[op]}" stroke="none"/>')
+        coords = [f"{x},{y_at(c)}" for x, c in zip(xs, cumulative)]
+        coords += [f"{x},{y_at(b)}" for x, b in zip(reversed(xs), reversed(base))]
+        body.append(f'<polygon points="{" ".join(coords)}" fill="{PALETTE[op]}" stroke="none"/>')
 
-    for anchor, point, x in (("start", points[0], x_at(0)), ("end", points[-1], x_at(n - 1))):
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{HEIGHT - MARGIN + 20}" text-anchor="{anchor}" '
-            f'font-family="sans-serif" font-size="12">{_axis_value(point.axis_value)}</text>'
-        )
-    parts.append(
-        f'<text x="{MARGIN - 8}" y="{MARGIN}" text-anchor="end" font-family="sans-serif" '
-        f'font-size="12">{top:.3g} Wh</text>'
-    )
+    for anchor, point, x in (("start", points[0], xs[0]), ("end", points[-1], xs[-1])):
+        body.append(_text(x, HEIGHT - MARGIN + 20, _axis_value(point.axis_value), 12, anchor))
+    body.append(_text(MARGIN - 8, MARGIN, f"{top:.3g} Wh", 12, "end"))
     for i, op in enumerate(OPERATORS):
         y = MARGIN + 16 * i
-        parts.append(f'<rect x="{WIDTH - MARGIN - 130}" y="{y - 10}" width="12" height="12" fill="{PALETTE[op]}"/>')
-        parts.append(
-            f'<text x="{WIDTH - MARGIN - 112}" y="{y}" font-family="sans-serif" font-size="12">{op}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        body.append(f'<rect x="{WIDTH - MARGIN - 130}" y="{y - 10}" width="12" height="12" fill="{PALETTE[op]}"/>')
+        body.append(_text(WIDTH - MARGIN - 112, y, op, 12))
+    return _svg(title, body)
 
 
 def log_bar_svg(report) -> str:
     """Total energy per model on a log scale, one bar per comparison row."""
     rows = report.rows
-    parts = _header("total energy per video (log scale)")
+    body = []
     if rows:
         values = [r.total_wh for r in rows]
         lo = math.floor(math.log10(min(values)))
         hi = math.ceil(math.log10(max(values)))
         hi = hi if hi > lo else lo + 1
-        span_x = WIDTH - 2 * MARGIN
-        span_y = HEIGHT - 2 * MARGIN
-        bar_w = span_x / len(rows) * 0.6
+        bar_w = SPAN_X / len(rows) * 0.6
         for i, row in enumerate(rows):
             frac = (math.log10(row.total_wh) - lo) / (hi - lo)
-            x = MARGIN + span_x * (i + 0.5) / len(rows)
-            h = span_y * frac
-            parts.append(
-                f'<rect x="{_fmt(x - bar_w / 2)}" y="{_fmt(HEIGHT - MARGIN - h)}" '
-                f'width="{_fmt(bar_w)}" height="{_fmt(h)}" fill="#80b1d3"/>'
-            )
-            parts.append(
-                f'<text x="{_fmt(x)}" y="{_fmt(HEIGHT - MARGIN - h - 6)}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="11">{row.total_wh:.3g}</text>'
-            )
-            parts.append(
-                f'<text x="{_fmt(x)}" y="{HEIGHT - MARGIN + 16}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="10">{row.model_id.translate(_ESCAPES)}</text>'
-            )
-        parts.append(
-            f'<text x="{MARGIN - 8}" y="{MARGIN}" text-anchor="end" font-family="sans-serif" '
-            f'font-size="12">1e{hi} Wh</text>'
-        )
-        parts.append(
-            f'<text x="{MARGIN - 8}" y="{HEIGHT - MARGIN}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">1e{lo} Wh</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+            x = MARGIN + SPAN_X * (i + 0.5) / len(rows)
+            h = SPAN_Y * frac
+            body.append(f'<rect x="{_fmt(x - bar_w / 2)}" y="{_fmt(HEIGHT - MARGIN - h)}" '
+                        f'width="{_fmt(bar_w)}" height="{_fmt(h)}" fill="#80b1d3"/>')
+            body.append(_text(_fmt(x), _fmt(HEIGHT - MARGIN - h - 6), f"{row.total_wh:.3g}", 11, "middle"))
+            body.append(_text(_fmt(x), HEIGHT - MARGIN + 16, row.model_id, 10, "middle"))
+        body.append(_text(MARGIN - 8, MARGIN, f"1e{hi} Wh", 12, "end"))
+        body.append(_text(MARGIN - 8, HEIGHT - MARGIN, f"1e{lo} Wh", 12, "end"))
+    return _svg("total energy per video (log scale)", body)

@@ -240,8 +240,8 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, KeyError, ValueError, OverflowError) as exc:
         if isinstance(exc, OSError) and exc.filename is not None:
             message = f"{exc.filename}: {exc.strerror}"  # its first argument is the errno
-        else:
-            message = exc.args[0] if exc.args else exc
+        else:  # the text of the exception, but a KeyError's unquoted
+            message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 1
 

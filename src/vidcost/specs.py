@@ -309,6 +309,12 @@ def _number(name: str, value):
     return float(_require(1 <= value <= 10**24, name, value, "between 1 and 1e24"))  # exact, also for a huge int
 
 
+def _printable(name: str, value):
+    """A string every output format writes as it is: one ``str.isprintable`` accepts, so no control character."""
+    _require(type(value) is str, name, value, "a string")
+    return _require(value.isprintable(), name, value, "printable text")
+
+
 def _fraction(name: str, value):
     """An int, a finite float, a "p/q" string or a Fraction, read as the exact
     rational it denotes and stored as the int equal to it, else the float, else
@@ -366,7 +372,7 @@ _FIELD_CHECKS = {
     "int | None": lambda name, v: _require(v is None or type(v) is int and v > 0, name, v, "a positive int"),
     "float": _number,
     "Fraction": _fraction,
-    "str": lambda name, v: _require(type(v) is str, name, v, "a string"),
+    "str": _printable,
     **dict([_choice(["conv3d", "attn2d"]), _choice(list(TIME_RULES)), _choice([1, 2, 4]), _choice([1, 2])]),
     "tuple[int, int, int] | None": lambda name, v: v if v is None else tuple(_require(
         type(v) in (list, tuple) and len(v) == 3 and all(type(k) is int and k > 0 for k in v),

@@ -198,7 +198,10 @@ def test_sweep_bad_resolution_value_is_usage_error(capsys):
     (lambda doc: doc["vae"]["layers"][2].update(bogus=1), "vae.layers[2]: unknown keys ['bogus']"),
     (lambda doc: doc.pop("text_encoder"), "model spec: missing keys ['text_encoder']"),
     (lambda doc: [doc], "model spec must be a JSON object, got list"),
-], ids=["unknown-key", "unknown-layer-key", "missing-key", "top-level-list"])
+    (lambda doc: doc["vae"]["layers"][2].update(label="conv\tin"),
+     "vae.layers[2].label must be printable text, got 'conv\\tin'"),
+    (lambda doc: doc["vae"]["layers"][2].update(label=5), "vae.layers[2].label must be a string, got 5"),
+], ids=["unknown-key", "unknown-layer-key", "missing-key", "top-level-list", "unprintable-label", "int-label"])
 def test_bad_model_spec_is_one_error_line(capsys, tmp_path, wan, edit, message):
     doc = to_dict(wan)
     edited = edit(doc)
@@ -661,6 +664,98 @@ def test_compare_svg_escapes_model_ids(capsys, tmp_path):
     assert (code, err) == (0, "")
     texts = [node.firstChild.data for node in minidom.parseString(out).getElementsByTagName("text")]
     assert [t for t in texts if t in ids] == ids[::-1]  # largest total energy first
+
+
+# Ids through every site that reads text from a data file, with whether it is accepted: the escaped ones
+# must reach each output intact, and each unprintable one be one error line naming the file and the field.
+TEXT_IDS = {"a<b&c": True, 'x>"y"': True, "é✓ 1.3B": True, "a\x01b": False, "a\ud800b": False,
+            "w\x1b[31m": False}
+# Each site: the file it writes, the commands that read it with their formats, and where an error puts the field.
+TEXT_SITES = {
+    "spec": ("spec.json", {"estimate": ("table", "csv", "json")}, "model_id"),
+    "hardware": ("hw.json", {"roofline": ("table", "csv", "json")}, "hardware[0].name"),
+    "defaults": ("d.json", {"compare": ("table", "csv", "json", "svg")}, "model defaults[0].model_id"),
+    "csv": ("m.csv", {"compare": ("table", "csv", "json", "svg"), "calibrate": ("table", "csv", "json")},
+            "row 2: model_id"),
+    "json": ("m.json", {"compare": ("table", "csv", "json", "svg"), "calibrate": ("table", "csv", "json")},
+             "record 0: model_id"),
+}
+
+
+def json_strings(value) -> list[str]:
+    """Every string value in a JSON document."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [s for v in value for s in json_strings(v)]
+    return [value] if isinstance(value, str) else []
+
+
+def output_texts(out: str, fmt: str):
+    """The texts of an output, parsed by its format: JSON strings, SVG text nodes or CSV cells; a table as it is."""
+    from xml.dom import minidom
+
+    if fmt == "json":
+        return json_strings(json.loads(out))
+    if fmt == "svg":
+        return [node.firstChild.data for node in minidom.parseString(out).getElementsByTagName("text")]
+    return [cell for row in csv.reader(io.StringIO(out)) for cell in row] if fmt == "csv" else out
+
+
+@pytest.mark.parametrize("site", list(TEXT_SITES))
+@pytest.mark.parametrize("ident", list(TEXT_IDS), ids=["amp-lt", "gt-quote", "non-ascii", "control", "surrogate",
+                                                        "escape"])
+def test_text_from_data_files_reaches_each_output_intact_or_is_one_error_line(capsys, tmp_path, wan, h100, site,
+                                                                            ident):
+    name, commands, field = TEXT_SITES[site]
+    path = tmp_path / name
+    records = []
+    for height, width in ((480, 832), (720, 1280)):  # measured at an efficiency of 0.5, so that calibrate fits
+        flops = total_flops(VideoJob(height, width, 81, 50), wan.dit, wan.text_encoder, wan.vae).total
+        records.append({"model_id": ident, "height": height, "width": width, "frames": 81, "steps": 50,
+                        "latency_s": flops / (0.5 * h100.theta_peak), "gpu_wh": height / 100})
+    # A measurement site's defaults name the id only when it is accepted, so that the measurements are read.
+    defaults = [{**DEFAULTS_ENTRY, "model_id": ident if site not in ("csv", "json") or TEXT_IDS[ident] else "other"}]
+    table = io.StringIO()
+    csv.writer(table, lineterminator="\n").writerows([records[0].keys(), *(r.values() for r in records)])
+    files = {"d.json": json.dumps(defaults), "m.json": json.dumps(records), "m.csv": table.getvalue()}
+    if site == "spec":
+        files[name] = json.dumps({**to_dict(wan), "model_id": ident})
+    elif site == "hardware":
+        files[name] = json.dumps([{**HW_ENTRY, "name": ident}])
+    for file, text in files.items():  # a lone surrogate, which UTF-8 cannot hold, is written as its bytes anyway
+        (tmp_path / file).write_bytes(text.encode("utf-8", "surrogatepass"))
+    argv = {"estimate": ["--model", str(path)], "roofline": ["--hardware", str(path)],
+            "compare": ["--defaults", str(tmp_path / "d.json"), "--measurements",
+                        str(path if site in ("csv", "json") else tmp_path / "m.json")],
+            "calibrate": ["--measurements", str(path)]}
+    for command, formats in commands.items():
+        for fmt in formats:
+            code, out, err = run_cli(capsys, command, *argv[command], "--format", fmt)
+            if not TEXT_IDS[ident]:
+                assert (code, out) == (1, "") and err.count("\n") == 1
+                if site == "csv" and "\ud800" in ident:  # the file is not UTF-8, so no row is read
+                    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xed ")
+                else:
+                    assert err == f"error: {path}: {field} must be printable text, got {ident!r}\n"
+            elif command == "calibrate":  # the fit prints no id; its warning names the records' model
+                assert (code, err) == (0, f"warning: 2 of 2 records name a model other than {wan.model_id}: "
+                                          f"{ident}\n")
+                output_texts(out, fmt)  # parses
+                assert "0.5" in out  # the efficiency the records were made at
+            else:
+                assert (code, err) == (0, "")
+                texts = output_texts(out, fmt)
+                assert ident in texts or (command, fmt) == ("estimate", "csv")  # that CSV is the operator rows alone
+
+
+def test_output_the_terminal_cannot_encode_is_one_error_line(capsys):
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    with contextlib.redirect_stdout(stdout):
+        code = main(["compare"])  # the table's ratio line holds "≈" and "×"
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1
+    assert err.startswith("error: 'ascii' codec can't encode character ")
 
 
 def test_compare_errors_name_the_measurement_file(capsys, tmp_path):
