@@ -8,6 +8,7 @@ intercept absorbing fixed overhead; mu is the reciprocal of the slope.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from operator import attrgetter, mul
@@ -15,7 +16,7 @@ from pathlib import Path
 
 from .cost import _MAX, SECONDS_PER_HOUR, energy, float_flops, latency
 from .specs import (DiTSpec, HardwareSpec, Record, TextEncoderSpec, VAEDecoderSchedule, VideoJob, _json_object,
-                    _printable, data_path)
+                    _printable, _read_text, data_path)
 
 MEASUREMENTS_FILE = "benchmark_measurements.csv"
 
@@ -71,7 +72,7 @@ class MeasurementRecord(Record):
         except TypeError:  # a None or a string where a number belongs
             plain = False
         if not plain:
-            self._check()  # words the rejection; it passes a few records, such as one with a None cpu_wh
+            self._check()  # words the rejection, as "cpu_wh must be a number, got None" for a None cpu_wh
         values["_job"] = VideoJob(height_px, width_px, frames, steps)  # kept, not a field, as the FLOP total is
 
     def _check(self) -> None:
@@ -123,14 +124,6 @@ def _record_name(index: int, in_csv: bool) -> str:
     return f"row {index + 2}" if in_csv else f"record {index}"
 
 
-class RecordError(ValueError):
-    """A measurement record that ``fit_mu`` or ``validate`` cannot predict, at ``index`` in the list."""
-
-    def __init__(self, index: int, reason: str):
-        super().__init__(f"{_record_name(index, False)}: {reason}")
-        self.index, self.reason = index, reason
-
-
 class PointError(Record):
     record_id: str
     latency_pct: float
@@ -163,6 +156,7 @@ def _predicted_flops(
 ) -> list[int]:
     # A record keeps its FLOP total under the last model it was predicted under in its
     # __dict__, not as a field. The key holds cfg_passes' type, as VideoJob rejects 2.0.
+    # A record it cannot predict is named as its reader named it, else by its index in the list.
     key = (spec, tspec, vae, cfg_passes, type(cfg_passes))
     for i, r in enumerate(records):
         if r.__dict__.get("_flops", (None,))[0] != key:
@@ -170,7 +164,7 @@ def _predicted_flops(
             try:
                 r.__dict__["_flops"] = key, float_flops(job, spec, tspec, vae).total
             except ValueError as exc:
-                raise RecordError(i, exc.args[0]) from None
+                raise ValueError(f"{_record_name(*r.__dict__.get('_place', (i, False)))}: {exc}") from None
     return [r.__dict__["_flops"][1] for r in records]
 
 
@@ -280,12 +274,14 @@ def _record(columns, cells, index: int, in_csv: bool) -> MeasurementRecord:
             if kind is str:  # the spec schema's rule for text
                 _printable(column, value)
             values[field] = number if kind is float else value
-        return MeasurementRecord(**values)
+        record = MeasurementRecord(**values)
     except TypeError:  # a required value left out: of checked values, the one a record rejects with a TypeError
         missing = [c for c in _REQUIRED if COLUMNS[c][0] not in values]
         raise ValueError(f"{_record_name(index, in_csv)}: missing required columns {missing}") from None
     except ValueError as exc:
         raise ValueError(f"{_record_name(index, in_csv)}: {exc}") from exc
+    record.__dict__["_place"] = index, in_csv  # kept, not a field, as its job is: how fit_mu and validate name it
+    return record
 
 
 def read_measurements_csv(source) -> list[MeasurementRecord]:
@@ -295,12 +291,10 @@ def read_measurements_csv(source) -> list[MeasurementRecord]:
     lines are skipped and not counted as rows; a row with more cells than the
     header is rejected, and missing trailing cells read as empty. Text the
     ``csv`` module rejects, such as a cell over its field size limit, is a
-    ValueError naming the row. A path may start with a UTF-8 byte order mark.
+    ValueError naming the row. A path is read as ``specs._read_text`` reads every
+    data file; a file object, as it is given.
     """
-    if not hasattr(source, "read"):
-        with open(source, newline="", encoding="utf-8-sig") as fh:
-            return read_measurements_csv(fh)
-    rows = csv.reader(source)
+    rows = csv.reader(source if hasattr(source, "read") else io.StringIO(_read_text(source), newline=""))
     try:
         header = next(rows, None)
     except csv.Error as exc:
@@ -323,11 +317,8 @@ def read_measurements_csv(source) -> list[MeasurementRecord]:
 
 def read_measurements_json(source) -> list[MeasurementRecord]:
     """Read measurement records from a JSON path or file-like object holding a list of
-    objects; a value of another shape is a ValueError. A path may start with a byte order mark."""
-    if not hasattr(source, "read"):
-        with open(source, encoding="utf-8-sig") as fh:
-            return read_measurements_json(fh)
-    rows = json.load(source, object_pairs_hook=_json_object)
+    objects; a value of another shape is a ValueError. A path is read as ``specs._read_text`` reads every data file."""
+    rows = json.loads(source.read() if hasattr(source, "read") else _read_text(source), object_pairs_hook=_json_object)
     if not isinstance(rows, list):
         raise ValueError(f"measurements must be a JSON list of objects, got {type(rows).__name__}")
     records = []

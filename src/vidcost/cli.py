@@ -140,12 +140,10 @@ def _resolve_job(args, model) -> VideoJob:
 
 def _measured(path, use):
     """``use`` of the records of a measurement file; a ValueError either raises names the file."""
-    from .calibration import RecordError, _record_name, load_measurements
+    from .calibration import load_measurements
 
     try:
         return use(load_measurements(path))
-    except RecordError as exc:  # named as the reader names the record
-        raise ValueError(f"{path}: {_record_name(exc.index, Path(path).suffix == '.csv')}: {exc.reason}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -160,9 +158,9 @@ def cmd_estimate(args) -> int:
 
 
 def _sweep_values(args):
-    """The swept values. A malformed --values entry raises ArgumentTypeError, a usage error."""
+    """The swept values. Flags that give none, or a malformed --values entry, raise ArgumentTypeError, a usage error."""
     if args.axis == "resolution" and args.values is None:
-        raise ValueError("resolution sweeps need --values with HxW entries")
+        raise argparse.ArgumentTypeError("resolution sweeps need --values with HxW entries")
     if args.values is not None:
         parse = _resolution if args.axis == "resolution" else _positive_int
         try:
@@ -170,13 +168,13 @@ def _sweep_values(args):
         except argparse.ArgumentTypeError as exc:
             raise argparse.ArgumentTypeError(f"--values: {exc}") from None
     if args.start is None or args.stop is None:
-        raise ValueError("sweep needs --from/--to (or --values)")
+        raise argparse.ArgumentTypeError("sweep needs --from/--to (or --values)")
     if args.start > args.stop:
-        raise ValueError(f"--from {args.start} is above --to {args.stop}")
+        raise argparse.ArgumentTypeError(f"--from {args.start} is above --to {args.stop}")
     points = (args.stop - args.start) // args.step + 1
     if points > MAX_SWEEP_POINTS:
-        raise ValueError(f"--from {args.start} --to {args.stop} gives {points} points, "
-                         f"above the limit of {MAX_SWEEP_POINTS}")
+        raise argparse.ArgumentTypeError(f"--from {args.start} --to {args.stop} gives {points} points, "
+                                         f"above the limit of {MAX_SWEEP_POINTS}")
     return tuple(range(args.start, args.stop + 1, args.step))
 
 

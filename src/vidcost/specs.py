@@ -459,12 +459,18 @@ def _json_object(pairs: list) -> dict:
     return obj if len(obj) == len(pairs) else {**obj, None: [key for key, _ in pairs]}
 
 
+def _read_text(path) -> str:
+    """The text of the data file at ``path``, as every data file is read: UTF-8 after one optional byte order
+    mark, with no newline translation. A byte that is not UTF-8 stays in the text as a lone surrogate, which no
+    key, column, number or text field accepts, so the check that meets it names where it is."""
+    return Path(path).read_bytes().decode("utf-8", "surrogateescape").removeprefix("\ufeff")
+
+
 def _read_file(path, read):
     """``read`` of the JSON value in the file at ``path``. Text that does not
-    decode or parse, or a value ``read`` rejects, is a ValueError naming the file."""
+    parse, or a value ``read`` rejects, is a ValueError naming the file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return read(json.load(fh, object_pairs_hook=_json_object))
+        return read(json.loads(_read_text(path), object_pairs_hook=_json_object))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

@@ -239,6 +239,26 @@ def test_a_flop_total_too_large_for_a_float_names_the_record(wan, h100, call):
             validate(records, 0.5, wan.dit, wan.text_encoder, wan.vae, h100)
 
 
+@pytest.mark.parametrize("call", ["fit", "validate"])
+@pytest.mark.parametrize("suffix, name", [(".csv", "row 3"), (".json", "record 1")])
+def test_a_record_read_from_a_file_is_named_as_its_reader_named_it(tmp_path, wan, h100, call, suffix, name):
+    # The first record is filtered out, so the one at fault is at index 0 of the list fitted.
+    path = tmp_path / f"m{suffix}"
+    rows = [{"model_id": "m", "height": h, "width": 1280, "frames": 81, "steps": s, "latency_s": s * 4}
+            for h, s in ((720, 10), (10**160, 50), (720, 25))]
+    if suffix == ".csv":
+        path.write_text("".join(",".join(map(str, row)) + "\n" for row in [rows[0], *(r.values() for r in rows)]))
+    else:
+        path.write_text(json.dumps(rows))
+    records = load_measurements(path)[1:]
+    message = f"^{name}: job {10**160}x1280, 81 frames, 50 steps: its FLOP total is too large for a float latency$"
+    with pytest.raises(ValueError, match=message):
+        if call == "fit":
+            fit_mu(records, wan.dit, wan.text_encoder, wan.vae, h100)
+        else:
+            validate(records, 0.5, wan.dit, wan.text_encoder, wan.vae, h100)
+
+
 @pytest.mark.parametrize("mu", [0.3, 0.456, 0.9])
 def test_fit_mu_noiseless(wan, h100, mu):
     records = synthetic_records(wan, h100, mu)

@@ -129,23 +129,23 @@ def test_sweep_resolution_values(capsys):
 
 def test_sweep_resolution_needs_values(capsys):
     code, _, err = run_cli(capsys, "sweep", "--axis", "resolution", "--from", "1", "--to", "2")
-    assert code == 1
+    assert code == 2
     assert "resolution" in err
 
 
 def test_sweep_empty_range_names_its_flags(capsys):
     code, out, err = run_cli(capsys, "sweep", "--axis", "frames", "--from", "5", "--to", "1")
-    assert (code, out, err) == (1, "", "error: --from 5 is above --to 1\n")
+    assert (code, out, err) == (2, "", "error: --from 5 is above --to 1\n")
 
 
 def test_sweep_without_a_range_or_values_is_one_error_line(capsys):
     code, out, err = run_cli(capsys, "sweep", "--axis", "frames")
-    assert (code, out, err) == (1, "", "error: sweep needs --from/--to (or --values)\n")
+    assert (code, out, err) == (2, "", "error: sweep needs --from/--to (or --values)\n")
 
 
 def test_sweep_range_above_the_point_limit_is_one_error_line(capsys):
     code, out, err = run_cli(capsys, "sweep", "--axis", "frames", "--from", "1", "--to", str(10**18))
-    assert (code, out) == (1, "")
+    assert (code, out) == (2, "")
     assert err == f"error: --from 1 --to {10**18} gives {10**18} points, above the limit of 100000\n"
 
 
@@ -734,10 +734,10 @@ def test_text_from_data_files_reaches_each_output_intact_or_is_one_error_line(ca
             code, out, err = run_cli(capsys, command, *argv[command], "--format", fmt)
             if not TEXT_IDS[ident]:
                 assert (code, out) == (1, "") and err.count("\n") == 1
-                if site == "csv" and "\ud800" in ident:  # the file is not UTF-8, so no row is read
-                    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xed ")
-                else:
-                    assert err == f"error: {path}: {field} must be printable text, got {ident!r}\n"
+                shown = ident  # in a CSV, as the bytes of a lone surrogate read: not UTF-8, each a surrogate escape
+                if site == "csv":
+                    shown = ident.encode("utf-8", "surrogatepass").decode("utf-8", "surrogateescape")
+                assert err == f"error: {path}: {field} must be printable text, got {shown!r}\n"
             elif command == "calibrate":  # the fit prints no id; its warning names the records' model
                 assert (code, err) == (0, f"warning: 2 of 2 records name a model other than {wan.model_id}: "
                                           f"{ident}\n")
@@ -1087,3 +1087,165 @@ def test_hardware_file_gives_an_error_line_naming_its_field_or_finite_output(tmp
         doc = json.loads(out, parse_constant=lambda constant: pytest.fail(f"{constant} in the output"))
         if command == "roofline":  # no threshold of 300 digits: the balance is at most 1e24
             assert max(len(repr(abs(n)).split("e")[0].replace(".", "")) for n in json_numbers(doc)) <= 25
+
+
+# --- every data file a path names is read one way ---
+
+def measurement_rows(path) -> list[dict]:
+    """The rows of a measurement CSV as JSON records: an empty cell is None, a number cell its number."""
+    with open(path, newline="") as fh:
+        return [{column: None if not cell else cell if column == "model_id" else json.loads(cell)
+                 for column, cell in row.items()} for row in csv.DictReader(fh)]
+
+
+CALIBRATION_ROWS = measurement_rows(CALIBRATION_CSV)
+BUNDLED_MEASUREMENTS = BUNDLED_SPEC.with_name("benchmark_measurements.csv")
+BUNDLED_DEFAULTS = BUNDLED_SPEC.with_name("model_defaults.json")
+
+# Each kind of data file a path names: its name, the command that reads it (with {path} for it), its bytes,
+# and the first text field in it, as a rejection names it, with its value.
+DATA_FILES = {
+    "spec": ("spec.json", "estimate --model {path}", BUNDLED_SPEC.read_bytes(), "model_id", "wan2.1-t2v-1.3b"),
+    "hardware": ("hw.json", "roofline --hardware {path}", json.dumps([HW_ENTRY]).encode(), "hardware[0].name", "toy"),
+    "defaults": ("d.json", "compare --defaults {path}", BUNDLED_DEFAULTS.read_bytes(), "model defaults[0].model_id",
+                 "animatediff"),
+    "csv": ("m.csv", "calibrate --measurements {path}", CALIBRATION_CSV.read_bytes(), "row 2: model_id",
+            "wan2.1-t2v-1.3b"),
+    "json": ("m.json", "calibrate --measurements {path}", json.dumps(CALIBRATION_ROWS).encode(), "record 0: model_id",
+             "wan2.1-t2v-1.3b"),
+}
+
+
+@pytest.mark.parametrize("kind", list(DATA_FILES))
+def test_every_data_file_may_start_with_a_byte_order_mark_and_names_a_byte_that_is_not_utf8(capsys, tmp_path, kind):
+    name, command, text, field, ident = DATA_FILES[kind]
+    path = tmp_path / name
+    argv = command.format(path=path).split()
+    path.write_bytes(text)
+    plain = run_cli(capsys, *argv)
+    assert plain[0] == 0
+    path.write_bytes(b"\xef\xbb\xbf" + text)  # as a spreadsheet's "CSV UTF-8" export starts
+    assert run_cli(capsys, *argv) == plain
+    # A byte that is not UTF-8 stays in the text as a lone surrogate, which the field's check rejects.
+    path.write_bytes(text.replace(ident.encode(), ident.encode() + b"\xff", 1))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {path}: {field} must be printable text, got {ident + chr(0xdcff)!r}\n")
+
+
+# --- the data-file gate: each command on a mutated copy of a file it reads ---
+
+class Pairs(list):
+    """A JSON object as its [key, value] pairs, so that a key may repeat."""
+
+
+def as_pairs(value):
+    if isinstance(value, dict):
+        return Pairs([key, as_pairs(v)] for key, v in value.items())
+    return [as_pairs(v) for v in value] if isinstance(value, list) else value
+
+
+def objects(value) -> list:
+    """Every object in a JSON value, outermost first."""
+    if isinstance(value, Pairs):
+        return [value, *(o for _, v in value for o in objects(v))]
+    return [o for v in value for o in objects(v)] if isinstance(value, list) else []
+
+
+def json_text(value) -> str:
+    if isinstance(value, Pairs):
+        return "{" + ", ".join(f"{json.dumps(key)}: {json_text(v)}" for key, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(json_text, value)) + "]"
+    return json.dumps(value)
+
+
+def csv_text(rows: list) -> str:
+    """Records of pairs as a CSV whose header is the first one's keys: None is an empty cell, a non-string its JSON."""
+    table = io.StringIO()
+    csv.writer(table, lineterminator="\n").writerows([[key for key, _ in rows[0]], *(
+        [v if isinstance(v, str) else "" if v is None else json.dumps(v) for _, v in row] for row in rows)])
+    return table.getvalue()
+
+
+# Each gated command: the file it reads that is mutated, that file's document, and the command (with {path} for the
+# file and {fmt} for a format compare draws). Every other file it reads is bundled.
+SPEC_DOCUMENT = json.loads(BUNDLED_SPEC.read_text())
+FILE_GATE = {
+    "estimate": ("spec.json", SPEC_DOCUMENT, "estimate --model {path} --format json"),
+    "sweep": ("spec.json", SPEC_DOCUMENT, "sweep --axis frames --from 1 --to 3 --model {path} --format json"),
+    "compare-defaults": ("d.json", json.loads(BUNDLED_DEFAULTS.read_text()), "compare --defaults {path} --format {fmt}"),
+    "calibrate-csv": ("m.csv", CALIBRATION_ROWS, "calibrate --measurements {path} --format json"),
+    "calibrate-json": ("m.json", CALIBRATION_ROWS, "calibrate --measurements {path} --format json"),
+    "compare-csv": ("m.csv", measurement_rows(BUNDLED_MEASUREMENTS), "compare --measurements {path} --format {fmt}"),
+    "compare-json": ("m.json", measurement_rows(BUNDLED_MEASUREMENTS), "compare --measurements {path} --format {fmt}"),
+}
+GATE_VALUES = [0, -1, 2.5, "x", None, True, 10**400, [], {}]
+# A mutation: (kind, an object's index or an offset's percentile, a key's index, a value); an index is taken modulo
+# the count.
+MUTATIONS = st.tuples(st.sampled_from(["drop", "repeat", "unknown", "value", "bom", "byte-in-string", "byte-outside"]),
+                      st.integers(0, 99), st.integers(0, 99), st.sampled_from(GATE_VALUES))
+
+
+def mutated(document, csv_file: bool, mutation) -> bytes:
+    """The bytes of a file holding ``document`` (records of one CSV, or a JSON value) with one ``mutation``."""
+    kind, at, key, value = mutation
+    document = as_pairs(document)
+    every = objects(document)
+    chosen = every[at % len(every)]
+    # A CSV's columns are dropped, repeated or added in every record, so that its rows keep the header's width.
+    for obj in (document if csv_file and kind != "value" else [chosen]):
+        i = key % len(obj)
+        if kind == "drop":
+            del obj[i]
+        elif kind == "repeat":
+            obj.insert(i + 1, list(obj[i]))
+        elif kind == "unknown":
+            obj.append(["unknown_key", 1])
+        elif kind == "value":
+            obj[i] = [obj[i][0], value]
+    text = (csv_text(document) if csv_file else json_text(document)).encode()
+    if kind == "bom":
+        return b"\xef\xbb\xbf" + text
+    if kind.startswith("byte"):  # at the at-th percentile of the offsets inside quoted strings, or outside them
+        offsets = [[], []]
+        quoted = False
+        for i, byte in enumerate(text):
+            offsets[quoted].append(i)
+            quoted ^= byte == ord('"')
+        choices = offsets[kind == "byte-in-string"] or offsets[0]  # a CSV here quotes no cell
+        i = choices[at * len(choices) // 100]
+        return text[:i] + b"\xff" + text[i:]
+    return text
+
+
+@settings(max_examples=120, deadline=None)
+@given(command=st.sampled_from(list(FILE_GATE)), fmt=st.sampled_from(["json", "svg"]), mutation=MUTATIONS)
+@example(command="estimate", fmt="json", mutation=("byte-in-string", 1, 0, 0))
+@example(command="compare-json", fmt="svg", mutation=("byte-outside", 5, 0, 0))
+@example(command="calibrate-csv", fmt="json", mutation=("value", 3, 5, 10**400))
+@example(command="sweep", fmt="json", mutation=("value", 1, 1, 10**400))
+@example(command="compare-defaults", fmt="svg", mutation=("repeat", 2, 0, 0))
+def test_data_file_gives_an_error_line_naming_it_or_finite_output(tmp_path_factory, command, fmt, mutation):
+    name, document, argv = FILE_GATE[command]
+    path = tmp_path_factory.mktemp("gate") / name
+    path.write_bytes(mutated(document, name.endswith(".csv"), mutation))
+    # Written as a terminal would take them, strict UTF-8: a lone surrogate in any output line fails here.
+    out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8") for _ in range(2))
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv.format(path=path, fmt=fmt).split())
+    out.flush(), err.flush()
+    out, err = out.buffer.getvalue().decode(), err.buffer.getvalue().decode()
+    assert code in (0, 1, 2)
+    if code:
+        # The file named: the mutated one, or the measurements a mutated defaults file leaves unmatched. A spec
+        # with an astronomical constant is valid, and its job's FLOP total is rejected naming the job.
+        named = (path, BUNDLED_MEASUREMENTS) if command == "compare-defaults" else (path,)
+        line = err.splitlines()[-1]
+        assert out == "" and (line.startswith(tuple(f"error: {p}: " for p in named))
+                              or command in ("estimate", "sweep") and line.startswith("error: job ")), line
+    elif "{fmt}" in argv and fmt == "svg":
+        from xml.dom import minidom
+
+        minidom.parseString(out)
+    else:
+        json.loads(out, parse_constant=lambda constant: pytest.fail(f"{constant} in the output"))

@@ -61,8 +61,13 @@ def test_self_attention_examples(wan):
     assert self_attention_flops(1, tiny) == 12
     assert self_attention_flops(2, tiny) == 32
     assert self_attention_flops(75_600, wan.dit) == SELF_75600
-    with pytest.raises(ValueError):
-        self_attention_flops(0, wan.dit)
+
+
+@pytest.mark.parametrize("tokens", [0, -1])
+@pytest.mark.parametrize("flops", [self_attention_flops, cross_attention_flops, mlp_flops])
+def test_operator_flops_need_at_least_one_token(wan, flops, tokens):
+    with pytest.raises(ValueError, match="^tokens must be at least 1$"):
+        flops(tokens, wan.dit)
 
 
 def test_cross_attention_examples(wan):

@@ -53,12 +53,14 @@ SWEEP = ["sweep", "--axis", "frames", "--from", "1", "--to", "3"]
                          ids=["estimate", "sweep", "sweep-json", "sweep-svg", "roofline", "calibrate", "compare"])
 def test_commands_on_bundled_data_skip_fractions(argv, tmp_path):
     # No subcommand loads fractions, nor dataclasses and what it imports: the result types are
-    # records, which load dataclasses only for a caller of its functions.
+    # records, which load dataclasses only for a caller of its functions. Nor the utf-8-sig codec:
+    # every data file is decoded as UTF-8, its byte order mark dropped by hand.
     # calibrate needs records of one model; the bundled file holds seven, so it gets a synthetic two-row file.
     path = tmp_path / "m.csv"
     path.write_text("model_id,height,width,frames,steps,latency_s\nm,720,1280,81,10,40\nm,720,1280,81,50,200\n")
     argv = [arg.format(measurements=path) for arg in argv]
-    modules = {"fractions", "decimal", "numbers", "dataclasses", "inspect", "ast", "dis", "tokenize", "copy"}
+    modules = {"fractions", "decimal", "numbers", "dataclasses", "inspect", "ast", "dis", "tokenize", "copy",
+               "encodings.utf_8_sig"}
     code = ("import contextlib, io\nbefore = set(sys.modules)\nfrom vidcost.cli import main\n"
             f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0\n"
             f"print(json.dumps(sorted({modules!r} & (set(sys.modules) - before))))")

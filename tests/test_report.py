@@ -196,6 +196,14 @@ def test_emit_empty_sweep_header_only(wan, h100):
     ]
 
 
+def test_emit_empty_sweep_svg_is_the_chart_frame(h100):
+    from xml.dom import minidom
+
+    doc = minidom.parseString(emit(SweepResult(spec=steps_sweep(h100), points=()), "svg"))
+    assert [node.firstChild.data for node in doc.getElementsByTagName("text")] == ["energy by operator vs steps"]
+    assert len(doc.getElementsByTagName("line")) == 2  # the two axes
+
+
 def test_emit_deterministic(wan, h100):
     result = run_sweep(steps_sweep(h100, values=(1, 5, 9)), wan)
     report = compare_models(load_model_defaults(), load_bundled_measurements())

@@ -58,8 +58,14 @@ def test_attn_intensity_examples():
     assert attn_intensity(1, 2) == 1.0
     assert attn_intensity(295, 2) == 295.0
     assert attn_intensity(75_600, 2) == 75_600.0
-    with pytest.raises(ValueError):
-        attn_intensity(0, 2)
+
+
+@pytest.mark.parametrize("tokens", [0, -1])
+@pytest.mark.parametrize("intensity", [lambda tokens: attn_intensity(tokens, 2),
+                                       lambda tokens: mlp_intensity(tokens, DiTSpec(), 2)], ids=["attn", "mlp"])
+def test_intensities_need_at_least_one_token(intensity, tokens):
+    with pytest.raises(ValueError, match="^tokens must be at least 1$"):
+        intensity(tokens)
 
 
 def test_mlp_intensity_examples(wan):
