@@ -11,12 +11,12 @@ import csv
 import io
 import json
 import math
-from operator import attrgetter, mul
+from operator import mul
 from pathlib import Path
 
-from .cost import _MAX, SECONDS_PER_HOUR, energy, float_flops, latency
-from .specs import (DiTSpec, HardwareSpec, Record, TextEncoderSpec, VAEDecoderSchedule, VideoJob, _json_object,
-                    _printable, _read_text, data_path)
+from .cost import SECONDS_PER_HOUR, energy, float_flops, latency
+from .specs import (_MAX, DiTSpec, HardwareSpec, Record, TextEncoderSpec, VAEDecoderSchedule, VideoJob, _json_object,
+                    _printable, _read_text, _require, data_path)
 
 MEASUREMENTS_FILE = "benchmark_measurements.csv"
 
@@ -33,9 +33,7 @@ COLUMNS = {
 }
 _REQUIRED = tuple(COLUMNS)[:5]
 _TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
-# A record's number fields, and their values as a tuple in one C call.
 _NUMBERS = tuple(field for field, kind in COLUMNS.values() if kind is not str)
-_number_values = attrgetter(*_NUMBERS)
 
 
 class MeasurementRecord(Record):
@@ -64,36 +62,32 @@ class MeasurementRecord(Record):
         values["frames"], values["steps"], values["latency_s"] = frames, steps, latency_s
         values["latency_std_s"], values["gpu_wh"], values["gpu_wh_std"] = latency_std_s, gpu_wh, gpu_wh_std
         values["cpu_wh"], values["ram_wh"] = cpu_wh, ram_wh
-        try:  # One pass accepts a plain record: every number in [0, max] (so not nan), a positive measure given.
-            plain = (0 <= height_px <= _MAX and 0 <= width_px <= _MAX and 0 <= frames <= _MAX and 0 <= steps <= _MAX
+        try:  # One pass accepts a plain record: printable text, every number in [0, max] (so not nan), a measure given.
+            plain = (type(model_id) is str and model_id.isprintable() and 0 <= height_px <= _MAX
+                     and 0 <= width_px <= _MAX and 0 <= frames <= _MAX and 0 <= steps <= _MAX
                      and 0.0 <= latency_std_s <= _MAX and 0.0 <= gpu_wh_std <= _MAX and 0.0 <= cpu_wh <= _MAX
                      and 0.0 <= ram_wh <= _MAX and (gpu_wh is None or 0.0 < gpu_wh <= _MAX)
                      and (0.0 < latency_s <= _MAX if latency_s is not None else gpu_wh is not None))
         except TypeError:  # a None or a string where a number belongs
             plain = False
         if not plain:
-            self._check()  # words the rejection, as "cpu_wh must be a number, got None" for a None cpu_wh
+            self._check()
         values["_job"] = VideoJob(height_px, width_px, frames, steps)  # kept, not a field, as the FLOP total is
 
     def _check(self) -> None:
-        numbers = _number_values(self)
-        for name, value in zip(_NUMBERS, numbers):
-            try:
-                if value is not None and not math.isfinite(value):
-                    raise ValueError(f"{name} must be finite, got {value}")
-            except OverflowError:  # an int beyond the float range
-                raise ValueError(f"{name} is too large for a float") from None
-        self.job()  # rejects the geometry VideoJob rejects, with its message
+        """Raise a ValueError worded by the first rule, one per field, that the record breaks. ``__init__``'s one
+        pass accepts the same records, and also in-range numbers of other types, such as a ``Fraction``."""
+        _printable("model_id", self.model_id)
+        self.job()
+        for name in _NUMBERS:
+            value, measure = vars(self)[name], name in ("latency_s", "gpu_wh")
+            if isinstance(value, int) and not -_MAX <= value <= _MAX:  # not printed: it may have too many digits
+                raise ValueError(f"{name} is too large for a float")
+            _require(value is None and measure or isinstance(value, (int, float)) and 0 <= value <= _MAX
+                     and (value > 0 or not measure), name, value,
+                     "a positive finite number" if measure else "a non-negative finite number")
         if self.latency_s is None and self.gpu_wh is None:
             raise ValueError("record needs latency_s or gpu_wh")
-        for name in ("latency_s", "gpu_wh"):
-            if vars(self)[name] is not None and vars(self)[name] <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name, value in zip(_NUMBERS, numbers):
-            if value is None and name not in ("latency_s", "gpu_wh"):  # only a measure may be left out as None
-                raise ValueError(f"{name} must be a number, got None")
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be non-negative")
 
     def resolved_latency(self, hw: HardwareSpec) -> float:
         return self.latency_s if self.latency_s is not None else self.gpu_wh * SECONDS_PER_HOUR / hw.p_max
@@ -271,8 +265,6 @@ def _record(columns, cells, index: int, in_csv: bool) -> MeasurementRecord:
                 raise ValueError(f"{column} must be {_TYPE_NAMES[kind]}") from None
             except OverflowError:
                 raise ValueError(f"{column} is too large for a float") from None
-            if kind is str:  # the spec schema's rule for text
-                _printable(column, value)
             values[field] = number if kind is float else value
         record = MeasurementRecord(**values)
     except TypeError:  # a required value left out: of checked values, the one a record rejects with a TypeError

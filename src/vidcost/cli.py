@@ -181,10 +181,9 @@ def _sweep_values(args):
 def cmd_sweep(args) -> int:
     from .report import SweepSpec, emit, run_sweep
 
+    values = _sweep_values(args)  # a usage error is reported before any file is read
     model, hw = load_model_spec(args.model), load_hardware(args.hardware)
-    fixed = _resolve_job(args, model)
-    sweep = SweepSpec(axis=args.axis, values=_sweep_values(args), fixed=fixed,
-                      mu=args.mu, hardware=hw)
+    sweep = SweepSpec(axis=args.axis, values=values, fixed=_resolve_job(args, model), mu=args.mu, hardware=hw)
     _write(args, emit(run_sweep(sweep, model), args.format))
     return 0
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from .specs import DiTSpec, HardwareSpec, ModelSpec, Record, TextEncoderSpec, VAEDecoderSchedule, VideoJob, exact_div
+from .specs import (_MAX, DiTSpec, HardwareSpec, ModelSpec, Record, TextEncoderSpec, VAEDecoderSchedule, VideoJob,
+                    exact_div)
 from .vae import decoder_flops
 
 SECONDS_PER_HOUR = 3600.0
-_MAX = math.nextafter(math.inf, 0.0)  # the largest float
 
 
 class FlopBreakdown(Record):

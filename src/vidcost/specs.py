@@ -26,6 +26,8 @@ DATA_DIR_ENV = "VIDCOST_DATA_DIR"
 DEFAULT_MODEL_ID = "wan2.1-t2v-1.3b"
 DEFAULT_HARDWARE = "h100"
 
+_MAX = math.nextafter(math.inf, 0.0)  # the largest float
+
 
 def exact_div(numerator: int, denominator: int, what: str) -> int:
     """numerator / denominator, which must be an integer so FLOP counts stay exact."""
@@ -34,6 +36,13 @@ def exact_div(numerator: int, denominator: int, what: str) -> int:
         gcd = math.gcd(numerator, denominator)  # printed as the reduced p/q
         raise ValueError(f"{what} is not an integer FLOP count ({numerator // gcd}/{denominator // gcd})")
     return quotient
+
+
+def _within_float(fields: str, *flops: int) -> None:
+    """Reject a spec one of whose per-model FLOP constants no float holds: every job's FLOP total is at least
+    each of them, as every multiplier is at least 1 and every term at least 0, so no job has a float latency."""
+    if max(flops) > _MAX:  # exact: Python compares an int with a float without rounding either
+        raise ValueError(f"{fields}: every job's FLOP total is too large for a float")
 
 
 class _DataclassFields:
@@ -178,6 +187,9 @@ class DiTSpec(Spec):
                              cross_attn_coefficients=(4 * n * d * (d + m), 4 * n * m * d * d),
                              timestep_flops=2 * self.timestep_hidden * d + 14 * d * d,  # per pass: 2*d_tau*d + 14*d^2
                              latent_strides=(t, t - 2, s_h, s_h - 1, s_w, s_w - 1))
+        # The feed-forward coefficient counts by its value p/q, rounded up, as a job's MLP FLOPs are at least it.
+        _within_float("layers, hidden, mlp_expansion, text_tokens and timestep_hidden", *self.self_attn_coefficients,
+                      *self.cross_attn_coefficients, -(-self.mlp_coefficient[0] // q), self.timestep_flops)
 
 
 class TextEncoderSpec(Spec):
@@ -199,6 +211,7 @@ class TextEncoderSpec(Spec):
         p, q = self.mlp_expansion.as_integer_ratio()
         ffn = exact_div(n * 4 * p * m * d * d, q, "mlp_expansion: the feed-forward term")
         self.__dict__["flops_per_pass"] = n * (8 * m * d * d + 4 * m * m * d) + ffn
+        _within_float("layers, hidden, mlp_expansion and tokens", self.flops_per_pass)
 
 
 # How a decoder row's output temporal length derives from the frame count,
@@ -241,6 +254,7 @@ class VAEDecoderLayer(Spec):
         t, h, w = TIME_RULES[self.t_rule], self.h_div, self.w_div
         # The per-position factor, then each grid divisor d with its d - 1: ceil(n / d) = (n + d-1) // d.
         self.__dict__["flop_terms"] = factor, t, t - 1, h, h - 1, w, w - 1
+        _within_float("repeat, kernel, c_in and c_out" if self.kind == "conv3d" else "repeat and c_in", factor)
 
 
 class VAEDecoderSchedule(Spec):

@@ -14,6 +14,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import mape_oracle
 from vidcost import calibration, cost
@@ -84,57 +86,56 @@ def test_record_validation():
     valid = dict(model_id="x", height_px=720, width_px=1280, frames=81, steps=50,
                  latency_s=1.0, latency_std_s=0.0, gpu_wh=1.0, gpu_wh_std=0.0, cpu_wh=0.0, ram_wh=0.0)
     for latency_s in (None, 1.0):
-        with pytest.raises(ValueError, match="gpu_wh must be positive"):
+        with pytest.raises(ValueError, match="^gpu_wh must be a positive finite number, got 0.0$"):
             MeasurementRecord(**{**valid, "latency_s": latency_s, "gpu_wh": 0.0})
     for name in valid.keys() - {"model_id"}:
         for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match=f"{name} must be finite"):
+            with pytest.raises(ValueError, match=f"^{name} must be (an int|a (positive|non-negative) finite number), "
+                                                 f"got {bad}$"):
                 MeasurementRecord(**{**valid, name: bad})
+    # A string in a number field and text that is not printable are each worded by the field's rule.
+    for args, message in ((("m", "16", 16, 1, 1), "height_px must be an int, got '16'"),
+                          (("m", 16, 16, 1, "1"), "steps must be an int, got '1'"),
+                          ((5, 720, 1280, 81, 50), "model_id must be a string, got 5"),
+                          (("a\x1bb", 720, 1280, 81, 50), "model_id must be printable text, got 'a\\x1bb'")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MeasurementRecord(*args, latency_s=1.0)
+    with pytest.raises(ValueError, match="^cpu_wh must be a non-negative finite number, got '1'$"):
+        MeasurementRecord("m", 16, 16, 1, 1, latency_s=1.0, cpu_wh="1")
 
 
 MISSING = object()
 ODD_VALUES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-1": -1, "0": 0, "10**400": 10**400,
               "True": True, "missing": MISSING, "None": None, "'1'": "1", "max+1": int(sys.float_info.max) + 1}
 AT_LEAST_16 = "height and width must be at least 16"
-# What MeasurementRecord did with -1, 0, True and None in each field before its constructor was
-# hand-written: the ValueError's message, or None where it built a record. Since then, VideoJob words its
-# geometry rule by the file's keys, and a None energy or std is rejected, as no arithmetic takes it.
-RECORD_OUTCOMES = {
-    "model_id": (None, None, None, None),
-    "height_px": (AT_LEAST_16, AT_LEAST_16, "height_px must be an int, got True", "height_px must be an int, got None"),
-    "width_px": (AT_LEAST_16, AT_LEAST_16, "width_px must be an int, got True", "width_px must be an int, got None"),
-    "frames": ("frames must be at least 1", "frames must be at least 1", "frames must be an int, got True",
-               "frames must be an int, got None"),
-    "steps": ("steps must be at least 1", "steps must be at least 1", "steps must be an int, got True",
-              "steps must be an int, got None"),
-    "latency_s": ("latency_s must be positive", "latency_s must be positive", None, "record needs latency_s or gpu_wh"),
-    "latency_std_s": ("latency_std_s must be non-negative", None, None, "latency_std_s must be a number, got None"),
-    "gpu_wh": ("gpu_wh must be positive", "gpu_wh must be positive", None, None),
-    "gpu_wh_std": ("gpu_wh_std must be non-negative", None, None, "gpu_wh_std must be a number, got None"),
-    "cpu_wh": ("cpu_wh must be non-negative", None, None, "cpu_wh must be a number, got None"),
-    "ram_wh": ("ram_wh must be non-negative", None, None, "ram_wh must be a number, got None"),
-}
 
 
 def record_outcome(field, name):
-    """The error MeasurementRecord gave for ``field`` set to ODD_VALUES[name], or None for a record."""
-    if name == "missing":  # an argument left out: a required one is a TypeError, an optional one its default
-        return TypeError if field in ("model_id", "height_px", "width_px", "frames", "steps") else \
-            record_outcome(field, "None" if MeasurementRecord._defaults[field] is None else "0")
-    if name in ("-1", "0", "True", "None"):
-        return RECORD_OUTCOMES[field][("-1", "0", "True", "None").index(name)]
-    if field == "model_id" or name == "max+1":  # model_id is not checked; an int that rounds to a float is finite
-        return None
-    if name == "'1'":
-        return TypeError("must be real number, not str")
-    return ValueError(f"{field} is too large for a float" if name == "10**400" else
-                      f"{field} must be finite, got {ODD_VALUES[name]}")
+    """What MeasurementRecord does with ``field`` set to ODD_VALUES[name] in a record of latency 410 s, by that
+    field's one rule: the ValueError's message, TypeError for a required argument left out, or None for a record."""
+    value = ODD_VALUES[name]
+    required = field not in MeasurementRecord._defaults
+    if name == "missing" and required:
+        return TypeError
+    if field == "model_id":  # printable text, as every text field of a spec
+        return None if name == "'1'" else f"model_id must be a string, got {value!r}"
+    if name in ("10**400", "max+1"):  # an int beyond the float range, whose digits are not printed
+        return f"{field} is too large for a float"
+    if required:  # the geometry: a job VideoJob accepts, worded by VideoJob
+        if type(value) is not int:
+            return f"{field} must be an int, got {value!r}"
+        return AT_LEAST_16 if field in ("height_px", "width_px") else f"{field} must be at least 1"
+    if field in ("latency_s", "gpu_wh"):  # a measure: None or a positive finite number, and one of them given
+        if name in ("None", "missing"):
+            return "record needs latency_s or gpu_wh" if field == "latency_s" else None
+        return None if name == "True" else f"{field} must be a positive finite number, got {value!r}"
+    # Any other number: a finite number at least 0, left out as 0.0.
+    return None if name in ("0", "True", "missing") else f"{field} must be a non-negative finite number, got {value!r}"
 
 
 @pytest.mark.parametrize("name", list(ODD_VALUES))
 @pytest.mark.parametrize("field", list(MeasurementRecord._fields))
 def test_record_constructor_outcomes(field, name):
-    # Each outcome, message included, is the one the generic Record constructor gave.
     values = dict(model_id="m", height_px=720, width_px=1280, frames=81, steps=50, latency_s=410.0)
     if ODD_VALUES[name] is MISSING:
         values.pop(field, None)
@@ -149,9 +150,35 @@ def test_record_constructor_outcomes(field, name):
         with pytest.raises(TypeError, match=f"missing 1 required positional argument: '{field}'$"):
             MeasurementRecord(**values)
     else:
-        with pytest.raises(type(want) if isinstance(want, Exception) else ValueError,
-                           match=f"^{re.escape(str(want))}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             MeasurementRecord(**values)
+
+
+# Values for any field of a record: numbers at and beyond each bound, and text.
+RECORD_POOL = [None, True, 0, -0.0, -1, 5e-324, math.nan, math.inf, -math.inf, sys.float_info.max,
+               int(sys.float_info.max) + 1, 10**400, "1", "", "a\x01b", MISSING]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(list(MeasurementRecord._fields)), st.sampled_from(RECORD_POOL), max_size=3))
+@example({"height_px": "16"})
+def test_the_one_pass_check_and_the_worded_rules_agree(changes):
+    values = {**dict(model_id="m", height_px=16, width_px=16, frames=1, steps=1, latency_s=1.0), **changes}
+    values = {name: value for name, value in values.items() if value is not MISSING}
+    # The same values, stored without the one-pass check, for _check alone.
+    unchecked = MeasurementRecord.__new__(MeasurementRecord)
+    unchecked.__dict__.update(MeasurementRecord._defaults, **values)
+    try:
+        record = MeasurementRecord(**values)
+    except TypeError as exc:  # the one TypeError: a required argument left out
+        required = MeasurementRecord._fields.keys() - MeasurementRecord._defaults.keys()
+        assert not required <= values.keys() and "required positional argument" in str(exc)
+        return
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            unchecked._check()
+        return
+    record._check()
 
 
 @pytest.mark.parametrize("args, kwargs", [
@@ -218,11 +245,12 @@ def test_read_fit_validate_build_one_job_and_one_flop_total_per_row(wan, h100):
     assert counts[ValidationReport] == 1  # built by the generic constructor, as entered() sees
 
 
+@pytest.mark.parametrize("value", [10**400, 10**5000], ids=["10**400", "10**5000"])
 @pytest.mark.parametrize("name", ["height_px", "steps", "latency_s", "cpu_wh"])
-def test_record_rejects_an_int_too_large_for_a_float(name):
+def test_record_rejects_an_int_too_large_for_a_float(name, value):
     valid = dict(model_id="m", height_px=16, width_px=16, frames=1, steps=1, latency_s=1.0)
     with pytest.raises(ValueError, match=f"^{name} is too large for a float$"):
-        MeasurementRecord(**{**valid, name: 10**400})
+        MeasurementRecord(**{**valid, name: value})
 
 
 @pytest.mark.parametrize("call", ["fit", "validate"])

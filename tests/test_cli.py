@@ -138,6 +138,12 @@ def test_sweep_empty_range_names_its_flags(capsys):
     assert (code, out, err) == (2, "", "error: --from 5 is above --to 1\n")
 
 
+def test_sweep_checks_its_flags_before_it_reads_a_file(capsys, tmp_path):
+    missing = tmp_path / "nope.json"
+    code, out, err = run_cli(capsys, "sweep", "--axis", "frames", "--model", str(missing), "--from", "5", "--to", "3")
+    assert (code, out, err) == (2, "", "error: --from 5 is above --to 3\n")
+
+
 def test_sweep_without_a_range_or_values_is_one_error_line(capsys):
     code, out, err = run_cli(capsys, "sweep", "--axis", "frames")
     assert (code, out, err) == (2, "", "error: sweep needs --from/--to (or --values)\n")
@@ -210,6 +216,21 @@ def test_bad_model_spec_is_one_error_line(capsys, tmp_path, wan, edit, message):
     code, out, err = run_cli(capsys, "estimate", "--model", str(path))
     assert (code, out) == (1, "")
     assert err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["estimate"], ["sweep", "--axis", "frames", "--from", "1", "--to", "3"],
+                                  ["calibrate", "--measurements", str(Path(__file__).with_name("golden")
+                                                                      / "input-calibrate.csv")]],
+                         ids=["estimate", "sweep", "calibrate"])
+def test_spec_that_no_job_can_be_costed_on_is_rejected_on_load(capsys, tmp_path, wan, argv):
+    doc = to_dict(wan)
+    doc["dit"]["layers"] = 10**400
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, *argv, "--model", str(path))
+    assert (code, out) == (1, "")
+    assert err == (f"error: {path}: dit.layers, hidden, mlp_expansion, text_tokens and timestep_hidden: "
+                   "every job's FLOP total is too large for a float\n")
 
 
 @pytest.mark.parametrize("command", ["estimate", "calibrate"])
@@ -569,7 +590,7 @@ def test_calibrate_rejects_non_finite(capsys, tmp_path, suffix, text):
     assert out == ""
     row = "row 3" if suffix == ".csv" else "record 1"
     assert err.startswith(f"error: {path}: {row}: ")
-    assert "must be finite" in err
+    assert "must be a positive finite number, got " in err
     assert err.count("\n") == 1
 
 
@@ -805,7 +826,7 @@ def assert_rejected_on_read(capsys, path, rows, message):
 @pytest.mark.parametrize("suffix, field, message", [
     (".csv", "height", "height is too large for a float"),
     (".json", "height", "height is too large for a float"),
-    (".csv", "latency_s", "latency_s must be finite, got inf"),
+    (".csv", "latency_s", "latency_s must be a positive finite number, got inf"),
     (".json", "latency_s", "latency_s is too large for a float"),
 ])
 def test_measurement_too_large_for_a_float_names_its_column(capsys, tmp_path, suffix, field, message):
@@ -882,7 +903,7 @@ def test_data_dir_shadows_benchmark_measurements(capsys, tmp_path, monkeypatch):
     path.write_text("model_id,height,width,frames,steps,latency_s\nanimatediff,512,512,16,4,-1\n")
     code, out, err = run_cli(capsys, "compare")
     assert (code, out) == (1, "")
-    assert err == f"error: {path}: row 2: latency_s must be positive\n"
+    assert err == f"error: {path}: row 2: latency_s must be a positive finite number, got -1.0\n"
 
 
 HW_ENTRY = {"name": "toy", "theta_peak": 1e15, "bandwidth": 1e12, "p_max": 100}
@@ -1237,12 +1258,10 @@ def test_data_file_gives_an_error_line_naming_it_or_finite_output(tmp_path_facto
     out, err = out.buffer.getvalue().decode(), err.buffer.getvalue().decode()
     assert code in (0, 1, 2)
     if code:
-        # The file named: the mutated one, or the measurements a mutated defaults file leaves unmatched. A spec
-        # with an astronomical constant is valid, and its job's FLOP total is rejected naming the job.
+        # The file named: the mutated one, or the measurements a mutated defaults file leaves unmatched.
         named = (path, BUNDLED_MEASUREMENTS) if command == "compare-defaults" else (path,)
         line = err.splitlines()[-1]
-        assert out == "" and (line.startswith(tuple(f"error: {p}: " for p in named))
-                              or command in ("estimate", "sweep") and line.startswith("error: job ")), line
+        assert out == "" and line.startswith(tuple(f"error: {p}: " for p in named)), line
     elif "{fmt}" in argv and fmt == "svg":
         from xml.dom import minidom
 

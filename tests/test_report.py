@@ -170,7 +170,7 @@ def test_compare_models_unmatched_id():
 @pytest.mark.parametrize("field", ["latency_std_s", "gpu_wh_std", "cpu_wh", "ram_wh"])
 def test_compare_models_gets_no_none_energy(field):
     # Rejected when the record is built, not as a TypeError when compare_models sums the energies.
-    with pytest.raises(ValueError, match=f"^{field} must be a number, got None$"):
+    with pytest.raises(ValueError, match=f"^{field} must be a non-negative finite number, got None$"):
         compare_models(load_model_defaults(), [MeasurementRecord("wan2.1-t2v-1.3b", 720, 1280, 81, 50, latency_s=1.0,
                                                                  gpu_wh=1.0, **{field: None})])
 

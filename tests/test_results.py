@@ -109,7 +109,7 @@ def test_result_dataclass_functions_see_the_declared_fields(index):
                          ids=["method", "dataclasses"])
 def test_result_replace_runs_the_constructor_checks(replace):
     _, cost, _, measurement, _, _, _, sweep_spec = one_of_each_result()[:8]
-    with pytest.raises(ValueError, match="^latency_s must be positive$"):
+    with pytest.raises(ValueError, match="^latency_s must be a positive finite number, got -1.0$"):
         replace(measurement, latency_s=-1.0)
     # A SweepSpec leaves mu to the cost layer: the replaced spec builds, and its run rejects the mu.
     with pytest.raises(ValueError, match=r"^mu must be in \(0, 1\], got 2.0$"):

@@ -6,6 +6,7 @@ import math
 import pickle
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -89,13 +90,46 @@ def test_rational_stored_in_one_canonical_form(spellings, stored_type):
     assert len({(spec, hash(spec), repr(spec), json.dumps(to_dict(spec))) for spec in specs}) == 1
 
 
-@pytest.mark.parametrize("value", ["1" + "0" * 400 + "/3", Fraction(10**400, 3)], ids=["string", "fraction"])
+HUGE_TERMS = Fraction(10**400 + 1, 3 * 10**400)  # both terms beyond the float range, its value about 1/3
+
+
+@pytest.mark.parametrize("value", [f"{10**400 + 1}/{3 * 10**400}", HUGE_TERMS], ids=["string", "fraction"])
 def test_rational_beyond_the_float_range_round_trips(value):
     spec = DiTSpec(mlp_expansion=value)
-    assert spec.mlp_expansion == Fraction(10**400, 3)
+    assert spec.mlp_expansion == HUGE_TERMS
     doc = to_dict(spec)
-    assert doc["mlp_expansion"] == f"{10**400}/3"
+    assert doc["mlp_expansion"] == f"{10**400 + 1}/{3 * 10**400}"
     assert from_dict(DiTSpec, json.loads(json.dumps(doc))) == spec
+
+
+DIT_FIELDS = "layers, hidden, mlp_expansion, text_tokens and timestep_hidden"
+SMALL_DIT = dict(layers=1, hidden=1, text_tokens=1, timestep_hidden=1, mlp_expansion=1)
+MAX_INT = int(sys.float_info.max)
+
+
+@pytest.mark.parametrize("make, fields", [
+    (lambda: DiTSpec(layers=10**400), DIT_FIELDS),
+    (lambda: DiTSpec(mlp_expansion=Fraction(10**400, 3)), DIT_FIELDS),
+    # The feed-forward coefficient is compared by its value, 4 * p/q, not by its numerator.
+    (lambda: DiTSpec(**{**SMALL_DIT, "mlp_expansion": Fraction(10**400 + 1, 10**91)}), DIT_FIELDS),
+    (lambda: DiTSpec(**{**SMALL_DIT, "mlp_expansion": Fraction(10**400 + 1, 10**100)}), None),
+    # The timestep FLOPs per pass, 2*d_tau*d + 14*d^2 at d = 1, at the largest float and just beyond it.
+    (lambda: DiTSpec(**{**SMALL_DIT, "timestep_hidden": (MAX_INT - 14) // 2}), None),
+    (lambda: DiTSpec(**{**SMALL_DIT, "timestep_hidden": (MAX_INT - 14) // 2 + 1}), DIT_FIELDS),
+    (lambda: TextEncoderSpec(tokens=10**200), "layers, hidden, mlp_expansion and tokens"),
+    (lambda: VAEDecoderLayer(kind="conv3d", kernel=(1, 1, 1), c_in=10**400, c_out=1, t_rule="full_T", h_div=1,
+                             w_div=1), "repeat, kernel, c_in and c_out"),
+    (lambda: VAEDecoderLayer(kind="attn2d", c_in=1, c_out=1, t_rule="full_T", h_div=1, w_div=1, repeat=10**400),
+     "repeat and c_in"),
+], ids=["dit-layers", "dit-mlp", "dit-mlp-value-above", "dit-mlp-value-below", "dit-timestep-at-max",
+        "dit-timestep-above-max", "text-tokens", "vae-conv", "vae-attn"])
+def test_a_spec_whose_flop_constant_no_float_holds_is_rejected(make, fields):
+    # Every job's FLOP total is at least each per-model constant, so no job on such a spec has a float latency.
+    if fields is None:
+        make()
+    else:
+        with pytest.raises(ValueError, match=f"^{fields}: every job's FLOP total is too large for a float$"):
+            make()
 
 
 # No __future__ import in the exec'd source: the annotation is the object, not its text.

@@ -11,8 +11,10 @@ seed 1 with ``--trace 1`` for the per-layer ones. The file holds, per workload, 
 and range over the seeds, every seed's value, the failed share of ops, the
 traced run's per-layer values (each already a median over its calls), and the
 checkout's line count of ``src/vidcost``, its tier-1 test count, the Python
-version, the CPU count, the commit and the median start-up time of a bare
-interpreter, so that files from different hosts can be put side by side.
+version, the CPU count, the commit (with ``dirty``, whether ``git diff HEAD`` is
+non-empty, and ``diff_sha256``, its sha256, so that a file recorded before a
+change is committed still names the code it ran) and the median start-up time of
+a bare interpreter, so that files from different hosts can be put side by side.
 
 ``--compare OLD [NEW]`` prints each metric's change from OLD to NEW (the file
 just recorded when NEW is left out). A change of an end-to-end metric in its
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import compileall
+import hashlib
 import json
 import os
 import platform
@@ -73,6 +76,12 @@ def bare_python_ms() -> float:
     return statistics.median(times) * 1e3
 
 
+def tree_state() -> dict:
+    """Whether the checkout differs from its commit, and the sha256 of that difference, ``git diff HEAD``."""
+    diff = subprocess.run(["git", "diff", "HEAD"], cwd=ROOT, capture_output=True, check=True).stdout
+    return {"dirty": bool(diff), "diff_sha256": hashlib.sha256(diff).hexdigest()}
+
+
 def summary(values: list[float]) -> dict:
     return {"median": statistics.median(values), "min": min(values), "max": max(values), "seeds": values}
 
@@ -97,7 +106,7 @@ def record() -> dict:
             "traced_failed_frac": traced["meta"]["failed_frac"],
         }
     return {
-        "meta": {"commit": meta["commit"], "python": platform.python_version(), "nproc": os.cpu_count(),
+        "meta": {"commit": meta["commit"], **tree_state(), "python": platform.python_version(), "nproc": os.cpu_count(),
                  "src_vidcost_lines": meta["src_vidcost_lines"], "tier1_tests": tier1_count(),
                  "bare_python_ms": bare_python_ms(), "seconds": seconds, "seeds": list(SEEDS),
                  "traced_seed": TRACED_SEED, "runs_wall_s": time.monotonic() - started},
