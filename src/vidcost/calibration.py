@@ -62,21 +62,20 @@ class MeasurementRecord(Record):
         values["frames"], values["steps"], values["latency_s"] = frames, steps, latency_s
         values["latency_std_s"], values["gpu_wh"], values["gpu_wh_std"] = latency_std_s, gpu_wh, gpu_wh_std
         values["cpu_wh"], values["ram_wh"] = cpu_wh, ram_wh
-        try:  # One pass accepts a plain record: printable text, every number in [0, max] (so not nan), a measure given.
-            plain = (type(model_id) is str and model_id.isprintable() and 0 <= height_px <= _MAX
-                     and 0 <= width_px <= _MAX and 0 <= frames <= _MAX and 0 <= steps <= _MAX
-                     and 0.0 <= latency_std_s <= _MAX and 0.0 <= gpu_wh_std <= _MAX and 0.0 <= cpu_wh <= _MAX
-                     and 0.0 <= ram_wh <= _MAX and (gpu_wh is None or 0.0 < gpu_wh <= _MAX)
-                     and (0.0 < latency_s <= _MAX if latency_s is not None else gpu_wh is not None))
-        except TypeError:  # a None or a string where a number belongs
-            plain = False
-        if not plain:
+        # One pass accepts a plain record, each value of the type _check accepts; _check words every other record.
+        if not (type(model_id) is str and model_id.isprintable()
+                and type(height_px) is type(width_px) is type(frames) is type(steps) is int
+                and 0 <= height_px <= _MAX and 0 <= width_px <= _MAX and 0 <= frames <= _MAX and 0 <= steps <= _MAX
+                and type(latency_std_s) is type(gpu_wh_std) is type(cpu_wh) is type(ram_wh) is float
+                and 0.0 <= latency_std_s <= _MAX and 0.0 <= gpu_wh_std <= _MAX and 0.0 <= cpu_wh <= _MAX
+                and 0.0 <= ram_wh <= _MAX and (latency_s is not None or gpu_wh is not None)
+                and (0.0 < latency_s <= _MAX if type(latency_s) is float else latency_s is None)
+                and (0.0 < gpu_wh <= _MAX if type(gpu_wh) is float else gpu_wh is None)):
             self._check()
         values["_job"] = VideoJob(height_px, width_px, frames, steps)  # kept, not a field, as the FLOP total is
 
     def _check(self) -> None:
-        """Raise a ValueError worded by the first rule, one per field, that the record breaks. ``__init__``'s one
-        pass accepts the same records, and also in-range numbers of other types, such as a ``Fraction``."""
+        """Raise a ValueError worded by the first rule, one per field, that the record breaks."""
         _printable("model_id", self.model_id)
         self.job()
         for name in _NUMBERS:
@@ -97,6 +96,10 @@ class MeasurementRecord(Record):
 
     def job(self, cfg_passes: int = 2) -> VideoJob:
         return VideoJob(self.height_px, self.width_px, self.frames, self.steps, cfg_passes)
+
+    def place(self, index: int) -> str:
+        """How errors name the record: as its reader named it, else by ``index``, its place in the list given."""
+        return _record_name(*self.__dict__.get("_place", (index, False)))
 
 
 class CalibrationResult(Record):
@@ -150,7 +153,6 @@ def _predicted_flops(
 ) -> list[int]:
     # A record keeps its FLOP total under the last model it was predicted under in its
     # __dict__, not as a field. The key holds cfg_passes' type, as VideoJob rejects 2.0.
-    # A record it cannot predict is named as its reader named it, else by its index in the list.
     key = (spec, tspec, vae, cfg_passes, type(cfg_passes))
     for i, r in enumerate(records):
         if r.__dict__.get("_flops", (None,))[0] != key:
@@ -158,7 +160,7 @@ def _predicted_flops(
             try:
                 r.__dict__["_flops"] = key, float_flops(job, spec, tspec, vae).total
             except ValueError as exc:
-                raise ValueError(f"{_record_name(*r.__dict__.get('_place', (i, False)))}: {exc}") from None
+                raise ValueError(f"{r.place(i)}: {exc}") from None
     return [r.__dict__["_flops"][1] for r in records]
 
 

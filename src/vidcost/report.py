@@ -13,7 +13,8 @@ from .specs import SWEEP_AXES, HardwareSpec, ModelDefaults, ModelSpec, Record, V
 
 
 class SweepSpec(Record):
-    """One swept axis with values, the fixed job dims, and the cost context; ``run_sweep`` checks ``mu``."""
+    """One swept axis with values, the fixed job dims, and the cost context; ``run_sweep`` checks ``mu``.
+    ``jobs``, each value's job by ``job_for``, is built on construction and kept outside the fields."""
 
     axis: str
     values: tuple
@@ -27,22 +28,20 @@ class SweepSpec(Record):
         values = tuple(self.values)
         if not values:
             raise ValueError("values must be nonempty")
+        jobs = tuple(map(self.job_for, values))  # so VideoJob words a bad value: frames must be an int, got 80.7
         if self.axis == "resolution":
-            values = tuple((h, w) for h, w in values)
-            scalars = [v for pair in values for v in pair]
-        else:
-            scalars = values
-        # Exact ints, as VideoJob requires: a float or bool is rejected, not truncated.
-        bad = [v for v in scalars if type(v) is not int]
-        if bad:
-            raise ValueError(f"{self.axis} values must be ints, got {bad[0]!r}")
+            values = tuple(map(tuple, values))  # a pair may be a list
         keys = [h * w for h, w in values] if self.axis == "resolution" else values
         if any(b <= a for a, b in zip(keys, keys[1:])):
             raise ValueError("values must be strictly increasing along the swept axis")
-        self.__dict__["values"] = values
+        self.__dict__.update(values=values, jobs=jobs)
 
     def job_for(self, value) -> VideoJob:
-        return self.fixed.replace(**dict(zip(SWEEP_AXES[self.axis], value if type(value) is tuple else (value,))))
+        if self.axis != "resolution":
+            value = (value,)
+        elif type(value) not in (tuple, list) or len(value) != 2:
+            raise ValueError(f"resolution values must be (height, width) pairs, got {value!r}")
+        return self.fixed.replace(**dict(zip(SWEEP_AXES[self.axis], value)))
 
 
 class SweepPoint(Record):
@@ -103,8 +102,7 @@ class ComparisonReport(Record):
 def run_sweep(spec: SweepSpec, model: ModelSpec) -> SweepResult:
     """Evaluate the cost model at every swept value."""
     points = []
-    for value in spec.values:
-        job = spec.job_for(value)
+    for value, job in zip(spec.values, spec.jobs):
         cost = estimate_cost(job, model, spec.hardware, spec.mu)
         points.append(SweepPoint(value, token_length(job, model.dit), cost))
     return SweepResult(spec=spec, points=tuple(points))
@@ -116,13 +114,13 @@ def compare_models(
 ) -> ComparisonReport:
     """Build the cross-model comparison from measured energy records, each of
     which must match a defaults entry by model_id."""
-    by_id = {d.model_id: d for d in defaults}
+    ids = {d.model_id for d in defaults}
     rows = []
-    for record in measurements:
-        if record.model_id not in by_id:
-            raise ValueError(f"measurement for unknown model_id {record.model_id!r}")
+    for i, record in enumerate(measurements):
+        if record.model_id not in ids:
+            raise ValueError(f"{record.place(i)}: measurement for unknown model_id {record.model_id!r}")
         if record.latency_s is None or record.gpu_wh is None:
-            raise ValueError(f"comparison needs latency_s and gpu_wh for {record.model_id!r}")
+            raise ValueError(f"{record.place(i)}: comparison needs latency_s and gpu_wh for {record.model_id!r}")
         rows.append(ComparisonRow(record.model_id, record.latency_s, record.gpu_wh, record.cpu_wh, record.ram_wh))
     return ComparisonReport(tuple(sorted(rows, key=lambda r: (-r.total_wh, r.model_id))))
 

@@ -38,11 +38,13 @@ def exact_div(numerator: int, denominator: int, what: str) -> int:
     return quotient
 
 
-def _within_float(fields: str, *flops: int) -> None:
-    """Reject a spec one of whose per-model FLOP constants no float holds: every job's FLOP total is at least
-    each of them, as every multiplier is at least 1 and every term at least 0, so no job has a float latency."""
-    if max(flops) > _MAX:  # exact: Python compares an int with a float without rounding either
+def _within_float(fields: str, *flops: int) -> int:
+    """The sum of a spec's per-model FLOP terms, or a ValueError when no float holds it: every job's FLOP total is
+    at least that sum, as every multiplier is at least 1 and every term at least 0, so no job has a float latency."""
+    total = sum(flops)
+    if total > _MAX:  # exact: Python compares an int with a float without rounding either
         raise ValueError(f"{fields}: every job's FLOP total is too large for a float")
+    return total
 
 
 class _DataclassFields:
@@ -188,8 +190,9 @@ class DiTSpec(Spec):
                              timestep_flops=2 * self.timestep_hidden * d + 14 * d * d,  # per pass: 2*d_tau*d + 14*d^2
                              latent_strides=(t, t - 2, s_h, s_h - 1, s_w, s_w - 1))
         # The feed-forward coefficient counts by its value p/q, rounded up, as a job's MLP FLOPs are at least it.
-        _within_float("layers, hidden, mlp_expansion, text_tokens and timestep_hidden", *self.self_attn_coefficients,
-                      *self.cross_attn_coefficients, -(-self.mlp_coefficient[0] // q), self.timestep_flops)
+        self.__dict__["least_flops"] = _within_float(
+            "layers, hidden, mlp_expansion, text_tokens and timestep_hidden", *self.self_attn_coefficients,
+            *self.cross_attn_coefficients, -(-self.mlp_coefficient[0] // q), self.timestep_flops)
 
 
 class TextEncoderSpec(Spec):
@@ -291,6 +294,10 @@ class ModelSpec(Spec):
     text_encoder: TextEncoderSpec
     vae: VAEDecoderSchedule
     cfg_passes: Literal[1, 2] = 2
+
+    def _check(self) -> None:
+        _within_float("dit, text_encoder and vae", self.dit.least_flops, self.text_encoder.flops_per_pass,
+                      *(layer.flop_terms[0] for layer in self.vae.layers))
 
 
 class ModelDefaults(Spec):

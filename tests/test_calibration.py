@@ -10,7 +10,10 @@ import random
 import re
 import statistics
 import sys
+import warnings
 from collections import Counter
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -155,13 +158,18 @@ def test_record_constructor_outcomes(field, name):
 
 
 # Values for any field of a record: numbers at and beyond each bound, and text.
+# Numbers of other types, which compare as numbers: the record's rule rejects each, so its one pass must too.
+OTHER_NUMBERS = [Fraction(1, 2), Decimal("0.5"), np.float32(0.5)]
 RECORD_POOL = [None, True, 0, -0.0, -1, 5e-324, math.nan, math.inf, -math.inf, sys.float_info.max,
-               int(sys.float_info.max) + 1, 10**400, "1", "", "a\x01b", MISSING]
+               int(sys.float_info.max) + 1, 10**400, "1", "", "a\x01b", MISSING, *OTHER_NUMBERS]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.dictionaries(st.sampled_from(list(MeasurementRecord._fields)), st.sampled_from(RECORD_POOL), max_size=3))
 @example({"height_px": "16"})
+@example({"latency_s": Fraction(1, 2)})
+@example({"latency_s": Decimal("0.5")})
+@example({"latency_s": np.float32(0.5)})
 def test_the_one_pass_check_and_the_worded_rules_agree(changes):
     values = {**dict(model_id="m", height_px=16, width_px=16, frames=1, steps=1, latency_s=1.0), **changes}
     values = {name: value for name, value in values.items() if value is not MISSING}
@@ -179,6 +187,18 @@ def test_the_one_pass_check_and_the_worded_rules_agree(changes):
             unchecked._check()
         return
     record._check()
+
+
+@pytest.mark.parametrize("value, shown", zip(OTHER_NUMBERS, ["Fraction(1, 2)", "Decimal('0.5')",
+                                                              repr(np.float32(0.5))]),
+                         ids=["fraction", "decimal", "float32"])
+def test_a_number_of_another_type_is_worded_by_the_rule_and_warns_of_nothing(value, shown):
+    # Accepted, a Decimal would fail later in fit_mu's float arithmetic; a float32 compared with the largest
+    # float makes NumPy warn of an overflow.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^latency_s must be a positive finite number, got {re.escape(shown)}$"):
+            MeasurementRecord("m", 720, 1280, 81, 50, latency_s=value)
 
 
 @pytest.mark.parametrize("args, kwargs", [

@@ -233,6 +233,33 @@ def test_spec_that_no_job_can_be_costed_on_is_rejected_on_load(capsys, tmp_path,
                    "every job's FLOP total is too large for a float\n")
 
 
+MAX_INT = int(sys.float_info.max)
+WIDTH_1 = dict(hidden=1, mlp_expansion=1)
+
+
+@pytest.mark.parametrize("argv", [["estimate"], ["calibrate", "--measurements", str(Path(__file__).with_name("golden")
+                                                                                  / "input-calibrate.csv")]],
+                         ids=["estimate", "calibrate"])
+@pytest.mark.parametrize("sections, message", [
+    # The DiT's terms each fit a float, but not their sum.
+    ({"dit": dict(WIDTH_1, layers=MAX_INT // 16, text_tokens=1, timestep_hidden=1)},
+     "dit.layers, hidden, mlp_expansion, text_tokens and timestep_hidden"),
+    # Each section fits a float, but not the sum over them.
+    ({"dit": dict(WIDTH_1, layers=MAX_INT // 40, text_tokens=1, timestep_hidden=1),
+      "text_encoder": dict(WIDTH_1, layers=MAX_INT // 17, tokens=1)}, "dit, text_encoder and vae"),
+], ids=["sum", "cross"])
+def test_spec_whose_flop_terms_sum_beyond_a_float_is_rejected_on_load(capsys, tmp_path, wan, argv, sections,
+                                                                        message):
+    doc = to_dict(wan)
+    for name, values in sections.items():
+        doc[name].update(values)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, *argv, "--model", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: {message}: every job's FLOP total is too large for a float\n"
+
+
 @pytest.mark.parametrize("command", ["estimate", "calibrate"])
 def test_text_encoder_whose_feed_forward_term_is_not_integral_is_rejected_on_load(capsys, tmp_path, wan, command):
     doc = to_dict(wan)
@@ -785,7 +812,7 @@ def test_compare_errors_name_the_measurement_file(capsys, tmp_path):
     path.write_text(header + "unknown-model,512,512,16,4,0.68,0.115\n")
     code, out, err = run_cli(capsys, "compare", "--measurements", str(path))
     assert (code, out) == (1, "")
-    assert err == f"error: {path}: measurement for unknown model_id 'unknown-model'\n"
+    assert err == f"error: {path}: row 2: measurement for unknown model_id 'unknown-model'\n"
 
 
 def test_compare_incomplete_record_error_names_the_file(capsys, tmp_path):
@@ -793,7 +820,30 @@ def test_compare_incomplete_record_error_names_the_file(capsys, tmp_path):
     path.write_text("model_id,height,width,frames,steps,latency_s\nanimatediff,512,512,16,4,0.68\n")
     code, out, err = run_cli(capsys, "compare", "--measurements", str(path))
     assert (code, out) == (1, "")
-    assert err == f"error: {path}: comparison needs latency_s and gpu_wh for 'animatediff'\n"
+    assert err == f"error: {path}: row 2: comparison needs latency_s and gpu_wh for 'animatediff'\n"
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+@pytest.mark.parametrize("row, message", [
+    ({"model_id": "not-a-model", "gpu_wh": 0.115}, "measurement for unknown model_id 'not-a-model'"),
+    ({"model_id": "ltx-video"}, "comparison needs latency_s and gpu_wh for 'ltx-video'"),
+], ids=["unknown-model", "no-gpu-wh"])
+def test_compare_names_the_record_as_calibrate_does(capsys, tmp_path, suffix, row, message):
+    good = {"model_id": "animatediff", "height": 512, "width": 512, "frames": 16, "steps": 4, "latency_s": 0.68,
+            "gpu_wh": 0.115}
+    rows = [good, {**good, "gpu_wh": None, **row}]
+    path = tmp_path / f"m{suffix}"
+    if suffix == ".csv":
+        text = io.StringIO()
+        writer = csv.DictWriter(text, list(good), lineterminator="\n")  # writes a None as an empty cell
+        writer.writeheader()
+        writer.writerows(rows)
+        path.write_text(text.getvalue())
+    else:
+        path.write_text(json.dumps(rows))
+    code, out, err = run_cli(capsys, "compare", "--measurements", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: {'row 3' if suffix == '.csv' else 'record 1'}: {message}\n"
 
 
 @pytest.mark.parametrize("suffix", [".csv", ".json"])

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from vidcost import (
     VideoJob,
     compare_models,
     emit,
+    estimate_cost,
     load_bundled_measurements,
     load_model_defaults,
     run_sweep,
@@ -49,6 +51,11 @@ def test_each_sweep_axis_sets_the_job_fields_of_its_table_entry(h100):
             job = spec.job_for(value)
             assert tuple(getattr(job, f) for f in fields) == (value if axis == "resolution" else (value,))
             assert all(getattr(job, f) == getattr(FIXED, f) for f in VideoJob._fields if f not in fields)
+    # A value of another shape is rejected, not truncated or applied to one field of the pair.
+    resolution = SweepSpec(axis="resolution", values=values["resolution"], fixed=FIXED, mu=0.5, hardware=h100)
+    for value in (720, (480, 832, 7)):
+        with pytest.raises(ValueError, match=rf"^resolution values must be \(height, width\) pairs, got "):
+            resolution.job_for(value)
 
 
 @pytest.mark.parametrize("mu", [0.0, -0.5, 1.5, float("nan")])
@@ -59,15 +66,29 @@ def test_sweep_with_a_bad_mu_fails_in_run_sweep(wan, h100, mu):
         run_sweep(spec, wan)
 
 
-@pytest.mark.parametrize("axis, values, bad", [
-    ("frames", (80.7, 81.2), "80.7"),
-    ("steps", (True, 2), "True"),
-    ("resolution", ((720.5, 1280), (1080, 1920)), "720.5"),
-], ids=["float", "bool", "fractional-resolution"])
-def test_sweep_spec_rejects_non_int_values(h100, axis, values, bad):
-    # Truncating would cost a job other than the one asked for.
-    with pytest.raises(ValueError, match=rf"^{axis} values must be ints, got {bad}$"):
+@pytest.mark.parametrize("axis, values, message", [
+    ("frames", (80.7, 81.2), "frames must be an int, got 80.7"),
+    ("steps", (True, 2), "steps must be an int, got True"),
+    ("resolution", ((720.5, 1280), (1080, 1920)), "height_px must be an int, got 720.5"),
+    ("resolution", (5,), "resolution values must be (height, width) pairs, got 5"),
+    ("resolution", ((1, 2, 3),), "resolution values must be (height, width) pairs, got (1, 2, 3)"),
+    ("resolution", ((720, 1280), (16,)), "resolution values must be (height, width) pairs, got (16,)"),
+    ("frames", ((5, 6),), "frames must be an int, got (5, 6)"),
+    ("frames", (0, 1), "frames must be at least 1"),
+], ids=["float", "bool", "fractional-resolution", "bare-int", "triple", "single", "pair-on-frames", "zero-frames"])
+def test_sweep_spec_rejects_non_int_values(h100, axis, values, message):
+    # Truncating would cost a job other than the one asked for. Each value is checked, when the spec is built,
+    # by the job it sets, and worded by VideoJob.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         SweepSpec(axis=axis, values=values, fixed=FIXED, mu=0.5, hardware=h100)
+
+
+def test_sweep_spec_builds_its_jobs_once_outside_its_fields(wan, h100):
+    spec = SweepSpec(axis="resolution", values=[[480, 832], (720, 1280)], fixed=FIXED, mu=0.456, hardware=h100)
+    assert spec.values == ((480, 832), (720, 1280))
+    assert spec.jobs == tuple(map(spec.job_for, spec.values)) == (FIXED.replace(height_px=480, width_px=832), FIXED)
+    assert "jobs" not in spec._fields and spec == spec.replace()
+    assert [p.cost for p in run_sweep(spec, wan)] == [estimate_cost(job, wan, h100, 0.456) for job in spec.jobs]
 
 
 def test_steps_sweep_arithmetic_progression(wan, h100):

@@ -154,7 +154,7 @@ def test_result_replace_recomputes_every_derived_value(replace):
 
 # Index in one_of_each_result -> the values that type derives from its fields.
 DERIVED = {0: ("total",), 1: ("operator_latency_s", "operator_energy_wh"), 2: ("regime",),
-           6: ("mpe_latency_pct", "mpe_energy_pct"), 8: ("breakdown",),
+           6: ("mpe_latency_pct", "mpe_energy_pct"), 7: ("jobs",), 8: ("breakdown",),
            10: ("total_wh", "gpu_share", "cpu_share", "ram_share"), 11: ("ratios",)}
 
 

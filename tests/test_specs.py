@@ -113,23 +113,45 @@ MAX_INT = int(sys.float_info.max)
     # The feed-forward coefficient is compared by its value, 4 * p/q, not by its numerator.
     (lambda: DiTSpec(**{**SMALL_DIT, "mlp_expansion": Fraction(10**400 + 1, 10**91)}), DIT_FIELDS),
     (lambda: DiTSpec(**{**SMALL_DIT, "mlp_expansion": Fraction(10**400 + 1, 10**100)}), None),
-    # The timestep FLOPs per pass, 2*d_tau*d + 14*d^2 at d = 1, at the largest float and just beyond it.
-    (lambda: DiTSpec(**{**SMALL_DIT, "timestep_hidden": (MAX_INT - 14) // 2}), None),
+    # The timestep FLOPs per pass, 2*d_tau*d + 14*d^2 at d = 1, at the largest float and just beyond it: both are
+    # rejected, as the DiT's other terms at d = 1 add 28 FLOPs to every job. Then all the terms at the largest
+    # float, and one beyond it.
+    (lambda: DiTSpec(**{**SMALL_DIT, "timestep_hidden": (MAX_INT - 14) // 2}), DIT_FIELDS),
     (lambda: DiTSpec(**{**SMALL_DIT, "timestep_hidden": (MAX_INT - 14) // 2 + 1}), DIT_FIELDS),
+    (lambda: DiTSpec(**{**SMALL_DIT, "timestep_hidden": (MAX_INT - 42) // 2}), None),
+    (lambda: DiTSpec(**{**SMALL_DIT, "timestep_hidden": (MAX_INT - 42) // 2 + 1}), DIT_FIELDS),
+    # Each term fits a float, but their sum does not.
+    (lambda: DiTSpec(**{**SMALL_DIT, "layers": MAX_INT // 16}), DIT_FIELDS),
+    # Each section fits a float, but the model's sum over them does not.
+    (lambda: load_model_spec().replace(dit=DiTSpec(**{**SMALL_DIT, "layers": MAX_INT // 40}),
+                                       text_encoder=TextEncoderSpec(layers=MAX_INT // 17, hidden=1, tokens=1,
+                                                                    mlp_expansion=1)),
+     "dit, text_encoder and vae"),
     (lambda: TextEncoderSpec(tokens=10**200), "layers, hidden, mlp_expansion and tokens"),
     (lambda: VAEDecoderLayer(kind="conv3d", kernel=(1, 1, 1), c_in=10**400, c_out=1, t_rule="full_T", h_div=1,
                              w_div=1), "repeat, kernel, c_in and c_out"),
     (lambda: VAEDecoderLayer(kind="attn2d", c_in=1, c_out=1, t_rule="full_T", h_div=1, w_div=1, repeat=10**400),
      "repeat and c_in"),
 ], ids=["dit-layers", "dit-mlp", "dit-mlp-value-above", "dit-mlp-value-below", "dit-timestep-at-max",
-        "dit-timestep-above-max", "text-tokens", "vae-conv", "vae-attn"])
+        "dit-timestep-above-max", "dit-sum-at-max", "dit-sum-above-max", "dit-terms-sum", "model-sections-sum",
+        "text-tokens", "vae-conv", "vae-attn"])
 def test_a_spec_whose_flop_constant_no_float_holds_is_rejected(make, fields):
-    # Every job's FLOP total is at least each per-model constant, so no job on such a spec has a float latency.
+    # Every job's FLOP total is at least the sum of the per-model constants, so no job on such a spec has a
+    # float latency.
     if fields is None:
         make()
     else:
         with pytest.raises(ValueError, match=f"^{fields}: every job's FLOP total is too large for a float$"):
             make()
+
+
+def test_the_smallest_job_costs_at_least_the_sum_a_model_is_bounded_by():
+    rng = random.Random(27)
+    for _ in range(200):
+        dit = random_dit(rng).replace(mlp_expansion=rng.randint(1, 12))  # integral, so every token count costs
+        tspec, vae = random_text_encoder(rng), random_schedule(rng)
+        bound = dit.least_flops + tspec.flops_per_pass + sum(layer.flop_terms[0] for layer in vae.layers)
+        assert total_flops(VideoJob(16, 16, 1, 1, 1), dit, tspec, vae).total >= bound
 
 
 # No __future__ import in the exec'd source: the annotation is the object, not its text.
@@ -248,7 +270,7 @@ def test_model_spec_round_trip(wan):
 # Each spec class that derives per-model constants -> their names, kept in ``__dict__`` outside its fields.
 DERIVED = {
     DiTSpec: {"mlp_ratio", "mlp_coefficient", "self_attn_coefficients", "cross_attn_coefficients",
-              "timestep_flops", "latent_strides"},
+              "timestep_flops", "latent_strides", "least_flops"},
     TextEncoderSpec: {"flops_per_pass"},
     VAEDecoderLayer: {"flop_terms"},
     VAEDecoderSchedule: {"conv_layers", "attn_layers"},
