@@ -43,20 +43,9 @@ class MeasurementRecord(Record):
     gpu_wh * 3600 / p_max when a hardware spec is available.
     """
 
-    model_id: str
-    height_px: int
-    width_px: int
-    frames: int
-    steps: int
-    latency_s: float | None = None
-    latency_std_s: float = 0.0
-    gpu_wh: float | None = None
-    gpu_wh_std: float = 0.0
-    cpu_wh: float = 0.0
-    ram_wh: float = 0.0
-
-    def __init__(self, model_id, height_px, width_px, frames, steps, latency_s=None, latency_std_s=0.0,
-                 gpu_wh=None, gpu_wh_std=0.0, cpu_wh=0.0, ram_wh=0.0) -> None:  # hand-written, as VideoJob's is
+    def __init__(self, model_id: str, height_px: int, width_px: int, frames: int, steps: int,
+                 latency_s: float | None = None, latency_std_s: float = 0.0, gpu_wh: float | None = None,
+                 gpu_wh_std: float = 0.0, cpu_wh: float = 0.0, ram_wh: float = 0.0) -> None:  # as VideoJob's
         values = self.__dict__  # filled a field at a time, so that records share one key table: half the memory
         values["model_id"], values["height_px"], values["width_px"] = model_id, height_px, width_px
         values["frames"], values["steps"], values["latency_s"] = frames, steps, latency_s
@@ -122,10 +111,6 @@ def _record_name(index: int, in_csv: bool) -> str:
 
 
 class PointError(Record):
-    record_id: str
-    latency_pct: float
-    energy_pct: float
-
     def __init__(self, record_id: str, latency_pct: float, energy_pct: float) -> None:  # one per record, as VideoJob's
         self.__dict__.update(record_id=record_id, latency_pct=latency_pct, energy_pct=energy_pct)
 

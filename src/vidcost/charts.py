@@ -15,15 +15,9 @@ MARGIN = 60
 SPAN_X = WIDTH - 2 * MARGIN  # the plot area inside the margins
 SPAN_Y = HEIGHT - 2 * MARGIN
 
-PALETTE = {
-    "text": "#8dd3c7",
-    "vae_conv": "#bebada",
-    "vae_mid_attn": "#80b1d3",
-    "self_attn": "#fb8072",
-    "cross_attn": "#fdb462",
-    "mlp": "#b3de69",
-    "timestep": "#fccde5",
-}
+# Each operator's fill, in OPERATORS order.
+PALETTE = dict(zip(OPERATORS, ("#8dd3c7", "#bebada", "#80b1d3", "#fb8072", "#fdb462", "#b3de69", "#fccde5"),
+                   strict=True))
 
 
 # The XML escapes of & < > ", applied by ``_text`` to every text a chart writes.

@@ -26,14 +26,6 @@ class FlopBreakdown(Record):
     fields are once per video. ``total``, their exact integer sum, is derived.
     """
 
-    text: int
-    vae_conv: int
-    vae_mid_attn: int
-    self_attn: int
-    cross_attn: int
-    mlp: int
-    timestep: int
-
     def __init__(self, text: int, vae_conv: int, vae_mid_attn: int, self_attn: int, cross_attn: int, mlp: int,
                  timestep: int) -> None:
         # Hand-written rather than the generic one, as VideoJob's is: a breakdown is built per job,
@@ -57,11 +49,6 @@ OPERATORS = tuple(FlopBreakdown._fields)
 
 class CostEstimate(Record):
     """Latency/energy prediction; its per-operator shares are derived, prorated by FLOPs."""
-
-    breakdown: FlopBreakdown
-    latency_s: float
-    energy_j: float
-    energy_wh: float
 
     def __init__(self, breakdown: FlopBreakdown, latency_s: float, energy_j: float, energy_wh: float) -> None:
         values = self.__dict__  # filled a field at a time, as VideoJob's

@@ -44,6 +44,11 @@ def _amount(value: float, decimals: int) -> str:
     return f"{value:.{decimals}f}" if value < 1e9 else f"{value:.4e}"
 
 
+def _fitted(value: float) -> str:
+    """A fitted value in a table: ``.6f`` where that shows it (0, or a magnitude in [1e-6, 1e9)), else ``.4e``."""
+    return f"{value:.6f}" if value == 0 or 1e-6 <= abs(value) < 1e9 else f"{value:.4e}"
+
+
 def _csv(columns, rows) -> str:
     import csv  # only CSV output pays for the module
 
@@ -119,8 +124,8 @@ def calibration(result, records: int, fmt: str) -> str:
     """A fitted efficiency and the number of records it was fitted on."""
     row = (result.mu, result.intercept_s, result.r_squared, records)
     if fmt == "table":
-        return _fields([("mu", f"{result.mu:.6f}"), ("intercept_s", f"{result.intercept_s:.6f}"),
-                        ("r_squared", f"{result.r_squared:.6f}"), ("records", records)])
+        return _fields([("mu", _fitted(result.mu)), ("intercept_s", _fitted(result.intercept_s)),
+                        ("r_squared", _fitted(result.r_squared)), ("records", records)])
     return _serialize(fmt, CALIBRATION_COLUMNS, [row], dict(zip(CALIBRATION_COLUMNS, row)))
 
 

@@ -21,11 +21,6 @@ MEMORY_BOUND = "memory_bound"
 class BoundClassification(Record):
     """Roofline regime of one operator at a given token length; the regime is derived, not a field."""
 
-    operator: str
-    tokens: int
-    intensity: float
-    threshold: int
-
     def __init__(self, operator: str, tokens: int, intensity: float, threshold: int) -> None:
         values = self.__dict__  # hand-written and filled a field at a time, as VideoJob's: two are built per job
         values["operator"], values["tokens"], values["intensity"], values["threshold"] = (operator, tokens,

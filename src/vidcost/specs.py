@@ -8,7 +8,8 @@ the package, as does a small database of accelerator constants. ``data_path``
 finds every data file: one in ``VIDCOST_DATA_DIR`` shadows the bundled one.
 
 The field annotations of the spec classes are their schema: ``Record``, the base
-of the spec and result types, takes its fields and defaults from them,
+of the spec and result types, takes its fields and defaults from them (from the
+annotated parameters of a class's own constructor, when it writes one),
 ``Spec._check_fields`` checks each field by them on construction, and
 ``from_dict`` and ``to_dict`` read and write JSON by them.
 """
@@ -60,16 +61,26 @@ class _DataclassFields:
 
 
 class Record:
-    """An immutable value whose fields are the annotations of its class body, in
-    order, defaulting to the values given there. Equality, hash and repr see the
-    fields only, not the constants a spec derives into ``__dict__`` on
+    """An immutable value whose fields are declared once, in order with their defaults: as the annotations of its
+    class body, or as the annotated parameters of the constructor its class writes. Equality, hash and repr see
+    the fields only, not the constants a spec derives into ``__dict__`` on
     construction; no ``__slots__``, as those constants, pickle and ``copy`` write ``__dict__``."""
 
     __dataclass_fields__ = _DataclassFields()
 
     def __init_subclass__(cls) -> None:
-        cls._fields = {**getattr(cls, "_fields", {}), **cls.__annotations__}  # name -> annotation, in order
-        cls._defaults = {name: getattr(cls, name) for name in cls._fields if hasattr(cls, name)}
+        init = vars(cls).get("__init__")
+        if init is None:
+            cls._fields = {**getattr(cls, "_fields", {}), **cls.__annotations__}  # name -> annotation, in order
+            cls._defaults = {name: getattr(cls, name) for name in cls._fields if hasattr(cls, name)}
+        else:  # the positional parameters of the constructor the class writes
+            names, defaults = init.__code__.co_varnames[1:init.__code__.co_argcount], init.__defaults__ or ()
+            unannotated = [name for name in names if name not in init.__annotations__]
+            if unannotated or cls.__annotations__:  # declared once: the class body declares no field beside it
+                raise TypeError(f"{cls.__qualname__} declares its fields as the annotated parameters of its __init__ "
+                                f"only; unannotated: {unannotated}, in its body: {list(cls.__annotations__)}")
+            cls._fields = {name: init.__annotations__[name] for name in names}
+            cls._defaults = dict(zip(names[len(names) - len(defaults):], defaults))
         cls.__match_args__ = tuple(cls._fields)
 
     def __init__(self, *args, **kwargs) -> None:
@@ -127,12 +138,6 @@ class Spec(Record):
 
 class VideoJob(Spec):
     """A single generation request: output geometry plus sampler settings."""
-
-    height_px: int
-    width_px: int
-    frames: int
-    steps: int
-    cfg_passes: int = 2
 
     def __init__(self, height_px: int, width_px: int, frames: int, steps: int, cfg_passes: int = 2) -> None:
         # Hand-written rather than the generic one, as a job is built per estimate; filled a field at a time.

@@ -558,6 +558,18 @@ def test_calibrate_synthetic(capsys, tmp_path, wan, h100):
     assert doc["r_squared"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_calibrate_table_shows_values_beyond_fixed_point_in_exponent_form(capsys, tmp_path):
+    # A valid file whose fit has mu far below 1e-6 and an intercept far above 1e9: fixed point
+    # would print mu as 0.000000, outside (0, 1], and the intercept with about 300 digits.
+    rows = [f"wan2.1-t2v-1.3b,720,1280,81,{steps},{latency}" for steps, latency in
+            ((10, "1e300"), (50, "3e300"), (20, "1.6e300"))]
+    path = tmp_path / "huge.csv"
+    path.write_text("model_id,height,width,frames,steps,latency_s\n" + "\n".join(rows) + "\n")
+    code, out, err = run_cli(capsys, "calibrate", "--measurements", str(path))
+    assert (code, err) == (0, "")
+    assert out == "mu           7.3642e-299\nintercept_s  5.5207e+299\nr_squared    1.000000\nrecords      3\n"
+
+
 def test_calibrate_warns_about_other_models(capsys, tmp_path, wan, h100):
     rows = ["model_id,height,width,frames,steps,latency_s"]
     for steps, model_id in zip((10, 20, 40, 80), ("wan2.1-t2v-1.3b", "b", "a", "b")):

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import declared_fields
 from vidcost import (
     DiTSpec,
     TextEncoderSpec,
@@ -281,7 +282,7 @@ def test_breakdown_total_is_derived():
     from vidcost import FlopBreakdown
     from vidcost.cost import OPERATORS
 
-    assert OPERATORS == tuple(FlopBreakdown.__annotations__)
+    assert OPERATORS == tuple(declared_fields(FlopBreakdown))
     flops = (1, 2, 3, 4, 5, 6, 10**400)  # beyond any float: the total is the exact int sum
     bd = FlopBreakdown(*flops)
     assert type(bd.total) is int and bd.total == 10**400 + 21

@@ -16,7 +16,9 @@ from pathlib import Path
 import pytest
 
 import vidcost
+from vidcost.calibration import CalibrationResult
 from vidcost.cli import main
+from vidcost.output import calibration
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -89,6 +91,14 @@ def test_roofline_csv_quotes_a_hardware_name(tmp_path, capsys):
     assert len(row) == len(header)
     cells = dict(zip(header, row))
     assert (cells["name"], cells["reference_balance"]) == ('h100,"sxm"', "")
+
+
+@pytest.mark.parametrize("value, shown", [(0.0, "0.000000"), (-0.25, "-0.250000"), (1e-6, "0.000001"),
+                                          (9.9e-7, "9.9000e-07"), (999999999.5, "999999999.500000"),
+                                          (1e9, "1.0000e+09"), (-3e12, "-3.0000e+12")])
+def test_a_calibrate_table_value_is_fixed_point_only_where_that_shows_it(value, shown):
+    table = calibration(CalibrationResult(value, value, value), 3, "table")
+    assert table == f"mu           {shown}\nintercept_s  {shown}\nr_squared    {shown}\nrecords      3\n"
 
 
 if __name__ == "__main__":

@@ -4,10 +4,12 @@ functions still take."""
 
 import copy
 import dataclasses
+import inspect
 import pickle
 
 import pytest
 
+from oracles import declared_fields
 from vidcost import (
     ComparisonReport,
     ComparisonRow,
@@ -26,7 +28,9 @@ from vidcost import (
     token_length,
     validate,
 )
-from vidcost.calibration import CalibrationResult, MeasurementRecord
+from vidcost.calibration import CalibrationResult, MeasurementRecord, PointError
+from vidcost.cost import CostEstimate, FlopBreakdown
+from vidcost.roofline import BoundClassification
 from vidcost.specs import Record, Spec
 
 
@@ -75,10 +79,10 @@ def test_result_fields_cannot_be_assigned_or_deleted(index):
 def test_result_equality_hash_and_repr_see_fields_only(index):
     result, fresh = one_of_each_result()[index], one_of_each_result()[index]
     vars(result)["_kept"] = object()  # as a cached value or calibration's FLOP memo is kept
-    fields = [getattr(result, name) for name in type(result).__annotations__]
+    fields = [getattr(result, name) for name in declared_fields(type(result))]
     assert result == fresh and not result != fresh and result.__eq__(tuple(fields)) is NotImplemented
     assert hash_or_error(result) == hash_or_error(fresh) == hash_or_error(tuple(fields))
-    text = ", ".join(f"{name}={value!r}" for name, value in zip(type(result).__annotations__, fields))
+    text = ", ".join(f"{name}={value!r}" for name, value in zip(declared_fields(type(result)), fields))
     assert repr(result) == repr(fresh) == f"{type(result).__name__}({text})"
 
 
@@ -96,13 +100,46 @@ def test_result_copies_and_pickles_equal(index, clone):
 @pytest.mark.parametrize("index", range(len(RESULT_IDS)), ids=RESULT_IDS)
 def test_result_dataclass_functions_see_the_declared_fields(index):
     result = one_of_each_result()[index]
-    declared = list(type(result).__annotations__)
+    declared = list(declared_fields(type(result)))
     assert dataclasses.is_dataclass(result) and dataclasses.is_dataclass(type(result))
     assert [field.name for field in dataclasses.fields(result)] == declared
     assert list(dataclasses.asdict(result)) == declared
     for copied in (result.replace(), dataclasses.replace(result)):
         assert copied == result and copied is not result
     assert type(result).__match_args__ == tuple(declared)
+
+
+# The records that write their own constructor, as one is built per job or per measurement.
+CONSTRUCTED = [VideoJob, MeasurementRecord, FlopBreakdown, CostEstimate, PointError, BoundClassification]
+
+
+@pytest.mark.parametrize("cls", CONSTRUCTED, ids=lambda cls: cls.__name__)
+def test_a_record_that_writes_its_constructor_takes_its_fields_from_it(cls):
+    parameters = inspect.signature(cls).parameters.values()
+    assert "__init__" in vars(cls) and not vars(cls).get("__annotations__")
+    assert cls._fields == {p.name: p.annotation for p in parameters}
+    assert cls._defaults == {p.name: p.default for p in parameters if p.default is not p.empty}
+    assert cls.__match_args__ == tuple(cls._fields)
+
+
+def test_every_record_that_writes_its_constructor_is_covered():
+    def subclasses(cls):
+        return [sub for direct in cls.__subclasses__() for sub in (direct, *subclasses(direct))]
+    mine = [cls for cls in subclasses(Record) if cls.__module__.startswith("vidcost.") and "__init__" in vars(cls)]
+    assert set(mine) == set(CONSTRUCTED)
+
+
+def test_a_record_constructor_declares_each_field_once_and_annotated():
+    with pytest.raises(TypeError, match=r"Half declares .* unannotated: \['width'\], in its body: \[\]"):
+        class Half(Record):
+            def __init__(self, height: int, width, frames: int = 1) -> None:
+                pass
+    with pytest.raises(TypeError, match=r"Twice declares .* unannotated: \[\], in its body: \['height'\]"):
+        class Twice(Record):
+            height: int
+
+            def __init__(self, height: int) -> None:
+                pass
 
 
 @pytest.mark.parametrize("replace", [lambda result, **changes: result.replace(**changes), dataclasses.replace],

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_dit, random_schedule, random_text_encoder
+from oracles import declared_fields, random_dit, random_schedule, random_text_encoder
 from vidcost import (
     DiTSpec,
     HardwareSpec,
@@ -292,7 +292,7 @@ def test_cached_coefficients_leave_spec_unchanged():
         other = copy.copy(part)
         vars(other).update(dict.fromkeys(DERIVED[type(part)], "other"))
         assert other == part and hash(other) == hash(part) and repr(other) == repr(part)
-        assert to_dict(other) == to_dict(part) and list(other._fields) == list(type(part).__annotations__)
+        assert to_dict(other) == to_dict(part) and list(other._fields) == list(declared_fields(type(part)))
         assert vars(other.replace()) == vars(part)  # derived again, not copied
     wider = spec.dit.replace(hidden=1024)
     assert vars(wider) == vars(DiTSpec(hidden=1024))
@@ -410,7 +410,7 @@ def test_spec_equality_and_hash_ignore_cached_values(index):
 def test_spec_repr_lists_fields_in_declaration_order(index):
     spec = one_of_each_spec()[index]
     scramble(spec)
-    declared = list(type(spec).__annotations__)
+    declared = list(declared_fields(type(spec)))
     assert list(spec._fields) == declared
     fields = ", ".join(f"{name}={getattr(spec, name)!r}" for name in declared)
     assert repr(spec) == f"{type(spec).__name__}({fields})"
