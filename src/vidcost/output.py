@@ -2,10 +2,10 @@
 tables, CSV and JSON.
 
 Each result is laid out once, as rows under a tuple of columns. CSV writes
-every column of those rows and the table a formatted selection of them. The
-roofline, calibration and comparison JSON are built from the same rows; the
-estimate and sweep JSON are nested documents. Each layout imports the layer
-it reads when it runs, so the roofline output never loads the cost code.
+every column of those rows and the table a selection of them, each number shown
+by ``_shown``. The roofline, calibration and comparison JSON are built from the
+same rows; the estimate and sweep JSON are nested documents. Each layout imports
+the layer it reads when it runs, so the roofline output never loads the cost code.
 """
 
 from __future__ import annotations
@@ -39,14 +39,9 @@ def _fields(pairs) -> str:
     return "".join(f"{name.ljust(width)}{value}\n" for name, value in pairs)
 
 
-def _amount(value: float, decimals: int) -> str:
-    """A table's latency or energy: fixed point, or ``.4e`` from 1e9 on, where fixed point grows without bound."""
-    return f"{value:.{decimals}f}" if value < 1e9 else f"{value:.4e}"
-
-
-def _fitted(value: float) -> str:
-    """A fitted value in a table: ``.6f`` where that shows it (0, or a magnitude in [1e-6, 1e9)), else ``.4e``."""
-    return f"{value:.6f}" if value == 0 or 1e-6 <= abs(value) < 1e9 else f"{value:.4e}"
+def _shown(value: float, decimals: int) -> str:
+    """A table's number: fixed point where that shows it (0, or a magnitude in [10**-decimals, 1e9)), else ``.4e``."""
+    return f"{value:.{decimals}f}" if value == 0 or 10.0 ** -decimals <= abs(value) < 1e9 else f"{value:.4e}"
 
 
 def _csv(columns, rows) -> str:
@@ -98,7 +93,7 @@ def estimate(model, hw, job, mu: float, cost, fmt: str) -> str:
         ])
         return head + "\n" + _table(
             ("operator", "flops", "share", "latency_s", "energy_wh"),
-            [(op, f"{flops:.4e}", f"{flops / bd.total * 100:6.2f}%", _amount(lat, 2), _amount(wh, 3))
+            [(op, f"{flops:.4e}", f"{flops / bd.total * 100:6.2f}%", _shown(lat, 2), _shown(wh, 3))
              for op, flops, lat, wh in rows])
     doc = {"model_id": model.model_id, "hardware": hw.name, "mu": mu, "job": to_dict(job), "tokens": tokens,
            **_cost_doc(cost)}
@@ -114,7 +109,7 @@ def roofline(entries, fmt: str) -> str:
     if fmt == "table":
         return _table(
             ("name", "tflops", "tb_per_s", "balance", "attn_thr", "mlp_thr", "note"),
-            [(name, f"{tflops:.0f}", f"{tbps:.2f}", f"{beta:.0f}", attn, mlp,
+            [(name, _shown(tflops, 0), _shown(tbps, 2), _shown(beta, 0), attn, mlp,
               "" if consistent else f"published balance {reference} inconsistent with computed")
              for name, tflops, tbps, beta, attn, mlp, consistent, reference in rows])
     return _serialize(fmt, ROOFLINE_COLUMNS, rows)
@@ -124,8 +119,8 @@ def calibration(result, records: int, fmt: str) -> str:
     """A fitted efficiency and the number of records it was fitted on."""
     row = (result.mu, result.intercept_s, result.r_squared, records)
     if fmt == "table":
-        return _fields([("mu", _fitted(result.mu)), ("intercept_s", _fitted(result.intercept_s)),
-                        ("r_squared", _fitted(result.r_squared)), ("records", records)])
+        *fitted, count = row
+        return _fields(list(zip(CALIBRATION_COLUMNS, [*(_shown(value, 6) for value in fitted), count])))
     return _serialize(fmt, CALIBRATION_COLUMNS, [row], dict(zip(CALIBRATION_COLUMNS, row)))
 
 
@@ -137,23 +132,22 @@ def sweep(result, fmt: str) -> str:
     """One row per swept value: tokens, FLOPs by operator, latency and energy."""
     from .cost import OPERATORS
 
-    points = result.points
-    if fmt == "table":
-        return _table((result.spec.axis, "tokens", "flops_total", "latency_s", "energy_wh"),
-                      [(_axis_value(p.axis_value), p.tokens, f"{p.breakdown.total:.4e}",
-                        _amount(p.cost.latency_s, 2), _amount(p.cost.energy_wh, 3)) for p in points])
     if fmt == "json":
         return _json({
             "axis": result.spec.axis,
             "mu": result.spec.mu,
             "hardware": result.spec.hardware.name,
             "points": [{"axis_value": _axis_value(p.axis_value), "tokens": p.tokens, **_cost_doc(p.cost)}
-                       for p in points],
+                       for p in result.points],
         })
     columns = ("axis_value", "tokens", *(f"flops_{op}" for op in OPERATORS), "flops_total",
                "latency_s", "energy_wh")
     rows = [(_axis_value(p.axis_value), p.tokens, *p.breakdown.per_operator().values(), p.breakdown.total,
-             p.cost.latency_s, p.cost.energy_wh) for p in points]
+             p.cost.latency_s, p.cost.energy_wh) for p in result.points]
+    if fmt == "table":
+        return _table((result.spec.axis, "tokens", "flops_total", "latency_s", "energy_wh"),
+                      [(value, tokens, f"{total:.4e}", _shown(lat, 2), _shown(wh, 3))
+                       for value, tokens, *_, total, lat, wh in rows])
     return _serialize(fmt, columns, rows)
 
 
@@ -166,7 +160,7 @@ def comparison(report, fmt: str) -> str:
             ("model", "latency_s", "gpu_wh", "cpu_wh", "ram_wh", "total_wh", "gpu_share"),
             [(model_id, f"{lat:g}", f"{gpu:g}", f"{cpu:g}", f"{ram:g}", f"{total:.4g}", f"{share * 100:.1f}%")
              for model_id, lat, gpu, cpu, ram, total, share, _, _ in rows],
-        ) + "".join(f"\ntotal energy ratio {a} / {b} ≈ {ratio:.0f}×\n" for (a, b), ratio in ratios)
+        ) + "".join(f"\ntotal energy ratio {a} / {b} ≈ {_shown(ratio, 0)}×\n" for (a, b), ratio in ratios)
     doc = {
         "rows": [dict(zip(COMPARISON_COLUMNS, row)) for row in rows],
         "ratios": [{"numerator": a, "denominator": b, "ratio": v} for (a, b), v in ratios],

@@ -9,7 +9,7 @@ byte-deterministic.
 from __future__ import annotations
 
 from .cost import CostEstimate, FlopBreakdown, estimate_cost, token_length
-from .specs import SWEEP_AXES, HardwareSpec, ModelDefaults, ModelSpec, Record, VideoJob
+from .specs import _MAX, SWEEP_AXES, HardwareSpec, ModelDefaults, ModelSpec, Record, VideoJob
 
 
 class SweepSpec(Record):
@@ -122,7 +122,13 @@ def compare_models(
         if record.latency_s is None or record.gpu_wh is None:
             raise ValueError(f"{record.place(i)}: comparison needs latency_s and gpu_wh for {record.model_id!r}")
         rows.append(ComparisonRow(record.model_id, record.latency_s, record.gpu_wh, record.cpu_wh, record.ram_wh))
-    return ComparisonReport(tuple(sorted(rows, key=lambda r: (-r.total_wh, r.model_id))))
+        if rows[-1].total_wh > _MAX:
+            raise ValueError(f"{record.place(i)}: gpu_wh + cpu_wh + ram_wh is too large for a float")
+    report = ComparisonReport(tuple(sorted(rows, key=lambda r: (-r.total_wh, r.model_id))))
+    for (a, b), ratio in report.ratios.items():
+        if ratio > _MAX:
+            raise ValueError(f"the total energy ratio {a} / {b} is too large for a float")
+    return report
 
 
 def emit(report: SweepResult | ComparisonReport, format: str) -> bytes:

@@ -369,6 +369,15 @@ def test_table_rows_of_a_huge_job_stay_narrow(capsys, argv):
     assert all(re.fullmatch(r"\d\.\d{4}e\+\d{3}", cell) for cell in rows[-1].split()[-2:])
 
 
+def test_estimate_table_shows_no_nonzero_amount_as_zero(capsys):
+    # A 16x16, 1-frame, 1-step job: every operator has FLOPs, and six of seven take far below 0.01 s and 0.001 Wh.
+    code, out, err = run_cli(capsys, "estimate", "--height", "16", "--width", "16", "--frames", "1", "--steps", "1")
+    assert (code, err) == (0, "")
+    rows = [row.split() for row in out.split("-  -")[-1].splitlines()[1:]]
+    assert len(rows) == 8
+    assert all(float(flops) > 0 and float(lat) > 0 and float(wh) > 0 for _, flops, _, lat, wh in rows), out
+
+
 def test_huge_job_prints_finite_operator_shares(capsys):
     # latency_s * flops overflows here although each share is finite.
     code, out, err = run_cli(capsys, "estimate", "--height", str(10**80), "--format", "json")
@@ -493,6 +502,15 @@ def test_roofline_thresholds_of_a_balance_near_the_float_limit(capsys, tmp_path)
     assert (code, err) == (0, "")
     [row] = json.loads(out)
     assert (row["attn_threshold"], row["mlp_threshold"]) == (2 * int(1e24), 4 * int(1e24))
+
+
+def test_roofline_table_shows_a_rate_below_one_in_exponent_form(capsys, tmp_path):
+    # Fixed point with no decimals would print a tflops and a balance of 1e-3 as 0.
+    path = tmp_path / "hw.json"
+    path.write_text('[{"name": "tiny", "theta_peak": 1e9, "bandwidth": 1e12, "p_max": 700}]')
+    code, out, err = run_cli(capsys, "roofline", "--hardware", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].split() == ["tiny", "1.0000e-03", "1.00", "1.0000e-03", "0", "0"]
 
 
 @pytest.mark.parametrize("argv, key, what", [
@@ -676,6 +694,31 @@ def test_compare_bundled(capsys):
     assert "wan2.1-t2v-14b" in out
     assert "415.1" in out
     assert "≈ 2986×" in out
+
+
+def test_compare_table_shows_a_huge_ratio_in_exponent_form(capsys, tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("model_id,height,width,frames,steps,latency_s,gpu_wh\n"
+                    "animatediff,512,512,16,4,1,1e12\nltx-video,512,704,121,40,1,1\n")
+    code, out, err = run_cli(capsys, "compare", "--measurements", str(path))
+    assert (code, err) == (0, "")
+    assert out.endswith("\ntotal energy ratio animatediff / ltx-video ≈ 1.0000e+12×\n")
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json", "svg"])
+@pytest.mark.parametrize("cells, message", [
+    ({"gpu_wh": "1e308", "cpu_wh": "1e308"}, "row 2: gpu_wh + cpu_wh + ram_wh is too large for a float"),
+    ({"gpu_wh": repr(sys.float_info.max)},
+     "the total energy ratio wan2.1-t2v-14b / animatediff is too large for a float"),
+], ids=["total", "ratio"])
+def test_compare_rejects_a_total_or_ratio_no_float_holds(capsys, tmp_path, fmt, cells, message):
+    # The bundled file with ``cells`` set in its row 2: every value passes its rule; a sum or the ratio is inf.
+    rows = list(csv.reader(io.StringIO(BUNDLED_MEASUREMENTS.read_text())))
+    rows[1] = [cells.get(column, cell) for column, cell in zip(rows[0], rows[1])]
+    path = tmp_path / "m.csv"
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    code, out, err = run_cli(capsys, "compare", "--measurements", str(path), "--format", fmt)
+    assert (code, out, err) == (1, "", f"error: {path}: {message}\n")
 
 
 def test_compare_csv_rows(capsys):
@@ -1262,7 +1305,7 @@ FILE_GATE = {
     "compare-csv": ("m.csv", measurement_rows(BUNDLED_MEASUREMENTS), "compare --measurements {path} --format {fmt}"),
     "compare-json": ("m.json", measurement_rows(BUNDLED_MEASUREMENTS), "compare --measurements {path} --format {fmt}"),
 }
-GATE_VALUES = [0, -1, 2.5, "x", None, True, 10**400, [], {}]
+GATE_VALUES = [0, -1, 2.5, "x", None, True, 10**400, sys.float_info.max, [], {}]
 # A mutation: (kind, an object's index or an offset's percentile, a key's index, a value); an index is taken modulo
 # the count.
 MUTATIONS = st.tuples(st.sampled_from(["drop", "repeat", "unknown", "value", "bom", "byte-in-string", "byte-outside"]),
@@ -1308,6 +1351,7 @@ def mutated(document, csv_file: bool, mutation) -> bytes:
 @example(command="calibrate-csv", fmt="json", mutation=("value", 3, 5, 10**400))
 @example(command="sweep", fmt="json", mutation=("value", 1, 1, 10**400))
 @example(command="compare-defaults", fmt="svg", mutation=("repeat", 2, 0, 0))
+@example(command="compare-csv", fmt="json", mutation=("value", 0, 7, sys.float_info.max))
 def test_data_file_gives_an_error_line_naming_it_or_finite_output(tmp_path_factory, command, fmt, mutation):
     name, document, argv = FILE_GATE[command]
     path = tmp_path_factory.mktemp("gate") / name

@@ -97,6 +97,11 @@ print(json.dumps(bad))"""
     assert child(code) == []
 
 
+def test_dir_lists_every_public_name():
+    # In this process, unlike the checks above, so that ``__dir__`` itself runs under the tests.
+    assert set(vidcost._EXPORTS) <= set(dir(vidcost))
+
+
 def test_unknown_name_and_star_import():
     code = """import vidcost
 try:

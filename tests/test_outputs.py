@@ -18,7 +18,7 @@ import pytest
 import vidcost
 from vidcost.calibration import CalibrationResult
 from vidcost.cli import main
-from vidcost.output import calibration
+from vidcost.output import _shown, calibration
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -100,6 +100,18 @@ def test_a_calibrate_table_value_is_fixed_point_only_where_that_shows_it(value, 
     table = calibration(CalibrationResult(value, value, value), 3, "table")
     assert table == f"mu           {shown}\nintercept_s  {shown}\nr_squared    {shown}\nrecords      3\n"
 
+
+
+@pytest.mark.parametrize("decimals, value, shown", [
+    (0, 0.0, "0"), (0, 1.0, "1"), (0, 989.4, "989"), (0, 0.5, "5.0000e-01"), (0, 1e-3, "1.0000e-03"),
+    (0, 1e12, "1.0000e+12"), (2, 0.01, "0.01"), (2, 13.82, "13.82"), (2, 9.9e-3, "9.9000e-03"),
+    (2, 1.3253e-05, "1.3253e-05"), (3, 0.001, "0.001"), (3, -0.25, "-0.250"), (3, 8.5141e-07, "8.5141e-07"),
+    (3, 1e9, "1.0000e+09"),
+])
+def test_a_table_number_is_fixed_point_only_where_that_shows_it(decimals, value, shown):
+    # The least magnitude fixed point shows is 10**-decimals, exactly the float the literal 1e-<decimals> reads as.
+    assert 10.0 ** -decimals == float(f"1e-{decimals}")
+    assert _shown(value, decimals) == shown
 
 if __name__ == "__main__":
     os.environ.pop("VIDCOST_DATA_DIR", None)  # the goldens hold the bundled data's output only

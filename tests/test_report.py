@@ -196,6 +196,17 @@ def test_compare_models_gets_no_none_energy(field):
                                                                  gpu_wh=1.0, **{field: None})])
 
 
+@pytest.mark.parametrize("energies, message", [
+    ([(1e308, 1e308)], "record 0: gpu_wh + cpu_wh + ram_wh is too large for a float"),
+    ([(1.7e308, 0.0), (1e-10, 0.0)], "the total energy ratio wan2.1-t2v-1.3b / animatediff is too large for a float"),
+], ids=["total", "ratio"])
+def test_compare_models_rejects_a_total_or_ratio_no_float_holds(energies, message):
+    records = [MeasurementRecord(model_id, 512, 512, 16, 4, latency_s=1.0, gpu_wh=gpu, cpu_wh=cpu)
+               for model_id, (gpu, cpu) in zip(("wan2.1-t2v-1.3b", "animatediff"), energies)]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        compare_models(load_model_defaults(), records)
+
+
 def test_emit_sweep_csv_columns(wan, h100):
     result = run_sweep(steps_sweep(h100), wan)
     payload = emit(result, "csv").decode("utf-8")

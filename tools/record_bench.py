@@ -10,7 +10,8 @@ workload that ``BENCHMARK.json`` lists, one run at a time, each for its
 seed 1 with ``--trace 1`` for the per-layer ones. The file holds, per workload, each end-to-end metric's median
 and range over the seeds, every seed's value, the failed share of ops, the
 traced run's per-layer values (each already a median over its calls), and the
-checkout's line count of ``src/vidcost``, its tier-1 test count, the Python
+checkout's line count of ``src/vidcost``, its tier-1 test count and the wall
+time of one tier-1 run (``tier1_s``), the Python
 version, the CPU count, the commit (with ``dirty``, whether ``git diff HEAD`` is
 non-empty, and ``diff_sha256``, its sha256, so that a file recorded before a
 change is committed still names the code it ran) and the median start-up time of
@@ -58,12 +59,26 @@ def run(workload: str, seed: int, trace: int, seconds: float) -> dict:
     return json.loads((ROOT / ".perfbench" / f"run-{workload}-seed{seed}-trace{trace}.json").read_text())
 
 
+def tier1(*flags: str) -> subprocess.CompletedProcess:
+    """``pytest -q`` with ``flags`` over ``tests``, with ``src`` on the path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *flags, "tests"],
+                          cwd=ROOT, env=env, capture_output=True, text=True)
+
+
 def tier1_count() -> int:
     """The number of tests that ``pytest --collect-only -q`` finds under ``tests``."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", "tests"],
-                          cwd=ROOT, env=env, capture_output=True, text=True)
-    return sum(1 for line in done.stdout.splitlines() if "::" in line)
+    return sum(1 for line in tier1("--collect-only").stdout.splitlines() if "::" in line)
+
+
+def tier1_s() -> float:
+    """Wall time of one tier-1 run; a run that fails is reported on stderr and still timed."""
+    start = time.perf_counter()
+    done = tier1()
+    elapsed = time.perf_counter() - start
+    if done.returncode != 0:
+        sys.stderr.write(f"warning: the tier-1 run exited with code {done.returncode}\n")
+    return elapsed
 
 
 def bare_python_ms() -> float:
@@ -108,6 +123,7 @@ def record() -> dict:
     return {
         "meta": {"commit": meta["commit"], **tree_state(), "python": platform.python_version(), "nproc": os.cpu_count(),
                  "src_vidcost_lines": meta["src_vidcost_lines"], "tier1_tests": tier1_count(),
+                 "tier1_s": tier1_s(),
                  "bare_python_ms": bare_python_ms(), "seconds": seconds, "seeds": list(SEEDS),
                  "traced_seed": TRACED_SEED, "runs_wall_s": time.monotonic() - started},
         "workloads": workloads,
@@ -128,8 +144,9 @@ def compare(old: dict, new: dict) -> int:
         flagged += flag
         print(f"  {name:40} {before:14.6g} -> {after:<14.6g} {change * 100:+8.2f}%{'  BEYOND BOUND' if flag else ''}")
 
-    for key in ("src_vidcost_lines", "tier1_tests", "bare_python_ms"):
-        line(key, old["meta"][key], new["meta"][key])
+    for key in ("src_vidcost_lines", "tier1_tests", "tier1_s", "bare_python_ms"):
+        if key in old["meta"] and key in new["meta"]:  # tier1_s is missing from files recorded before it was
+            line(key, old["meta"][key], new["meta"][key])
     for workload, after in new["workloads"].items():
         before = old["workloads"].get(workload)
         if before is None:
