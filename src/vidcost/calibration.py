@@ -20,21 +20,6 @@ from .specs import (_MAX, DiTSpec, HardwareSpec, Record, TextEncoderSpec, VAEDec
 
 MEASUREMENTS_FILE = "benchmark_measurements.csv"
 
-# The measurement file format: column -> (record field, value type), in file order.
-# The first five columns are required; a missing value in another (an empty CSV
-# cell, a JSON null, an omitted column) takes the record's default.
-COLUMNS = {
-    "model_id": ("model_id", str),
-    "height": ("height_px", int), "width": ("width_px", int),
-    "frames": ("frames", int), "steps": ("steps", int),
-    "latency_s": ("latency_s", float), "latency_std_s": ("latency_std_s", float),
-    "gpu_wh": ("gpu_wh", float), "gpu_wh_std": ("gpu_wh_std", float),
-    "cpu_wh": ("cpu_wh", float), "ram_wh": ("ram_wh", float),
-}
-_REQUIRED = tuple(COLUMNS)[:5]
-_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
-_NUMBERS = tuple(field for field, kind in COLUMNS.values() if kind is not str)
-
 
 class MeasurementRecord(Record):
     """One benchmarked configuration with mean latency and per-component energy.
@@ -67,8 +52,8 @@ class MeasurementRecord(Record):
         """Raise a ValueError worded by the first rule, one per field, that the record breaks."""
         _printable("model_id", self.model_id)
         self.job()
-        for name in _NUMBERS:
-            value, measure = vars(self)[name], name in ("latency_s", "gpu_wh")
+        for name in [name for name, kind in self._fields.items() if kind != "str"]:  # the numbers
+            value, measure = vars(self)[name], self._defaults.get(name, 0.0) is None  # a measure's default is None
             if isinstance(value, int) and not -_MAX <= value <= _MAX:  # not printed: it may have too many digits
                 raise ValueError(f"{name} is too large for a float")
             _require(value is None and measure or isinstance(value, (int, float)) and 0 <= value <= _MAX
@@ -89,6 +74,16 @@ class MeasurementRecord(Record):
     def place(self, index: int) -> str:
         """How errors name the record: as its reader named it, else by ``index``, its place in the list given."""
         return _record_name(*self.__dict__.get("_place", (index, False)))
+
+
+# The measurement file format, read from MeasurementRecord's constructor: column -> (record field, value type), in
+# file order. A column is named as its field but for height and width; a str or int annotation is its type, any other
+# a number. A column whose field has no default is required; a missing value in another (an empty CSV cell, a JSON
+# null, an omitted column) takes the record's default.
+COLUMNS = {{"height_px": "height", "width_px": "width"}.get(field, field):
+           (field, {"str": str, "int": int}.get(kind, float)) for field, kind in MeasurementRecord._fields.items()}
+_REQUIRED = tuple(column for column, (field, _) in COLUMNS.items() if field not in MeasurementRecord._defaults)
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
 
 
 class CalibrationResult(Record):

@@ -93,7 +93,7 @@ def estimate(model, hw, job, mu: float, cost, fmt: str) -> str:
         ])
         return head + "\n" + _table(
             ("operator", "flops", "share", "latency_s", "energy_wh"),
-            [(op, f"{flops:.4e}", f"{flops / bd.total * 100:6.2f}%", _shown(lat, 2), _shown(wh, 3))
+            [(op, f"{flops:.4e}", _shown(flops / bd.total * 100, 2) + "%", _shown(lat, 2), _shown(wh, 3))
              for op, flops, lat, wh in rows])
     doc = {"model_id": model.model_id, "hardware": hw.name, "mu": mu, "job": to_dict(job), "tokens": tokens,
            **_cost_doc(cost)}
@@ -158,7 +158,7 @@ def comparison(report, fmt: str) -> str:
     if fmt == "table":
         return _table(
             ("model", "latency_s", "gpu_wh", "cpu_wh", "ram_wh", "total_wh", "gpu_share"),
-            [(model_id, f"{lat:g}", f"{gpu:g}", f"{cpu:g}", f"{ram:g}", f"{total:.4g}", f"{share * 100:.1f}%")
+            [(model_id, f"{lat:g}", f"{gpu:g}", f"{cpu:g}", f"{ram:g}", f"{total:.4g}", _shown(share * 100, 1) + "%")
              for model_id, lat, gpu, cpu, ram, total, share, _, _ in rows],
         ) + "".join(f"\ntotal energy ratio {a} / {b} ≈ {_shown(ratio, 0)}×\n" for (a, b), ratio in ratios)
     doc = {

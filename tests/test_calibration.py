@@ -549,6 +549,19 @@ def test_records_after_a_fit_equal_fresh_ones(wan, h100):
     assert copies == fresh and vars(copies[0]) == vars(records[0])
 
 
+def test_the_file_format_is_the_readme_column_table():
+    # COLUMNS is read from MeasurementRecord's constructor; a change there that changes the file format fails here.
+    assert list(calibration.COLUMNS.items()) == [
+        ("model_id", ("model_id", str)),
+        ("height", ("height_px", int)), ("width", ("width_px", int)),
+        ("frames", ("frames", int)), ("steps", ("steps", int)),
+        ("latency_s", ("latency_s", float)), ("latency_std_s", ("latency_std_s", float)),
+        ("gpu_wh", ("gpu_wh", float)), ("gpu_wh_std", ("gpu_wh_std", float)),
+        ("cpu_wh", ("cpu_wh", float)), ("ram_wh", ("ram_wh", float)),
+    ]
+    assert calibration._REQUIRED == ("model_id", "height", "width", "frames", "steps")
+
+
 def test_csv_round_trip(tmp_path, wan, h100):
     path = tmp_path / "m.csv"
     path.write_text(

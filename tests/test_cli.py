@@ -370,12 +370,14 @@ def test_table_rows_of_a_huge_job_stay_narrow(capsys, argv):
 
 
 def test_estimate_table_shows_no_nonzero_amount_as_zero(capsys):
-    # A 16x16, 1-frame, 1-step job: every operator has FLOPs, and six of seven take far below 0.01 s and 0.001 Wh.
+    # A 16x16, 1-frame, 1-step job: every operator has FLOPs, and six of seven take far below 0.01 s and 0.001 Wh;
+    # three have a share far below 0.01%.
     code, out, err = run_cli(capsys, "estimate", "--height", "16", "--width", "16", "--frames", "1", "--steps", "1")
     assert (code, err) == (0, "")
     rows = [row.split() for row in out.split("-  -")[-1].splitlines()[1:]]
     assert len(rows) == 8
-    assert all(float(flops) > 0 and float(lat) > 0 and float(wh) > 0 for _, flops, _, lat, wh in rows), out
+    assert all(float(flops) > 0 and float(share.removesuffix("%")) > 0 and float(lat) > 0 and float(wh) > 0
+               for _, flops, share, lat, wh in rows), out
 
 
 def test_huge_job_prints_finite_operator_shares(capsys):
@@ -703,6 +705,15 @@ def test_compare_table_shows_a_huge_ratio_in_exponent_form(capsys, tmp_path):
     code, out, err = run_cli(capsys, "compare", "--measurements", str(path))
     assert (code, err) == (0, "")
     assert out.endswith("\ntotal energy ratio animatediff / ltx-video ≈ 1.0000e+12×\n")
+
+
+def test_compare_table_shows_no_nonzero_gpu_share_as_zero(capsys, tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("model_id,height,width,frames,steps,latency_s,gpu_wh,cpu_wh\n"
+                    "animatediff,512,512,16,4,1,1e-4,1\nltx-video,512,704,121,40,1,1,0\n")
+    code, out, err = run_cli(capsys, "compare", "--measurements", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2].split()[-1] == "9.9990e-03%"
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "json", "svg"])

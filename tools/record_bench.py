@@ -18,10 +18,11 @@ change is committed still names the code it ran) and the median start-up time of
 a bare interpreter, so that files from different hosts can be put side by side.
 
 ``--compare OLD [NEW]`` prints each metric's change from OLD to NEW (the file
-just recorded when NEW is left out). A change of an end-to-end metric in its
-worse direction by more than its ``BENCHMARK.json`` bound, read as a share of
-the OLD value, or a rise in a failed share, is flagged; the exit code is then
-1. Nothing under ``perfbench/`` is changed.
+just recorded when NEW is left out), and ``tier1_s / bare_python_ms`` when both
+files hold both, as the tier-1 time read against the host's speed. A change of
+an end-to-end metric in its worse direction by more than its ``BENCHMARK.json``
+bound, read as a share of the OLD value, or a rise in a failed share, is
+flagged; the exit code is then 1. Nothing under ``perfbench/`` is changed.
 """
 
 from __future__ import annotations
@@ -147,6 +148,9 @@ def compare(old: dict, new: dict) -> int:
     for key in ("src_vidcost_lines", "tier1_tests", "tier1_s", "bare_python_ms"):
         if key in old["meta"] and key in new["meta"]:  # tier1_s is missing from files recorded before it was
             line(key, old["meta"][key], new["meta"][key])
+    metas = old["meta"], new["meta"]
+    if all("tier1_s" in meta and "bare_python_ms" in meta for meta in metas):  # tier-1 time in units of host speed
+        line("tier1_s / bare_python_ms", *(meta["tier1_s"] / meta["bare_python_ms"] for meta in metas))
     for workload, after in new["workloads"].items():
         before = old["workloads"].get(workload)
         if before is None:
