@@ -182,6 +182,10 @@ def cmd_sweep(args) -> int:
     from .report import SweepSpec, emit, run_sweep
 
     values = _sweep_values(args)  # a usage error is reported before any file is read
+    for dim in (field.removesuffix("_px") for field in SWEEP_AXES[args.axis]):  # the swept axis's own flags
+        if (given := getattr(args, dim)) is not None:
+            print(f"warning: --{dim} {given} is overridden by the {args.axis} sweep", file=sys.stderr)
+            setattr(args, dim, None)  # the fixed job takes the default, which the sweep replaces
     model, hw = load_model_spec(args.model), load_hardware(args.hardware)
     sweep = SweepSpec(axis=args.axis, values=values, fixed=_resolve_job(args, model), mu=args.mu, hardware=hw)
     _write(args, emit(run_sweep(sweep, model), args.format))

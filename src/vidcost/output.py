@@ -69,9 +69,7 @@ def _serialize(fmt: str, columns, rows, doc=None) -> str:
     """CSV of ``rows``, or JSON of ``doc`` (by default the rows as objects keyed by column)."""
     if fmt == "csv":
         return _csv(columns, rows)
-    if fmt == "json":
-        return _json([dict(zip(columns, row)) for row in rows] if doc is None else doc)
-    raise ValueError(f"unsupported format {fmt!r}; expected one of {FORMATS}")
+    return _json([dict(zip(columns, row)) for row in rows] if doc is None else doc)
 
 
 def estimate(model, hw, job, mu: float, cost, fmt: str) -> str:

@@ -199,6 +199,22 @@ def test_sweep_bad_resolution_value_is_usage_error(capsys):
     assert err == "error: --values: expected HxW, got 'abc'\n"
 
 
+@pytest.mark.parametrize("sweep, flags", [
+    (["--axis", "frames", "--values", "33,81"], {"--frames": "17"}),
+    (["--axis", "steps", "--from", "1", "--to", "3"], {"--steps": "9"}),
+    (["--axis", "resolution", "--values", "256x256,512x512"], {"--height": "8"}),  # below the least height
+    (["--axis", "resolution", "--values", "256x256,512x512"], {"--height": "8", "--width": "9"}),
+], ids=["frames", "steps", "resolution-height", "resolution-height-width"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_overrides_the_flags_of_its_axis_with_a_warning_each(capsys, sweep, flags, fmt):
+    code, plain, err = run_cli(capsys, "sweep", *sweep, "--format", fmt)
+    assert (code, err) == (0, "")
+    code, out, err = run_cli(capsys, "sweep", *sweep, "--format", fmt, *[a for flag in flags.items() for a in flag])
+    assert (code, out) == (0, plain)
+    assert err.splitlines() == [f"warning: {flag} {value} is overridden by the {sweep[1]} sweep"
+                                for flag, value in flags.items()]
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda doc: doc["dit"].update(bogus=1), "dit: unknown keys ['bogus']"),
     (lambda doc: doc["vae"]["layers"][2].update(bogus=1), "vae.layers[2]: unknown keys ['bogus']"),

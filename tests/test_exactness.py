@@ -1,7 +1,6 @@
 """Exactness of the integer fast paths, and a guard that keeps Fraction off the per-job path."""
 
 import fractions
-import math
 import sys
 from fractions import Fraction
 
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import conv3d_oracle
+from oracles import vae_row_oracle
 from vidcost import (
     DiTSpec,
     VAEDecoderLayer,
@@ -22,13 +21,6 @@ from vidcost import (
     token_length,
 )
 from vidcost.specs import TIME_RULES
-
-# Output time steps per rule, written out independently of TIME_RULES.
-T_OUT = {
-    "ceil_T_over_4": lambda frames: math.ceil(frames / 4),
-    "ceil_T_over_2": lambda frames: math.ceil(frames / 2),
-    "full_T": lambda frames: frames,
-}
 
 
 @settings(deadline=None)
@@ -63,10 +55,8 @@ def test_mlp_intensities_equal_rounded_fraction(p, q, hidden, tokens, s):
 def test_conv3d_matches_oracle(rule, kernel, c_in, c_out, h_div, w_div, repeat, height, width, frames):
     layer = VAEDecoderLayer(kind="conv3d", kernel=kernel, c_in=c_in, c_out=c_out,
                             t_rule=rule, h_div=h_div, w_div=w_div, repeat=repeat)
-    for t in (frames, 1):
-        expected = conv3d_oracle(repeat, *kernel, c_in, c_out, T_OUT[rule](t),
-                                 math.ceil(height / h_div), math.ceil(width / w_div))
-        assert conv3d_flops(layer, VideoJob(height, width, t, 1)) == expected
+    for job in (VideoJob(height, width, frames, 1), VideoJob(height, width, 1, 1)):
+        assert conv3d_flops(layer, job) == vae_row_oracle(layer, job)
 
 
 def fraction_calls(fn) -> list[str]:

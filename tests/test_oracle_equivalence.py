@@ -1,6 +1,7 @@
 """Randomized equivalence between the library and the brute-force oracles."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -36,29 +37,29 @@ from vidcost import (
 )
 from vidcost.specs import TIME_RULES
 
-DIVISORS = st.integers(1, 12)
 # Expansion factors p/q, many of them fractional: some give FLOP counts that are not integers.
 EXPANSIONS = st.builds(Fraction, st.integers(1, 12), st.sampled_from((1, 2, 3, 4, 8)))
-
-
-def test_flop_operations_match_oracles():
-    assert check_equivalence(seed=20240817, iterations=1000) == 1000
+RNGS = st.integers(0, 2**64 - 1).map(random.Random)  # one drawn seed: far cheaper than a draw per number
 
 
 def test_flop_operations_match_oracles_alt_seed():
     assert check_equivalence(seed=7, iterations=200) == 200
 
 
-def at_step(draw, divisor: int, least: int, shift: int = 0) -> int:
+def random_divisor(rng: random.Random) -> int:
+    return rng.randint(1, 12)
+
+
+def at_step(rng: random.Random, divisor: int, least: int, shift: int = 0) -> int:
     """A size n >= least with n - shift at k*divisor or k*divisor + 1: on either side of a ceiling's step."""
-    offset = draw(st.sampled_from((0, 1)))
-    k = draw(st.integers(max(0, -(-(least - shift - offset) // divisor)), 40))
+    offset = rng.choice((0, 1))
+    k = rng.randint(max(0, -(-(least - shift - offset) // divisor)), 40)
     return shift + k * divisor + offset
 
 
-def jobs(draw, frames: int, height: int, width: int) -> list:
+def jobs(rng: random.Random, frames: int, height: int, width: int) -> list:
     """A job of the given geometry, and the same with one frame."""
-    steps, cfg_passes = draw(st.integers(1, 8)), draw(st.sampled_from((1, 2)))
+    steps, cfg_passes = rng.randint(1, 8), rng.choice((1, 2))
     return [VideoJob(height, width, frames, steps, cfg_passes), VideoJob(height, width, 1, steps, cfg_passes)]
 
 
@@ -67,22 +68,22 @@ def exact(value, expected) -> None:
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_transformer_operators_equal_their_oracles(data):
-    draw = data.draw
-    dit = DiTSpec(layers=draw(st.integers(1, 8)), hidden=draw(st.integers(1, 64)), mlp_expansion=draw(EXPANSIONS),
-                  text_tokens=draw(st.integers(1, 64)), timestep_hidden=draw(st.integers(1, 64)),
-                  patch_h=draw(DIVISORS), patch_w=draw(DIVISORS), vae_t_down=draw(DIVISORS),
-                  vae_s_down=draw(DIVISORS))
-    frames = at_step(draw, dit.vae_t_down, 1, shift=1)  # the first frame is its own latent slice
-    height = at_step(draw, dit.vae_s_down * dit.patch_h, 16)
-    width = at_step(draw, dit.vae_s_down * dit.patch_w, 16)
-    for job in jobs(draw, frames, height, width):
+@given(RNGS)
+def test_transformer_operators_equal_their_oracles(rng):
+    dit = DiTSpec(layers=rng.randint(1, 8), hidden=rng.randint(1, 64),
+                  mlp_expansion=Fraction(rng.randint(1, 12), rng.choice((1, 2, 3, 4, 8))),
+                  text_tokens=rng.randint(1, 64), timestep_hidden=rng.randint(1, 64),
+                  patch_h=random_divisor(rng), patch_w=random_divisor(rng), vae_t_down=random_divisor(rng),
+                  vae_s_down=random_divisor(rng))
+    frames = at_step(rng, dit.vae_t_down, 1, shift=1)  # the first frame is its own latent slice
+    height = at_step(rng, dit.vae_s_down * dit.patch_h, 16)
+    width = at_step(rng, dit.vae_s_down * dit.patch_w, 16)
+    for job in jobs(rng, frames, height, width):
         grid = grid_oracle(job.height_px, job.width_px, job.frames, dit.vae_t_down, dit.vae_s_down, dit.patch_h,
                            dit.patch_w)
         assert latent_grid(job, dit) == grid
         exact(token_length(job, dit), math.prod(grid))
-        for tokens in (math.prod(grid), draw(st.integers(1, 5000))):
+        for tokens in (math.prod(grid), rng.randint(1, 5000)):
             exact(self_attention_flops(tokens, dit), self_attn_oracle(tokens, dit.hidden, dit.layers))
             exact(cross_attention_flops(tokens, dit), cross_attn_oracle(tokens, dit.text_tokens, dit.hidden,
                                                                         dit.layers))
@@ -111,18 +112,17 @@ def test_text_encoder_equals_its_oracle_or_is_rejected_on_construction(layers, h
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_vae_rows_equal_their_oracles(data):
-    draw = data.draw
-    kind, t_rule = draw(st.sampled_from(("conv3d", "attn2d"))), draw(st.sampled_from(list(TIME_RULES)))
-    c_in = draw(st.integers(1, 48))
-    row = VAEDecoderLayer(kind=kind, c_in=c_in, c_out=draw(st.integers(1, 48)) if kind == "conv3d" else c_in,
-                          t_rule=t_rule, h_div=draw(DIVISORS), w_div=draw(DIVISORS),
-                          kernel=draw(st.tuples(*[st.integers(1, 4)] * 3)) if kind == "conv3d" else None,
-                          repeat=draw(st.integers(1, 3)))
+@given(RNGS)
+def test_vae_rows_equal_their_oracles(rng):
+    kind, t_rule = rng.choice(("conv3d", "attn2d")), rng.choice(list(TIME_RULES))
+    c_in = rng.randint(1, 48)
+    row = VAEDecoderLayer(kind=kind, c_in=c_in, c_out=rng.randint(1, 48) if kind == "conv3d" else c_in,
+                          t_rule=t_rule, h_div=random_divisor(rng), w_div=random_divisor(rng),
+                          kernel=tuple(rng.randint(1, 4) for _ in range(3)) if kind == "conv3d" else None,
+                          repeat=rng.randint(1, 3))
     schedule = VAEDecoderSchedule(layers=(row,))
-    frames = at_step(draw, TIME_RULES[t_rule], 1)
-    for job in jobs(draw, frames, at_step(draw, row.h_div, 16), at_step(draw, row.w_div, 16)):
+    frames = at_step(rng, TIME_RULES[t_rule], 1)
+    for job in jobs(rng, frames, at_step(rng, row.h_div, 16), at_step(rng, row.w_div, 16)):
         expected = vae_row_oracle(row, job)
         if kind == "conv3d":
             exact(conv3d_flops(row, job), expected)
