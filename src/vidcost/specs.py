@@ -271,7 +271,15 @@ class VAEDecoderSchedule(Spec):
     layers: tuple[VAEDecoderLayer, ...]
 
     def _check(self) -> None:
-        self.__dict__.update(conv_layers=tuple(l for l in self.layers if l.kind == "conv3d"),
+        """Also store ``conv_grids``: the conv rows with those on one output grid summed, one row per grid, in order."""
+        conv, grids = tuple(l for l in self.layers if l.kind == "conv3d"), {}
+        for l in conv:
+            grids.setdefault((l.t_rule, l.h_div, l.w_div), []).append(l)  # each output grid's rows, in first-seen order
+        for grid, rows in grids.items():  # several rows: one 1x1x1 row, repeat half their summed factor (each is even)
+            if len(rows) > 1 and (factor := sum(l.flop_terms[0] for l in rows)) <= _MAX:  # beyond a float: rows kept
+                grids[grid] = [VAEDecoderLayer("conv3d", 1, 1, *grid, (1, 1, 1), factor // 2,
+                                               " + ".join(l.label for l in rows))]
+        self.__dict__.update(conv_layers=conv, conv_grids=tuple(l for rows in grids.values() for l in rows),
                              attn_layers=tuple(l for l in self.layers if l.kind == "attn2d"))
 
 

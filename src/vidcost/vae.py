@@ -1,8 +1,8 @@
 """FLOP accounting for the VAE decoder: 3D convolutions plus the 2D middle attention.
 
-Only the decoder path is modeled. Convolution cost follows the dense-GEMM
-convention (one multiply-add = two FLOPs); normalizations, activations, and
-upsampling shuffles are lower order and not accounted.
+Only the decoder path is modeled. Convolution cost follows the dense-GEMM convention (one multiply-add = two
+FLOPs), summed once per output grid, as conv rows on one grid share its size; normalizations, activations,
+and upsampling shuffles are lower order and not accounted.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ def mid_attention_flops(job: VideoJob, schedule: VAEDecoderSchedule) -> int:
 
 
 def decoder_flops(job: VideoJob, schedule: VAEDecoderSchedule) -> tuple[int, int]:
-    """Total (conv, middle-attention) FLOPs of the decoder for one video."""
+    """Total (conv, middle-attention) FLOPs of one video's decoder, one ``conv3d_flops`` call per output grid."""
     conv = 0
-    for layer in schedule.conv_layers:
+    for layer in schedule.conv_grids:
         conv += conv3d_flops(layer, job)
     return conv, mid_attention_flops(job, schedule)

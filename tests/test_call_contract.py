@@ -2,10 +2,11 @@
 
 ``perfbench/tracing.py`` wraps every function in its ``TRACED`` table and
 derives counts from the spans: ``vae.rows`` is one ``conv3d_flops`` span per
-VAE conv row, ``roofline.thresholds_us`` needs ``classify`` to call
-``thresholds``, and a traced run fails when a traced layer records nothing.
-These tests pin that structure, so a hot-path trim that inlines one of those
-functions fails here and not only in a traced benchmark run.
+VAE output grid, a row of ``VAEDecoderSchedule.conv_grids``,
+``roofline.thresholds_us`` needs ``classify`` to call ``thresholds``, and a
+traced run fails when a traced layer records nothing. These tests pin that
+structure, so a hot-path trim that inlines one of those functions fails here
+and not only in a traced benchmark run.
 """
 
 import importlib
@@ -17,6 +18,7 @@ from pathlib import Path
 
 from vidcost import (
     SweepSpec,
+    VAEDecoderSchedule,
     VideoJob,
     classify,
     estimate_cost,
@@ -71,12 +73,16 @@ def measurements_csv(wan, h100, steps=(10, 20, 40, 80, 160)) -> str:
     return "\n".join(rows) + "\n"
 
 
-def test_estimate_cost_calls_conv3d_once_per_conv_row(wan, h100):
+def test_estimate_cost_calls_conv3d_once_per_output_grid(wan, h100):
+    """11 conv rows on 6 grids in the bundled spec; with no two rows on one grid, once per row."""
     job = VideoJob(720, 1280, 81, 50)
     counts = calls(lambda: estimate_cost(job, wan, h100, 0.456))
-    assert counts[conv3d_flops.__code__] == len(wan.vae.conv_layers) == 11
+    assert counts[conv3d_flops.__code__] == len(wan.vae.conv_grids) == 6
     assert counts[mid_attention_flops.__code__] == 1
     assert counts[total_flops.__code__] == 1
+    rows = [row.replace(h_div=i + 1) for i, row in enumerate(wan.vae.layers)]  # 12 distinct grids
+    apart = wan.replace(vae=VAEDecoderSchedule(layers=tuple(rows)))
+    assert calls(lambda: estimate_cost(job, apart, h100, 0.456))[conv3d_flops.__code__] == 11
 
 
 def test_classify_calls_thresholds_once(wan, h100):

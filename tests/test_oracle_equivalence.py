@@ -13,6 +13,9 @@ from oracles import (
     cross_attn_oracle,
     grid_oracle,
     mlp_oracle,
+    random_attn_layer,
+    random_conv_layer,
+    random_job,
     self_attn_oracle,
     text_oracle,
     timestep_oracle,
@@ -35,7 +38,7 @@ from vidcost import (
     timestep_flops_per_pass,
     token_length,
 )
-from vidcost.specs import TIME_RULES
+from vidcost.specs import _MAX, TIME_RULES
 
 # Expansion factors p/q, many of them fractional: some give FLOP counts that are not integers.
 EXPANSIONS = st.builds(Fraction, st.integers(1, 12), st.sampled_from((1, 2, 3, 4, 8)))
@@ -130,3 +133,30 @@ def test_vae_rows_equal_their_oracles(rng):
         else:
             exact(mid_attention_flops(job, schedule), expected)
             assert decoder_flops(job, schedule) == (0, expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(RNGS)
+def test_conv_grids_cost_each_grid_once_and_exactly(rng):
+    """Conv rows put on at most three output grids, so that their divisors collide, among attention rows."""
+    grids = [(rng.choice(list(TIME_RULES)), random_divisor(rng), random_divisor(rng))
+             for _ in range(rng.randint(1, 3))]
+    layers = [random_conv_layer(rng).replace(**dict(zip(("t_rule", "h_div", "w_div"), rng.choice(grids))))
+              for _ in range(rng.randint(0, 8))] + [random_attn_layer(rng) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(layers)
+    schedule = VAEDecoderSchedule(layers=tuple(layers))
+    seen = list(dict.fromkeys((l.t_rule, l.h_div, l.w_div) for l in schedule.conv_layers))
+    assert [(l.t_rule, l.h_div, l.w_div) for l in schedule.conv_grids] == seen
+    for job in [random_job(rng) for _ in range(3)]:
+        rows = [sum(vae_row_oracle(l, job) for l in layers if l.kind == kind) for kind in ("conv3d", "attn2d")]
+        assert decoder_flops(job, schedule) == tuple(rows)
+        exact(sum(conv3d_flops(l, job) for l in schedule.conv_grids), rows[0])
+        assert rows[0] == sum(conv3d_flops(l, job) for l in schedule.conv_layers)
+
+
+def test_a_grid_whose_summed_factor_no_float_holds_keeps_its_rows(wan):
+    row = VAEDecoderLayer("conv3d", 1, 1, "full_T", 1, 1, (1, 1, 1), int(_MAX) // 2 - 1)  # factor int(_MAX) - 2
+    schedule = VAEDecoderSchedule(layers=(row, row.replace(label="again")))
+    assert schedule.conv_grids == schedule.conv_layers == schedule.layers
+    with pytest.raises(ValueError, match="^dit, text_encoder and vae: every job's FLOP total is too large for a float$"):
+        wan.replace(vae=schedule)

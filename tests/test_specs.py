@@ -258,6 +258,15 @@ def test_bundled_model_spec(wan):
     assert wan.text_encoder == TextEncoderSpec()
     assert len(wan.vae.layers) == 12
     assert len(wan.vae.conv_layers) == 11
+    assert [(row.t_rule, row.h_div, row.w_div, row.label) for row in wan.vae.conv_grids] == [
+        ("ceil_T_over_4", 8, 8, "latent input conv + middle residual conv + stage 1 residual conv"),
+        ("ceil_T_over_2", 8, 8, "temporal upsample 1"),
+        ("ceil_T_over_2", 4, 4, "spatial upsample 1 + stage 2 residual conv"),
+        ("full_T", 4, 4, "temporal upsample 2"),
+        ("full_T", 2, 2, "spatial upsample 2 + stage 3 residual conv"),
+        ("full_T", 1, 1, "spatial upsample 3 + rgb head conv"),
+    ]
+    assert wan.vae.conv_grids[1] is wan.vae.layers[4]  # a grid of one row keeps that row
     assert wan.vae.attn_layers == (wan.vae.layers[2],)
     assert wan.vae.layers[2].c_in == 384
 
@@ -273,7 +282,7 @@ DERIVED = {
               "timestep_flops", "latent_strides", "least_flops"},
     TextEncoderSpec: {"flops_per_pass"},
     VAEDecoderLayer: {"flop_terms"},
-    VAEDecoderSchedule: {"conv_layers", "attn_layers"},
+    VAEDecoderSchedule: {"conv_layers", "conv_grids", "attn_layers"},
 }
 
 
