@@ -20,6 +20,7 @@ from .specs import (
     SWEEP_AXES,
     VideoJob,
     data_path,
+    increasing_along,
     is_path,
     load_hardware,
     load_hardware_db,
@@ -158,14 +159,14 @@ def cmd_estimate(args) -> int:
 
 
 def _sweep_values(args):
-    """The swept values. Flags that give none, or a malformed --values entry, raise ArgumentTypeError, a usage error."""
+    """The swept values; flags that give none, or a malformed or unordered --values, raise ArgumentTypeError (usage)."""
     if args.axis == "resolution" and args.values is None:
         raise argparse.ArgumentTypeError("resolution sweeps need --values with HxW entries")
     if args.values is not None:
         parse = _resolution if args.axis == "resolution" else _positive_int
         try:
-            return tuple(parse(v) for v in args.values.split(","))
-        except argparse.ArgumentTypeError as exc:
+            return increasing_along(args.axis, tuple(parse(v) for v in args.values.split(",")))
+        except (argparse.ArgumentTypeError, ValueError) as exc:
             raise argparse.ArgumentTypeError(f"--values: {exc}") from None
     if args.start is None or args.stop is None:
         raise argparse.ArgumentTypeError("sweep needs --from/--to (or --values)")

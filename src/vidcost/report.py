@@ -9,7 +9,7 @@ byte-deterministic.
 from __future__ import annotations
 
 from .cost import CostEstimate, FlopBreakdown, estimate_cost, token_length
-from .specs import _MAX, SWEEP_AXES, HardwareSpec, ModelDefaults, ModelSpec, Record, VideoJob
+from .specs import _MAX, SWEEP_AXES, HardwareSpec, ModelDefaults, ModelSpec, Record, VideoJob, increasing_along
 
 
 class SweepSpec(Record):
@@ -29,12 +29,7 @@ class SweepSpec(Record):
         if not values:
             raise ValueError("values must be nonempty")
         jobs = tuple(map(self.job_for, values))  # so VideoJob words a bad value: frames must be an int, got 80.7
-        if self.axis == "resolution":
-            values = tuple(map(tuple, values))  # a pair may be a list
-        keys = [h * w for h, w in values] if self.axis == "resolution" else values
-        if any(b <= a for a, b in zip(keys, keys[1:])):
-            raise ValueError("values must be strictly increasing along the swept axis")
-        self.__dict__.update(values=values, jobs=jobs)
+        self.__dict__.update(values=increasing_along(self.axis, values), jobs=jobs)  # a pair may be a list
 
     def job_for(self, value) -> VideoJob:
         if self.axis != "resolution":

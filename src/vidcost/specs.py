@@ -49,15 +49,17 @@ def _within_float(fields: str, *flops: int) -> int:
 
 
 class _DataclassFields:
-    """A record class's ``__dataclass_fields__``, built on first use: ``dataclasses``' functions take
-    records (``replace`` through the class's constructor and its checks), and only their caller loads it."""
+    """A record's ``__dataclass_fields__`` or ``__dataclass_params__``, read from one dataclass made on first use."""
+
+    def __set_name__(self, owner, name) -> None:
+        self.name = name
 
     def __get__(self, record, cls):
-        if "_dataclass_fields" not in vars(cls):  # not inherited: a subclass may add fields
+        if "_dataclass" not in vars(cls):  # not inherited: a subclass may add fields
             from dataclasses import make_dataclass
 
-            cls._dataclass_fields = make_dataclass(cls.__name__, list(cls._fields.items())).__dataclass_fields__
-        return cls._dataclass_fields
+            cls._dataclass = make_dataclass(cls.__name__, list(cls._fields.items()))
+        return getattr(cls._dataclass, self.name)
 
 
 class Record:
@@ -66,7 +68,7 @@ class Record:
     the fields only, not the constants a spec derives into ``__dict__`` on
     construction; no ``__slots__``, as those constants, pickle and ``copy`` write ``__dict__``."""
 
-    __dataclass_fields__ = _DataclassFields()
+    __dataclass_fields__, __dataclass_params__ = _DataclassFields(), _DataclassFields()  # for dataclasses and pprint
 
     def __init_subclass__(cls) -> None:
         init = vars(cls).get("__init__")
@@ -161,6 +163,14 @@ class VideoJob(Spec):
 
 # Each axis a sweep may take, with the VideoJob fields a value along it sets: a resolution is a (height, width) pair.
 SWEEP_AXES = {"resolution": ("height_px", "width_px"), "frames": ("frames",), "steps": ("steps",)}
+
+
+def increasing_along(axis: str, values: tuple) -> tuple:
+    """``values`` (a resolution's pairs as tuples) if they rise strictly along ``axis``, a resolution by pixel count."""
+    keys = [h * w for h, w in values] if axis == "resolution" else values
+    if any(b <= a for a, b in zip(keys, keys[1:])):
+        raise ValueError("values must be strictly increasing along the swept axis")
+    return tuple(map(tuple, values)) if axis == "resolution" else values
 
 
 class DiTSpec(Spec):

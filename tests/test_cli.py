@@ -127,32 +127,29 @@ def test_sweep_resolution_values(capsys):
     assert rows[1].startswith("256x256,")
 
 
-def test_sweep_resolution_needs_values(capsys):
-    code, _, err = run_cli(capsys, "sweep", "--axis", "resolution", "--from", "1", "--to", "2")
-    assert code == 2
-    assert "resolution" in err
+UNORDERED = "--values: values must be strictly increasing along the swept axis"
 
 
-def test_sweep_empty_range_names_its_flags(capsys):
-    code, out, err = run_cli(capsys, "sweep", "--axis", "frames", "--from", "5", "--to", "1")
-    assert (code, out, err) == (2, "", "error: --from 5 is above --to 1\n")
-
-
-def test_sweep_checks_its_flags_before_it_reads_a_file(capsys, tmp_path):
-    missing = tmp_path / "nope.json"
-    code, out, err = run_cli(capsys, "sweep", "--axis", "frames", "--model", str(missing), "--from", "5", "--to", "3")
-    assert (code, out, err) == (2, "", "error: --from 5 is above --to 3\n")
-
-
-def test_sweep_without_a_range_or_values_is_one_error_line(capsys):
-    code, out, err = run_cli(capsys, "sweep", "--axis", "frames")
-    assert (code, out, err) == (2, "", "error: sweep needs --from/--to (or --values)\n")
-
-
-def test_sweep_range_above_the_point_limit_is_one_error_line(capsys):
-    code, out, err = run_cli(capsys, "sweep", "--axis", "frames", "--from", "1", "--to", str(10**18))
-    assert (code, out) == (2, "")
-    assert err == f"error: --from 1 --to {10**18} gives {10**18} points, above the limit of 100000\n"
+# Each a usage error found before any file is read: the one line is the same when --model names a missing file.
+@pytest.mark.parametrize("flags, message", [
+    (["--axis", "resolution", "--from", "1", "--to", "2"], "resolution sweeps need --values with HxW entries"),
+    (["--axis", "frames"], "sweep needs --from/--to (or --values)"),
+    (["--axis", "frames", "--from", "5", "--to", "1"], "--from 5 is above --to 1"),
+    (["--axis", "frames", "--from", "5", "--to", "3"], "--from 5 is above --to 3"),
+    (["--axis", "frames", "--from", "1", "--to", str(10**18)],
+     f"--from 1 --to {10**18} gives {10**18} points, above the limit of 100000"),
+    (["--axis", "frames", "--values", "1,x"], "--values: expected a positive integer, got 'x'"),
+    (["--axis", "frames", "--values", "0,3"], "--values: expected a positive integer, got '0'"),
+    (["--axis", "frames", "--values", "1,,2"], "--values: expected a positive integer, got ''"),
+    (["--axis", "resolution", "--values", "720x1280,abc"], "--values: expected HxW, got 'abc'"),
+    (["--axis", "frames", "--values", "5,3"], UNORDERED),
+    (["--axis", "steps", "--values", "4,4"], UNORDERED),
+    (["--axis", "resolution", "--values", "720x1280,1280x720"], UNORDERED),  # equal pixel counts
+], ids=["resolution-without-values", "no-range", "range-5-1", "range-5-3", "range-above-limit", "values-x",
+        "values-0", "values-empty", "values-no-hxw", "frames-unordered", "steps-unordered", "resolution-unordered"])
+def test_a_sweep_flag_error_is_one_usage_error_line_before_any_file_is_read(capsys, tmp_path, flags, message):
+    for model in ((), ("--model", str(tmp_path / "nope.json"))):
+        assert run_cli(capsys, "sweep", *flags, *model) == (2, "", f"error: {message}\n")
 
 
 def test_sweep_unknown_axis(capsys):
@@ -184,19 +181,6 @@ def test_sweep_svg(capsys, tmp_path):
                          "--format", "svg", "--out", str(out_path))
     assert code == 0
     assert out_path.read_text().startswith("<svg")
-
-
-@pytest.mark.parametrize("values, bad", [("1,x", "'x'"), ("0,3", "'0'"), ("1,,2", "''")])
-def test_sweep_bad_values_is_usage_error(capsys, values, bad):
-    code, out, err = run_cli(capsys, "sweep", "--axis", "frames", "--values", values)
-    assert (code, out) == (2, "")
-    assert err == f"error: --values: expected a positive integer, got {bad}\n"
-
-
-def test_sweep_bad_resolution_value_is_usage_error(capsys):
-    code, out, err = run_cli(capsys, "sweep", "--axis", "resolution", "--values", "720x1280,abc")
-    assert (code, out) == (2, "")
-    assert err == "error: --values: expected HxW, got 'abc'\n"
 
 
 @pytest.mark.parametrize("sweep, flags", [

@@ -1,9 +1,7 @@
 """Spec type validation and config file round trips."""
 
-import copy
 import json
 import math
-import pickle
 import random
 import re
 import sys
@@ -13,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import declared_fields, random_dit, random_schedule, random_text_encoder
+from oracles import random_dit, random_schedule, random_text_encoder
 from vidcost import (
     DiTSpec,
     HardwareSpec,
@@ -23,15 +21,12 @@ from vidcost import (
     VAEDecoderSchedule,
     VideoJob,
     balance_consistent,
-    classify,
     load_hardware,
     load_hardware_db,
-    load_model_defaults,
     load_model_spec,
     total_flops,
 )
-from vidcost.roofline import thresholds
-from vidcost.specs import Spec, from_dict, to_dict
+from vidcost.specs import from_dict, to_dict
 
 
 def test_video_job_validation():
@@ -276,41 +271,6 @@ def test_model_spec_round_trip(wan):
     assert again == wan
 
 
-# Each spec class that derives per-model constants -> their names, kept in ``__dict__`` outside its fields.
-DERIVED = {
-    DiTSpec: {"mlp_ratio", "mlp_coefficient", "self_attn_coefficients", "cross_attn_coefficients",
-              "timestep_flops", "latent_strides", "least_flops"},
-    TextEncoderSpec: {"flops_per_pass"},
-    VAEDecoderLayer: {"flop_terms"},
-    VAEDecoderSchedule: {"conv_layers", "conv_grids", "attn_layers"},
-}
-
-
-def test_cached_coefficients_leave_spec_unchanged():
-    """Each derived constant is there right after construction, outside the fields: ==, hash, repr and
-    to_dict do not see it, costing adds none, and replace() derives it again."""
-    spec = load_model_spec()
-    parts = (spec.dit, spec.text_encoder, *spec.vae.layers, spec.vae)
-    for part in parts:
-        assert vars(part).keys() - part._fields.keys() == DERIVED[type(part)]
-    before = [vars(part).copy() for part in parts]
-    total_flops(VideoJob(720, 1280, 81, 50, 2), spec.dit, spec.text_encoder, spec.vae)
-    classify(1, load_hardware(), spec.dit)
-    assert [vars(part) for part in parts] == before
-    for part in parts:
-        other = copy.copy(part)
-        vars(other).update(dict.fromkeys(DERIVED[type(part)], "other"))
-        assert other == part and hash(other) == hash(part) and repr(other) == repr(part)
-        assert to_dict(other) == to_dict(part) and list(other._fields) == list(declared_fields(type(part)))
-        assert vars(other.replace()) == vars(part)  # derived again, not copied
-    wider = spec.dit.replace(hidden=1024)
-    assert vars(wider) == vars(DiTSpec(hidden=1024))
-    for name in ("mlp_coefficient", "self_attn_coefficients", "cross_attn_coefficients", "timestep_flops"):
-        assert getattr(wider, name) != getattr(spec.dit, name)
-    assert spec.text_encoder.replace(hidden=1024).flops_per_pass == TextEncoderSpec(hidden=1024).flops_per_pass
-    assert spec == load_model_spec()
-
-
 def test_model_spec_from_file_and_env(tmp_path, wan, monkeypatch):
     path = tmp_path / "custom.json"
     doc = to_dict(wan)
@@ -362,134 +322,3 @@ def test_load_hardware_from_file(tmp_path):
     path = tmp_path / "hw.json"
     path.write_text(json.dumps([{"name": "toy", "theta_peak": 1e12, "bandwidth": 1e12, "p_max": 100}]))
     assert load_hardware(path).name == "toy"
-
-
-# --- the Spec base: immutability, value semantics, copying and argument binding ---
-
-def one_of_each_spec():
-    """A freshly loaded instance of every spec class, no hardware thresholds kept."""
-    wan = load_model_spec()
-    return [VideoJob(720, 1280, 81, 50), wan.dit, wan.text_encoder, wan.vae.layers[2], wan.vae.layers[0],
-            wan.vae, load_hardware(), wan, load_model_defaults()[0]]
-
-
-SPEC_IDS = ["job", "dit", "text-encoder", "attn-row", "conv-row", "schedule", "hardware", "model", "defaults"]
-
-
-def test_every_spec_class_is_covered():
-    assert {type(spec) for spec in one_of_each_spec()} == set(Spec.__subclasses__())
-
-
-def scramble(spec) -> list:
-    """Overwrite what ``spec`` keeps in ``__dict__`` outside its fields, a hardware entry's thresholds
-    filled first; return the names. A check that saw past the fields would then fail."""
-    if isinstance(spec, HardwareSpec):
-        thresholds(spec)
-    names = sorted(vars(spec).keys() - spec._fields.keys())
-    vars(spec).update(dict.fromkeys(names, "scrambled"))
-    return names
-
-
-@pytest.mark.parametrize("index", range(len(SPEC_IDS)), ids=SPEC_IDS)
-def test_spec_fields_cannot_be_assigned_or_deleted(index):
-    spec = one_of_each_spec()[index]
-    before = repr(spec)
-    for name in (*spec._fields, "new_attribute"):
-        with pytest.raises(AttributeError):
-            setattr(spec, name, 1)
-        with pytest.raises(AttributeError):
-            delattr(spec, name)
-    assert repr(spec) == before
-
-
-@pytest.mark.parametrize("index", range(len(SPEC_IDS)), ids=SPEC_IDS)
-def test_spec_equality_and_hash_ignore_cached_values(index):
-    spec, fresh = one_of_each_spec()[index], one_of_each_spec()[index]
-    assert spec is not fresh
-    before = (hash(spec), repr(spec))
-    if scramble(spec):
-        assert vars(spec) != vars(fresh)
-    assert spec == fresh and fresh == spec and not spec != fresh
-    assert (hash(spec), repr(spec)) == (hash(fresh), repr(fresh)) == before
-    assert spec.replace() == spec and spec.replace() is not spec
-    assert spec.__eq__(to_dict(spec)) is NotImplemented
-
-
-@pytest.mark.parametrize("index", range(len(SPEC_IDS)), ids=SPEC_IDS)
-def test_spec_repr_lists_fields_in_declaration_order(index):
-    spec = one_of_each_spec()[index]
-    scramble(spec)
-    declared = list(declared_fields(type(spec)))
-    assert list(spec._fields) == declared
-    fields = ", ".join(f"{name}={getattr(spec, name)!r}" for name in declared)
-    assert repr(spec) == f"{type(spec).__name__}({fields})"
-
-
-def test_subclass_keeps_the_fields_and_checks():
-    class Named(DiTSpec):
-        pass
-
-    assert Named._fields == DiTSpec._fields and Named(hidden=4096).hidden == 4096 and Named() != DiTSpec()
-    with pytest.raises(ValueError, match="^hidden must be a positive int, got 0$"):
-        Named(hidden=0)
-
-
-def test_video_job_repr():
-    expected = "VideoJob(height_px=720, width_px=1280, frames=81, steps=50, cfg_passes=2)"
-    assert repr(VideoJob(720, 1280, 81, 50)) == expected
-
-
-@pytest.mark.parametrize("index", range(len(SPEC_IDS)), ids=SPEC_IDS)
-@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda spec: pickle.loads(pickle.dumps(spec))],
-                         ids=["copy", "deepcopy", "pickle"])
-def test_spec_copies_and_pickles_equal(index, clone):
-    spec = one_of_each_spec()[index]
-    for scrambled in (False, True):
-        if scrambled:
-            scramble(spec)
-        again = clone(spec)
-        assert type(again) is type(spec) and vars(again) == vars(spec)  # derived constants are carried over
-        assert again == spec and hash(again) == hash(spec) and repr(again) == repr(spec)
-        with pytest.raises(AttributeError):
-            setattr(again, next(iter(spec._fields)), 1)
-
-
-@pytest.mark.parametrize("index", range(len(SPEC_IDS)), ids=SPEC_IDS)
-def test_spec_constructor_rejects_bad_arguments(index):
-    spec = one_of_each_spec()[index]
-    cls, values = type(spec), {name: getattr(spec, name) for name in spec._fields}
-    assert cls(**values) == spec and cls(*values.values()) == spec
-    first = next(iter(values))
-    bad_calls = [
-        lambda: cls(**values, bogus=1),  # unknown
-        lambda: cls(values[first], **values),  # repeated
-        lambda: cls(*values.values(), 1),  # too many
-    ]
-    required = [name for name in values if name not in cls._defaults]
-    if required:  # missing
-        bad_calls.append(lambda: cls(**{k: v for k, v in values.items() if k != required[-1]}))
-    for call in bad_calls:
-        with pytest.raises(TypeError, match=cls.__name__):
-            call()
-
-
-def test_replace_checks_as_the_constructor_does(wan):
-    with pytest.raises(ValueError) as constructed:
-        DiTSpec(hidden=0)
-    with pytest.raises(ValueError) as replaced:
-        wan.dit.replace(hidden=0)
-    assert str(replaced.value) == str(constructed.value) == "hidden must be a positive int, got 0"
-    with pytest.raises(ValueError, match="^kernel must be given for a conv3d row$"):
-        wan.vae.layers[0].replace(kernel=None)
-    with pytest.raises(ValueError, match="^frames must be at least 1$"):
-        VideoJob(720, 1280, 81, 50).replace(frames=0)
-    with pytest.raises(TypeError, match="DiTSpec"):
-        wan.dit.replace(bogus=1)
-
-
-def test_replace_changes_only_the_named_fields(wan):
-    wide = wan.dit.replace(hidden=3072, mlp_expansion="8/3")
-    assert (wide.hidden, wide.mlp_expansion) == (3072, Fraction(8, 3))
-    assert to_dict(wide) == {**to_dict(wan.dit), "hidden": 3072, "mlp_expansion": "8/3"}
-    assert wan.dit == DiTSpec() and wan.dit.replace() == wan.dit
-    assert VideoJob(720, 1280, 81, 50).replace(steps=10) == VideoJob(720, 1280, 81, 10)
