@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from operator import mul
 from pathlib import Path
 
 from .cost import SECONDS_PER_HOUR, energy, float_flops, latency
-from .specs import (_MAX, DiTSpec, HardwareSpec, Record, TextEncoderSpec, VAEDecoderSchedule, VideoJob, _json_object,
+from .specs import (_MAX, DiTSpec, HardwareSpec, Record, TextEncoderSpec, VAEDecoderSchedule, VideoJob, _json_value,
                     _printable, _read_text, _require, data_path)
 
 MEASUREMENTS_FILE = "benchmark_measurements.csv"
@@ -124,13 +123,8 @@ class ValidationReport(Record):
         return math.fsum(p.energy_pct for p in self.per_point_errors) / len(self.per_point_errors)
 
 
-def _predicted_flops(
-    records: list[MeasurementRecord],
-    spec: DiTSpec,
-    tspec: TextEncoderSpec,
-    vae: VAEDecoderSchedule,
-    cfg_passes: int,
-) -> list[int]:
+def _predicted_flops(records: list[MeasurementRecord], spec: DiTSpec, tspec: TextEncoderSpec, vae: VAEDecoderSchedule,
+                     cfg_passes: int) -> list[int]:
     # A record keeps its FLOP total under the last model it was predicted under in its
     # __dict__, not as a field. The key holds cfg_passes' type, as VideoJob rejects 2.0.
     key = (spec, tspec, vae, cfg_passes, type(cfg_passes))
@@ -292,7 +286,7 @@ def read_measurements_csv(source) -> list[MeasurementRecord]:
 def read_measurements_json(source) -> list[MeasurementRecord]:
     """Read measurement records from a JSON path or file-like object holding a list of
     objects; a value of another shape is a ValueError. A path is read as ``specs._read_text`` reads every data file."""
-    rows = json.loads(source.read() if hasattr(source, "read") else _read_text(source), object_pairs_hook=_json_object)
+    rows = _json_value(source.read() if hasattr(source, "read") else _read_text(source))
     if not isinstance(rows, list):
         raise ValueError(f"measurements must be a JSON list of objects, got {type(rows).__name__}")
     records = []

@@ -176,9 +176,8 @@ def increasing_along(axis: str, values: tuple) -> tuple:
 class DiTSpec(Spec):
     """Diffusion-transformer hyperparameters.
 
-    Field defaults are the WAN2.1-T2V-1.3B values. ``mlp_expansion`` is kept
-    as an exact rational so FLOP counts stay exact integers: the int, else the
-    float, else the ``Fraction`` that equals it.
+    Field defaults are the WAN2.1-T2V-1.3B values. ``mlp_expansion`` is kept as an exact rational so FLOP counts
+    stay exact integers: the int, else the float, else the ``Fraction`` that equals it.
     """
 
     layers: int = 32
@@ -441,7 +440,7 @@ def from_dict(cls, data, where: str = ""):
     what = where or _TOP_LEVEL.get(cls, cls.__name__)
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
-    if None in data:  # a file's object that repeats a key, as ``_json_object`` reads it
+    if None in data:  # a file's object that repeats a key, as ``_json_value`` reads it
         raise ValueError(f"{what}: repeated keys {sorted({key for key in data[None] if data[None].count(key) > 1})}")
     unknown = data.keys() - cls._fields
     if unknown:
@@ -497,10 +496,16 @@ def is_path(name_or_path: str | Path) -> bool:
     return Path(name_or_path).suffix == ".json" or os.path.isfile(name_or_path)
 
 
-def _json_object(pairs: list) -> dict:
-    """A JSON object as a dict; one that repeats a key also holds its keys in order under None, which no key is."""
-    obj = dict(pairs)
-    return obj if len(obj) == len(pairs) else {**obj, None: [key for key, _ in pairs]}
+def _json_value(text: str, read=lambda value: value):
+    """``read`` of the JSON value of ``text``; text that does not parse, or nests too deeply to parse or to check,
+    is a ValueError. An object that repeats a key also holds its keys in order under None, which no key is."""
+    def read_object(pairs: list) -> dict:
+        obj = dict(pairs)
+        return obj if len(obj) == len(pairs) else {**obj, None: [key for key, _ in pairs]}
+    try:
+        return read(json.loads(text, object_pairs_hook=read_object))
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def _read_text(path) -> str:
@@ -514,7 +519,7 @@ def _read_file(path, read):
     """``read`` of the JSON value in the file at ``path``. Text that does not
     parse, or a value ``read`` rejects, is a ValueError naming the file."""
     try:
-        return read(json.loads(_read_text(path), object_pairs_hook=_json_object))
+        return _json_value(_read_text(path), read)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

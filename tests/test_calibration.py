@@ -35,6 +35,7 @@ from vidcost import (
     load_model_spec,
     load_measurements,
     read_measurements_csv,
+    read_measurements_json,
     total_flops,
     validate,
 )
@@ -751,6 +752,11 @@ def test_json_record_repeating_a_key_is_rejected(tmp_path, keys, message):
     path.write_text(f'[{{{common}, "latency_s": 410}}, {{{common}{keys}}}]')
     with pytest.raises(ValueError, match=f"^record 1: {re.escape(message)}$"):
         load_measurements(path)
+
+
+def test_json_nested_beyond_the_parsers_recursion_limit_is_a_value_error():
+    with pytest.raises(ValueError, match=r"^JSON nested too deeply$"):
+        read_measurements_json(io.StringIO("[" * 100_000))
 
 
 def test_validate_mpe_is_the_mean_of_the_point_errors(wan, h100):
